@@ -44,7 +44,6 @@ class Budgets:
     max_samples: int = 20000
     polya_budget: int = 50
     sample_grid: int = 8
-    m_max: int = 60
 
     def pos3_options(self, mode: str, seed: int) -> Pos3Options:
         return Pos3Options(mode=Pos3Mode(mode.capitalize()), grid=self.grid,
@@ -54,15 +53,15 @@ class Budgets:
 
 
 PROFILES = {
-    "fast": Budgets(grid=16, max_depth=18, max_samples=4000, polya_budget=20, m_max=20),
+    "fast": Budgets(grid=16, max_depth=18, max_samples=4000, polya_budget=20),
     "default": Budgets(),
     "thorough": Budgets(grid=64, max_depth=30, max_samples=100000,
-                        polya_budget=120, sample_grid=16, m_max=120),
+                        polya_budget=120, sample_grid=16),
 }
 
 _BUDGET_FIELDS = {"grid": int, "max_depth": int, "delta": float,
                   "tolerance": float, "max_samples": int, "polya_budget": int,
-                  "sample_grid": int, "m_max": int}
+                  "sample_grid": int}
 
 
 def load_budgets(profile: str, config_path: Optional[str],
@@ -148,17 +147,12 @@ def cmd_power_scan(args, budgets: Budgets) -> int:
     result["metadata"] = {"seed": args.seed}
     _emit(result, args.json)
     if args.csv:
-        from .eventual import all_coeffs_positive  # noqa: F401 (documented columns)
-        current = q
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["m", "all_positive", "num_terms", "min_coef"])
             for m in range(args.max_m + 1):
-                if m > 0:
-                    current = current * p
-                coefs = list(current.terms.values())
-                writer.writerow([m, pattern.flags[m], len(coefs),
-                                 str(min(coefs)) if coefs else "0"])
+                writer.writerow([m, pattern.flags[m], pattern.num_terms[m],
+                                 str(pattern.min_coefs[m])])
     return EXIT_OK
 
 

@@ -415,9 +415,9 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
             if dv.hi < 0:
                 return ConditionReport(
                     Condition.POS3, Verdict.FAILS,
-                    witness={"r": [repr(v) for v in rr],
-                             "theta": [repr(v) for v in tt],
-                             "d_enclosure": [dv.lo, dv.hi],
+                    witness={"r": [repr(float(v)) for v in rr],
+                             "theta": [repr(float(v)) for v in tt],
+                             "d_enclosure": [float(dv.lo), float(dv.hi)],
                              "validation": "interval"},
                     budget={**budget, "refined": refined})
     return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE,

@@ -9,21 +9,29 @@ a finite proxy for the true onset, never an inference beyond the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
-from .poly import (Polynomial, dense_monomial_count, monomials_of_degree,
-                   serialize)
+import numpy as np
+
+from .poly import Polynomial, dense_monomial_count, serialize
 
 DEFAULT_DENSE_CAP = 2_000_000
 
 
-def all_coeffs_positive(f: Polynomial) -> bool:
+def all_coeffs_positive(f: Polynomial | np.ndarray) -> bool:
     """True iff every monomial of f's full degree basis has coefficient > 0.
 
-    A missing monomial fails the property.  Requires homogeneous input;
-    the zero polynomial is rejected (its degree is not a nonnegative int).
+    f is a Polynomial, or a coefficient array of the integer kernel below,
+    which holds one slot per basis monomial.  A missing monomial (an
+    absent term, or a 0 slot) fails the property.  A Polynomial must be
+    homogeneous; the zero polynomial is rejected (its degree is not a
+    nonnegative int).
     """
+    if isinstance(f, np.ndarray):
+        return bool((f > 0).all())
     if not f.is_homogeneous():
         raise ValueError("all_coeffs_positive requires a homogeneous polynomial")
     if f.is_zero():
@@ -36,12 +44,18 @@ def all_coeffs_positive(f: Polynomial) -> bool:
 
 @dataclass
 class PositivityPattern:
-    """Per-power positivity flags for p^m * q, m = 0..m_max."""
+    """Per-power positivity flags for p^m * q, m = 0..m_max.
+
+    num_terms[m] and min_coefs[m] are the number of nonzero coefficients
+    of p^m * q and the least of them, exactly.
+    """
 
     p_id: str
     q_id: str
     m_max: int
     flags: list[bool] = field(default_factory=list)
+    num_terms: list[int] = field(default_factory=list)
+    min_coefs: list[Fraction] = field(default_factory=list)
     first_true: Optional[int] = None
     onset: Optional[int] = None  # window-onset: flags true from here to m_max
 
@@ -78,11 +92,18 @@ def power_scan(p: Polynomial, q: Polynomial, m_max: int,
             f"scan refused: dense coefficient count {final_count} exceeds cap {dense_cap}")
 
     pattern = PositivityPattern(p_id=serialize(p), q_id=serialize(q), m_max=m_max)
-    current = q
+    p_terms, p_scale = _integer_terms(p)
+    q_terms, q_scale = _integer_terms(q)
+    d, deg = p.degree(), q.degree()
+    current = _times(_ONE, 0, q_terms, deg)
     for m in range(m_max + 1):
         if m > 0:
-            current = current * p
+            current = _times(current, deg, p_terms, d)
+            deg += d
+        nonzero = current[current != 0]
         pattern.flags.append(all_coeffs_positive(current))
+        pattern.num_terms.append(len(nonzero))
+        pattern.min_coefs.append(Fraction(nonzero.min(), p_scale ** m * q_scale))
 
     for m, flag in enumerate(pattern.flags):
         if flag:
@@ -103,11 +124,103 @@ def polya_exponent(g: Polynomial, n_max: int) -> Optional[int]:
         raise ValueError("polya_exponent requires a homogeneous polynomial")
     if g.is_zero() or g.nvars < 1:
         return None
-    simplex = Polynomial.sum_of_variables(g.nvars)
-    current = g
+    g_terms, _ = _integer_terms(g)
+    # x1 + ... + xl at xl = 1: one unit shift per other variable, plus 1
+    simplex = [(a, 1) for a in np.eye(g.nvars, g.nvars - 1, dtype=np.int64)]
+    deg = g.degree()
+    current = _times(_ONE, 0, g_terms, deg)
     for n in range(n_max + 1):
         if n > 0:
-            current = current * simplex
+            current = _times(current, deg, simplex, 1)
+            deg += 1
         if all_coeffs_positive(current):
             return n
     return None
+
+
+# ---------------------------------------------------------------------
+# Exact integer kernel
+# ---------------------------------------------------------------------
+#
+# Positivity of coefficients is invariant under scaling by a positive
+# rational, so denominators are cleared once and all work is on Python
+# ints.  A homogeneous polynomial of degree D in n variables is held
+# dehomogenised at x_n: a flat object array indexed by the exponents
+# (e_1..e_{n-1}) with e_1 + ... + e_{n-1} <= D, in lexicographic order.
+# Its length is exactly dense_monomial_count(n, D), so every slot is a
+# basis coefficient and a scan admitted by its dense cap allocates no
+# more than the cap allows; a (D+1)^{n-1} box would hold up to (n-1)!
+# times as many slots.
+
+#: The constant 1 at degree 0, for any number of variables.
+_ONE = np.ones(1, dtype=object)
+
+#: (exponents of x1..x_{n-1}, integer coefficient) per term
+IntTerms = list[tuple[np.ndarray, int]]
+
+
+def _integer_terms(f: Polynomial) -> tuple[IntTerms, int]:
+    """The terms of L*f, and L, the lcm of f's coefficient denominators."""
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    return [(np.array(e[:-1], dtype=np.int64), int(c * scale))
+            for e, c in f.terms.items()], scale
+
+
+def _times(current: np.ndarray, deg: int, factor: IntTerms,
+           factor_deg: int) -> np.ndarray:
+    """Product of a degree-deg dense array and a homogeneous factor.
+
+    One shifted add per factor term: the coefficient of s^e moves to
+    s^(e+a), at its lexicographic rank in the degree deg+factor_deg
+    layout.  Shifts by distinct e are distinct, so no index repeats
+    within one add.
+    """
+    free = len(factor[0][0])
+    out_deg = deg + factor_deg
+    layout = _lex_exponents(free, deg)
+    out = np.zeros(dense_monomial_count(free + 1, out_deg), dtype=object)
+    for a, c in factor:
+        idx = _lex_rank(layout + a[:, None], out_deg)
+        out[idx] += current if c == 1 else c * current
+    return out
+
+
+def _lex_exponents(k: int, deg: int) -> np.ndarray:
+    """All (e_1..e_k) with sum <= deg, as the columns of a (k, count) array.
+
+    Columns are in lexicographic order, built one coordinate at a time:
+    a prefix with remaining budget R branches into e_i = 0..R.
+    """
+    cols: list[np.ndarray] = []
+    budget = np.array([deg])
+    for _ in range(k):
+        widths = budget + 1
+        starts = np.repeat(np.cumsum(widths) - widths, widths)
+        e = np.arange(starts.size) - starts
+        cols = [np.repeat(c, widths) for c in cols] + [e]
+        budget = np.repeat(budget, widths) - e
+    if not cols:
+        return np.zeros((0, 1), dtype=np.int64)
+    return np.array(cols, dtype=np.int64)
+
+
+def _lex_rank(exps: np.ndarray, deg: int) -> np.ndarray:
+    """Positions of the columns of exps in the lexicographic degree-deg layout.
+
+    Before a column, coordinate i (with r = k-1-i coordinates after it
+    and remaining budget R) skips the blocks e_i' = 0..e_i-1, holding
+    sum_j C(R-j+r, r) = C(R+r+1, r+1) - C(R-e_i+r+1, r+1) columns.
+    """
+    k = exps.shape[0]
+    # comb[j, x] = C(x, j), by C(x, j) = sum_{t<x} C(t, j-1)
+    comb = np.zeros((k + 1, deg + k + 2), dtype=np.int64)
+    comb[0] = 1
+    for j in range(1, k + 1):
+        comb[j, 1:] = np.cumsum(comb[j - 1, :-1])
+    rank = np.zeros(exps.shape[1], dtype=np.int64)
+    budget = np.full(exps.shape[1], deg)
+    for i in range(k):
+        r = k - 1 - i
+        rank += comb[r + 1, budget + r + 1] - comb[r + 1, budget - exps[i] + r + 1]
+        budget -= exps[i]
+    return rank

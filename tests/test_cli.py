@@ -62,6 +62,21 @@ def test_check_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_interval_witness_serialises_plain_floats(tmp_path):
+    # An odd grid holds no quarter-turn phase, so no exact witness exists
+    # among the samples and the Nelder-Mead refinement supplies one.
+    out = tmp_path / "r.json"
+    code = run(["check", "(x1+x2)^4 - 9*x1^2*x2^2", "--pos3-mode", "falsify",
+                "--grid", "7", "--seed", "1", "--json", str(out)])
+    assert code == 2
+    witness = json.loads(out.read_text())["reports"][2]["witness"]
+    assert witness["validation"] == "interval"
+    for text in witness["r"] + witness["theta"]:
+        float(text)
+    lo, hi = witness["d_enclosure"]
+    assert lo <= hi < 0
+
+
 def test_check_reads_expression_from_file(tmp_path):
     expr = tmp_path / "p.txt"
     expr.write_text("x1 + x2\n")
@@ -88,6 +103,12 @@ def test_power_scan_json_and_csv(tmp_path):
     assert rows[1]["min_coef"] == "1"  # x1^3 + x2^3: positive but sparse
     assert rows[3]["all_positive"] == "True"
     assert set(rows[0]) == {"m", "all_positive", "num_terms", "min_coef"}
+    # the bytes the Fraction-multiply implementation wrote for this argv
+    assert table.read_bytes() == (b"m,all_positive,num_terms,min_coef\r\n"
+                                  b"0,False,3,-1\r\n1,False,2,1\r\n"
+                                  b"2,False,4,1\r\n3,True,6,1\r\n"
+                                  b"4,True,7,1\r\n5,True,8,1\r\n"
+                                  b"6,True,9,1\r\n")
 
 
 def test_polya_exit_codes(tmp_path):

@@ -1,11 +1,16 @@
 """Power scans, all-positive checks, and simplex-multiplier exponents."""
 
+import itertools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from powerpos import (Polynomial, all_coeffs_positive, parse, polya_exponent,
                       power_scan)
+from powerpos.eventual import _lex_exponents, _lex_rank
+from powerpos.poly import dense_monomial_count
 
 from helpers import dense_grid_pow_2d, rand_homogeneous
 
@@ -43,6 +48,13 @@ def test_zero_polynomial_rejected_or_false():
 def test_nonhomogeneous_rejected():
     with pytest.raises(ValueError):
         all_coeffs_positive(parse("x1 + 1", 1))
+
+
+def test_kernel_array_needs_every_slot_positive():
+    # one slot per basis monomial: a 0 slot is a missing monomial
+    assert all_coeffs_positive(np.array([3, 10**30, 1], dtype=object)) is True
+    assert all_coeffs_positive(np.array([3, 0, 1], dtype=object)) is False
+    assert all_coeffs_positive(np.array([3, -1, 1], dtype=object)) is False
 
 
 # ---------------------------------------------------------------------
@@ -146,3 +158,111 @@ def test_polya_soundness_on_positive_orthant():
     for _ in range(100):
         x = [F(rng.randint(1, 50), rng.randint(1, 10)) for _ in range(2)]
         assert eval_rational(g, x) > 0
+
+
+# ---------------------------------------------------------------------
+# the exact integer kernel against the Fraction path
+# ---------------------------------------------------------------------
+
+def _fraction_scan(p, q, m_max):
+    """(all-positive, term count, least coefficient) of p^m * q by Polynomial ** and *."""
+    rows = []
+    for m in range(m_max + 1):
+        f = p ** m * q
+        coefs = list(f.terms.values())
+        rows.append((all_coeffs_positive(f), len(coefs), min(coefs)))
+    return rows
+
+
+def _rand_scan_base(rng, n):
+    """Rational p with some negative coefficients, often eventually positive."""
+    if rng.random() < 0.5:
+        return rand_homogeneous(rng, n, rng.randint(1, 3), density=0.8)
+    d = rng.randint(1, 3)
+    base = Polynomial.sum_of_variables(n) ** d
+    noise = rand_homogeneous(rng, n, d, density=0.5)
+    return base + noise.scale(Fraction(1, rng.randint(10, 40)))
+
+
+def test_scan_matches_fraction_path_on_random_rationals():
+    rng = random.Random(41)
+    onsets = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        p = _rand_scan_base(rng, n)
+        q = rand_homogeneous(rng, n, rng.randint(0, 2), density=0.8)
+        m_max = rng.randint(1, 5 if n < 4 else 3)
+        pattern = power_scan(p, q, m_max)
+        rows = _fraction_scan(p, q, m_max)
+        flags = [r[0] for r in rows]
+        assert pattern.flags == flags
+        assert pattern.num_terms == [r[1] for r in rows]
+        assert pattern.min_coefs == [r[2] for r in rows]
+        assert pattern.first_true == next((m for m, f in enumerate(flags) if f), None)
+        onset = min((m for m in range(m_max + 1) if all(flags[m:])), default=None)
+        assert pattern.onset == onset
+        onsets.add(onset)
+    # the draw reaches no onset, onset 0 and a later onset
+    assert None in onsets and 0 in onsets and onsets - {None, 0}
+
+
+def test_scan_stats_of_single_variable():
+    pattern = power_scan(parse("-2*x1^3", 1), parse("3/4*x1", 1), 3)
+    assert pattern.flags == [True, False, True, False]
+    assert pattern.num_terms == [1] * 4
+    assert pattern.min_coefs == [Fraction(3, 4) * (-2) ** m for m in range(4)]
+
+
+def _polya_works(g, n):
+    return all_coeffs_positive(Polynomial.sum_of_variables(g.nvars) ** n * g)
+
+
+def test_polya_exponent_is_least_on_random_rationals():
+    rng = random.Random(43)
+    found = []
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        g = rand_homogeneous(rng, n, rng.randint(0, 3), all_positive=True)
+        cross = rand_homogeneous(rng, n, g.degree(), density=0.4)
+        g = g + cross.scale(Fraction(1, rng.randint(2, 6)))
+        if g.is_zero():
+            continue
+        exponent = polya_exponent(g, 12)
+        if exponent is None:
+            assert not any(_polya_works(g, k) for k in range(13))
+            continue
+        found.append(exponent)
+        assert _polya_works(g, exponent)
+        assert exponent == 0 or not _polya_works(g, exponent - 1)
+    assert max(found) > 1
+
+
+def test_polya_exponent_against_dense_convolution():
+    # 10*(x1^2 - 19/10 x1 x2 + x2^2): the integer form of a near-degenerate g
+    g = parse("x1^2 - 19/10*x1*x2 + x2^2", 2)
+    exponent = polya_exponent(g, 200)
+    assert exponent > 1
+    g_int = {e: int(10 * c) for e, c in g.terms.items()}
+
+    def coeffs_of_product(n):
+        s_n = dense_grid_pow_2d(parse("x1 + x2", 2), n)
+        out = np.zeros((n + 3, n + 3), dtype=object)
+        for (a, b), c in g_int.items():
+            out[a:a + n + 1, b:b + n + 1] += c * s_n
+        return [out[i, n + 2 - i] for i in range(n + 3)]
+
+    assert all(v > 0 for v in coeffs_of_product(exponent))
+    assert not all(v > 0 for v in coeffs_of_product(exponent - 1))
+
+
+def test_kernel_layout_is_the_degree_simplex():
+    # The dense layout has one slot per basis monomial: for n = 5 and
+    # degree 6 that is 210 slots, where a (D+1)^{n-1} box would hold 2401.
+    for k, deg in ((0, 3), (1, 5), (2, 4), (4, 6)):
+        exps = _lex_exponents(k, deg)
+        lex = [e for e in itertools.product(range(deg + 1), repeat=k) if sum(e) <= deg]
+        assert exps.shape == (k, dense_monomial_count(k + 1, deg))
+        assert [tuple(col) for col in exps.T] == lex
+        assert list(_lex_rank(exps, deg)) == list(range(len(lex)))
+        wider = [tuple(col) for col in _lex_exponents(k, deg + 2).T]
+        assert list(_lex_rank(exps, deg + 2)) == [wider.index(e) for e in lex]

@@ -281,7 +281,8 @@ def test_eval_interval_soundness(p, data):
         lo, hi = min(a, b), max(a, b)
         box.append(Interval(lo, hi))
         t = data.draw(st.floats(0, 1))
-        point.append(F(lo + t * (hi - lo)))
+        # lo + t*(hi - lo) can round just outside [lo, hi]
+        point.append(F(min(max(lo + t * (hi - lo), lo), hi)))
     value = eval_rational(p, point)
     iv = eval_interval(p, box)
     assert iv.lo <= value <= iv.hi
