@@ -306,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write the JSON report here")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1,
-                        help="recorded for reproducibility; work is in-process")
     common.add_argument("--budget-profile", choices=sorted(PROFILES),
                         default="default")
     common.add_argument("--config", metavar="FILE",
@@ -387,7 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message (or the help); keep the
+        # documented codes: 0 for --help, 1 for a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         overrides = {key: getattr(args, key, None) for key in _BUDGET_FIELDS}
         budgets = load_budgets(args.budget_profile, args.config, overrides)

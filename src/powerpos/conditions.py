@@ -31,7 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .eventual import polya_exponent
-from .intervals import Interval, from_fraction
+from .intervals import (add_down, add_up, array_add, array_mul_int,
+                        array_mul_nonneg, array_powers, array_scale,
+                        array_versin, from_fraction)
 from .poly import (Polynomial, dehomogenize, eval_complex_exact,
                    eval_rational, monomials_of_degree, serialize)
 
@@ -393,6 +395,7 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
         return total
 
     refined = 0
+    pair_ivs = None
     for idx in candidate_idx[:opts.refine_candidates]:
         r, th = samples[idx]
         x0 = np.array([float(v) for v in r[:n - 1]] +
@@ -409,15 +412,17 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
                 continue
             # validate with outward-rounded intervals on a tiny box
             eps = 1e-12
-            r_box = [Interval(max(0.0, v - eps), v + eps) for v in rr]
-            t_box = [Interval(v - eps, v + eps) for v in tt]
-            dv = _eval_d_interval(pairs, r_box, t_box)
-            if dv.hi < 0:
+            if pair_ivs is None:
+                pair_ivs = _pair_intervals(pairs)
+            r_box = (np.maximum(0.0, rr - eps)[None, :], (rr + eps)[None, :])
+            t_box = ((tt - eps)[None, :], (tt + eps)[None, :])
+            dv = [float(v[0]) for v in _eval_d_batch(pair_ivs, r_box, t_box)]
+            if dv[1] < 0:
                 return ConditionReport(
                     Condition.POS3, Verdict.FAILS,
                     witness={"r": [repr(float(v)) for v in rr],
                              "theta": [repr(float(v)) for v in tt],
-                             "d_enclosure": [float(dv.lo), float(dv.hi)],
+                             "d_enclosure": dv,
                              "validation": "interval"},
                     budget={**budget, "refined": refined})
     return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE,
@@ -425,58 +430,182 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
                                    "note": "no counterexample found"})
 
 
-def _eval_d_interval(pairs, r_box: list[Interval], t_box: list[Interval]) -> Interval:
-    total = Interval(0.0, 0.0)
-    one = Interval(1.0, 1.0)
-    for coef2, rexp, k in pairs:
-        term = from_fraction(coef2)
-        for iv, e in zip(r_box, rexp):
-            if e:
-                term = term * iv.pow_int(e)
-        dot = None
-        for iv, kk in zip(t_box, k):
-            if kk:
-                piece = iv.scale(float(kk))
-                dot = piece if dot is None else dot + piece
-        if dot is None:
-            continue  # equal phase pattern contributes 0
-        term = term * (one - dot.cos())
-        total = total + term
+def _pair_intervals(pairs):
+    """The pairs in the form `_eval_d_batch` takes.
+
+    Each pair becomes (coefficient as an Interval, [(dimension, exponent)
+    for its nonzero exponents of r], k): one conversion per pair.
+    """
+    return [(from_fraction(coef2), [(j, e) for j, e in enumerate(rexp) if e], k)
+            for coef2, rexp, k in pairs]
+
+
+def _eval_d_batch(pair_ivs, r: tuple, t: tuple) -> tuple:
+    """Outward-rounded enclosures of D over a batch of boxes.
+
+    r and t are (lo, hi) pairs of (boxes, n) arrays holding the radius
+    and phase intervals of every coordinate.  Each power of each radius
+    and each phase factor 1 - cos(<k, theta>) is computed once for the
+    batch and shared by the pairs that use it.  Returns (lo, hi) arrays.
+    """
+    n = r[0].shape[1]
+    e_max = [0] * n
+    for _, rexp, _ in pair_ivs:
+        for j, e in rexp:
+            e_max[j] = max(e_max[j], e)
+    powers = [array_powers((r[0][:, j], r[1][:, j]), e_max[j]) for j in range(n)]
+    phases: dict[tuple, tuple] = {}
+    total = (np.zeros(len(r[0])), np.zeros(len(r[0])))
+    for coef, rexp, k in pair_ivs:
+        factor = phases.get(k)
+        if factor is None:
+            dot = None      # k = I - J is nonzero, so dot gets a term
+            for j, kk in enumerate(k):
+                if kk:
+                    piece = array_mul_int(kk, (t[0][:, j], t[1][:, j]))
+                    dot = piece if dot is None else array_add(dot, piece)
+            factor = phases[k] = array_versin(dot)
+        for j, e in rexp:
+            factor = array_mul_nonneg(factor, powers[j][e])
+        total = array_add(total, array_scale(coef, factor))
     return total
 
 
-def _circ_maxdist(a: Interval, b: Interval) -> float:
-    """Max circular distance between points of two narrow arcs."""
-    best = 0.0
-    for x in (a.lo, a.hi):
-        for y in (b.lo, b.hi):
-            d = abs(x - y) % TWO_PI
-            best = max(best, min(d, TWO_PI - d))
+def _circ_maxdist(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """Max circular distance between points of two narrow arcs, per box."""
+    best = np.zeros(len(a_lo))
+    for x in (a_lo, a_hi):
+        for y in (b_lo, b_hi):
+            d = np.abs(x - y) % TWO_PI
+            best = np.maximum(best, np.minimum(d, TWO_PI - d))
     return best
 
 
-def _box_in_delta_region(r_all: list[Interval], t_all: list[Interval],
-                         delta: float) -> bool:
-    """Whole box within the delta-neighborhood of the aligned set.
+def _boxes_in_delta_region(r_hi, t_lo, t_hi, delta: float) -> np.ndarray:
+    """Which boxes lie wholly within the delta-neighborhood of the aligned set.
 
     Conservative: every pair of phases on coordinates whose radius can
     exceed delta must stay within 2*delta of each other, circularly.
     """
-    active = [j for j, iv in enumerate(r_all) if iv.hi > delta]
-    if len(active) <= 1:
-        return True
-    arcs = [t_all[j] for j in active]
-    if any(arc.width() > math.pi / 2 for arc in arcs):
-        return False
-    for a, b in combinations(arcs, 2):
-        if _circ_maxdist(a, b) > 2 * delta:
-            return False
-    return True
+    active = r_hi > delta
+    outside = (active & (t_hi - t_lo > math.pi / 2)).any(axis=1)
+    for a, b in combinations(range(r_hi.shape[1]), 2):
+        far = _circ_maxdist(t_lo[:, a], t_hi[:, a], t_lo[:, b], t_hi[:, b]) > 2 * delta
+        outside |= active[:, a] & active[:, b] & far
+    return (active.sum(axis=1) <= 1) | ~outside
+
+
+def _split(lo, hi, depth, delta: float):
+    """The two children of every box, interleaved (left, right).
+
+    Peel a radius sliver at delta when one straddles it, otherwise halve
+    the relatively widest dimension.
+    """
+    nr = lo.shape[1] // 2
+    rows = np.arange(len(depth))
+    straddle = (lo[:, :nr] < delta) & (delta < hi[:, :nr])
+    peel = straddle.any(axis=1)
+    widths = hi - lo
+    widths[:, nr:] /= TWO_PI
+    dim = np.where(peel, straddle.argmax(axis=1), widths.argmax(axis=1))
+    at = np.where(peel, delta, 0.5 * (lo[rows, dim] + hi[rows, dim]))
+    child_lo = np.repeat(lo, 2, axis=0)
+    child_hi = np.repeat(hi, 2, axis=0)
+    child_hi[2 * rows, dim] = at
+    child_lo[2 * rows + 1, dim] = at
+    return child_lo, child_hi, np.repeat(depth + 1, 2)
+
+
+#: Boxes the certify frontier evaluates together, as one batch.
+_CHUNK = 512
+
+# What an evaluated box came to.  A box that splits records the id of its
+# left child instead (ids are positive); the right child's id follows it.
+_INFEASIBLE, _CLOSED, _DEFERRED, _AT_DEPTH = -1, -2, -3, -4
+
+
+class _Frontier:
+    """Stack of unevaluated boxes, one row of (lo, hi, depth, id) each;
+    pops take the top rows."""
+
+    def __init__(self, width: int):
+        self.lo = np.empty((_CHUNK, width))
+        self.hi = np.empty((_CHUNK, width))
+        self.depth = np.empty(_CHUNK, dtype=np.int64)
+        self.ids = np.empty(_CHUNK, dtype=np.int64)
+        self.size = 0
+
+    def push(self, lo, hi, depth, ids) -> None:
+        end = self.size + len(depth)
+        if end > len(self.depth):
+            cap = max(end, 2 * len(self.depth))
+            for name in ("lo", "hi", "depth", "ids"):
+                old = getattr(self, name)
+                new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                new[:self.size] = old[:self.size]
+                setattr(self, name, new)
+        self.lo[self.size:end] = lo
+        self.hi[self.size:end] = hi
+        self.depth[self.size:end] = depth
+        self.ids[self.size:end] = ids
+        self.size = end
+
+    def pop(self, count: int) -> tuple:
+        start = max(0, self.size - count)
+        out = tuple(a[start:self.size].copy() for a in (self.lo, self.hi, self.depth, self.ids))
+        self.size = start
+        return out
+
+
+def _evaluate(frontier: _Frontier, count: int, next_id: int, pair_ivs,
+              opts: Pos3Options) -> tuple:
+    """Evaluate the top `count` boxes of the frontier as one batch.
+
+    Applies every rule to the batch as array operations: infeasibility,
+    the last radius, the D enclosure, the `dv.lo > 0` close, the delta
+    region, the depth limit and the split.  The children of the boxes
+    that split are pushed back with ids from `next_id` on.  Returns
+    ({id: outcome}, {id: box} of the boxes at the depth limit, the next
+    free id).
+    """
+    lo, hi, depth, ids = frontier.pop(count)
+    nr = lo.shape[1] // 2
+    # the free radii must admit a sum <= 1: drop a box only when even a
+    # lower bound of their smallest sum exceeds 1
+    lo_sum, hi_sum = lo[:, 0], hi[:, 0]
+    for j in range(1, nr):
+        lo_sum, hi_sum = add_down(lo_sum, lo[:, j]), add_up(hi_sum, hi[:, j])
+    code = np.full(len(ids), _INFEASIBLE, dtype=np.int64)
+    rows = np.flatnonzero(~(lo_sum > 1.0))
+    lo, hi, depth = lo[rows], hi[rows], depth[rows]
+    lo_sum, hi_sum = lo_sum[rows], hi_sum[rows]
+    # the last radius is 1 minus the others, rounded outward
+    r_lo = np.column_stack([lo[:, :nr], np.maximum(0.0, add_down(1.0, -hi_sum))])
+    r_hi = np.column_stack([hi[:, :nr],
+                            np.maximum(0.0, np.minimum(1.0, add_up(1.0, -lo_sum)))])
+    zero = np.zeros((len(rows), 1))
+    t_lo = np.hstack([zero, lo[:, nr:]])
+    t_hi = np.hstack([zero, hi[:, nr:]])
+
+    dv_lo, _ = _eval_d_batch(pair_ivs, (r_lo, r_hi), (t_lo, t_hi))
+    closed = dv_lo > 0
+    deferred = ~closed & _boxes_in_delta_region(r_hi, t_lo, t_hi, opts.delta)
+    at_depth = ~closed & ~deferred & (depth >= opts.max_depth)
+    split = np.flatnonzero(~closed & ~deferred & ~at_depth)
+    outcome = np.where(closed, _CLOSED, np.where(deferred, _DEFERRED, _AT_DEPTH))
+    outcome[split] = next_id + 2 * np.arange(len(split))
+    code[rows] = outcome
+    if len(split):
+        frontier.push(*_split(lo[split], hi[split], depth[split], opts.delta),
+                      np.arange(next_id, next_id + 2 * len(split)))
+    boxes = dict(zip(ids[rows[at_depth]].tolist(),
+                     np.stack([lo[at_depth], hi[at_depth]], axis=2).tolist()))
+    return dict(zip(ids.tolist(), code.tolist())), boxes, next_id + 2 * len(split)
 
 
 def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     n = p.nvars
-    pairs = _pair_data(p)
+    pair_ivs = _pair_intervals(_pair_data(p))
 
     # sanity sweep: the certificate presumes p > 0 on the orthant
     for pt in _simplex_grid(n, 4):
@@ -487,63 +616,59 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
                                 "run Pos1/Pos2 first",
                         "point": [str(v) for v in pt]})
 
-    init = [Interval(0.0, 1.0) for _ in range(n - 1)] + \
-           [Interval(0.0, TWO_PI) for _ in range(n - 1)]
-    stack: list[tuple[list[Interval], int]] = [(init, 0)]
-    closed = deferred = infeasible = processed = 0
+    # a box is n - 1 free radii in [0, 1] then n - 1 phases in [0, 2 pi];
+    # the last radius is 1 minus the others and the first phase is 0
+    frontier = _Frontier(2 * (n - 1))
+    frontier.push(np.array([[0.0] * (n - 1) + [0.0] * (n - 1)]),
+                  np.array([[1.0] * (n - 1) + [TWO_PI] * (n - 1)]),
+                  np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    next_id = 1
+    outcome: dict[int, int] = {}         # evaluated boxes the walk has not reached
+    at_depth: dict[int, list] = {}
+    evaluated = closed = deferred = infeasible = processed = 0
     unresolved: list[list[list[float]]] = []
     max_depth_used = 0
 
-    while stack:
-        processed += 1
-        if processed > opts.max_boxes:
+    # Boxes are evaluated in batches but counted in the order of a
+    # depth-first walk that visits the right child first, so the counts
+    # and the stop after 50 unresolved boxes do not depend on the batch
+    # size.  The frontier holds the unevaluated boxes in that same order,
+    # next one on top, so the box the walk waits for is always the top
+    # of the next batch.
+    walk = [(0, 0)]                      # (box id, depth)
+    while walk:
+        node, depth = walk[-1]
+        code = outcome.pop(node, None)
+        if processed == opts.max_boxes or (code is None and evaluated == opts.max_boxes):
             return ConditionReport(
                 Condition.POS3, Verdict.INCONCLUSIVE,
-                budget={"boxes_processed": processed, "note": "box budget exhausted"})
-        box, depth = stack.pop()
-        max_depth_used = max(max_depth_used, depth)
-        r_free = box[:n - 1]
-        lo_sum = sum(iv.lo for iv in r_free)
-        hi_sum = sum(iv.hi for iv in r_free)
-        if lo_sum > 1.0:
-            infeasible += 1
+                budget={"boxes_processed": evaluated, "note": "box budget exhausted"})
+        if code is None:
+            if not frontier.size or frontier.ids[frontier.size - 1] != node:
+                raise RuntimeError("certify frontier is out of walk order")
+            count = min(_CHUNK, opts.max_boxes - evaluated)
+            found, boxes, next_id = _evaluate(frontier, count, next_id, pair_ivs, opts)
+            evaluated += len(found)
+            outcome.update(found)
+            at_depth.update(boxes)
             continue
-        r_last = Interval(max(0.0, 1.0 - hi_sum), max(0.0, min(1.0, 1.0 - lo_sum)))
-        r_all = list(r_free) + [r_last]
-        t_all = [Interval(0.0, 0.0)] + list(box[n - 1:])
-
-        dv = _eval_d_interval(pairs, r_all, t_all)
-        if dv.lo > 0:
+        walk.pop()
+        processed += 1
+        if depth > max_depth_used:
+            max_depth_used = depth
+        if code > 0:
+            walk.append((code, depth + 1))
+            walk.append((code + 1, depth + 1))
+        elif code == _CLOSED:
             closed += 1
-            continue
-        if _box_in_delta_region(r_all, t_all, opts.delta):
+        elif code == _DEFERRED:
             deferred += 1
-            continue
-        if depth >= opts.max_depth:
-            unresolved.append([[iv.lo, iv.hi] for iv in box])
+        elif code == _INFEASIBLE:
+            infeasible += 1
+        else:
+            unresolved.append(at_depth.pop(node))
             if len(unresolved) > 50:
                 break
-            continue
-        # split: peel a radius sliver at delta when one straddles it,
-        # otherwise halve the relatively widest dimension
-        split_dim = None
-        split_at = None
-        for i, iv in enumerate(r_free):
-            if iv.lo < opts.delta < iv.hi:
-                split_dim, split_at = i, opts.delta
-                break
-        if split_dim is None:
-            widths = [iv.width() for iv in r_free] + \
-                     [iv.width() / TWO_PI for iv in box[n - 1:]]
-            split_dim = max(range(len(widths)), key=widths.__getitem__)
-            split_at = box[split_dim].mid()
-        left = list(box)
-        right = list(box)
-        iv = box[split_dim]
-        left[split_dim] = Interval(iv.lo, split_at)
-        right[split_dim] = Interval(split_at, iv.hi)
-        stack.append((left, depth + 1))
-        stack.append((right, depth + 1))
 
     budget = {"boxes_processed": processed, "boxes_closed": closed,
               "boxes_deferred": deferred, "boxes_infeasible": infeasible,

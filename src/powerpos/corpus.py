@@ -61,10 +61,3 @@ def load_corpus() -> dict[str, CorpusEntry]:
             entries[entry.name] = entry
     return entries
 
-
-def get_entry(name: str) -> CorpusEntry:
-    entries = load_corpus()
-    if name not in entries:
-        known = ", ".join(sorted(entries))
-        raise KeyError(f"unknown corpus entry {name!r}; known: {known}")
-    return entries[name]

@@ -1,9 +1,16 @@
 """Outward-rounded interval arithmetic on doubles.
 
-Every operation pads its result by one ulp in each direction (two for
-cos, whose libm implementation is not guaranteed correctly rounded), so
-true values are always enclosed.  Desk-scale certification only: no
-arbitrary-precision intervals.
+Every arithmetic operation pads its result by one ulp in each
+direction, so true values are always enclosed.  Desk-scale
+certification only: no arbitrary-precision intervals.
+
+`Interval` holds one scalar interval.  The array functions below hold a
+batch of intervals as a pair of equal-shape float64 arrays (lo, hi) and
+apply the same rounding rules elementwise, one `np.nextafter` per
+rounded operation.  `array_cos` takes its endpoint values from numpy's
+`np.cos`, whose float64 loop depends on the CPU and the numpy version
+and has no documented error bound; it widens them by the fixed absolute
+margin `COS_MARGIN` instead of a count of ulps (see there).
 """
 
 from __future__ import annotations
@@ -11,8 +18,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 _INF = math.inf
 _TWO_PI = 2 * math.pi
+
+#: Absolute widening of every `np.cos` endpoint value in `array_cos`.
+#: It is 2^-40, about 8,000 ulps of 1.0.  A float64 cos that is accurate
+#: to a few ulps is off by at most about 2^-50 on [-1, 1], and the
+#: arguments the certifier passes (phase sums <k, theta> with |k| at most
+#: twice the degree) stay below a few hundred, small enough for any
+#: argument reduction in use.  The margin covers the implementation that
+#: runs, not one named implementation: tests/test_intervals.py measures
+#: the error of the `np.cos` in use against 50-digit values and requires
+#: it to stay below COS_MARGIN / 256.
+COS_MARGIN = 2.0 ** -40
 
 
 def _down(x: float) -> float:
@@ -38,39 +58,15 @@ class Interval:
     def __eq__(self, other) -> bool:
         return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
 
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float | Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     # -- arithmetic (outward rounded) ---------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
 
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
     def __mul__(self, other: "Interval") -> "Interval":
         products = (self.lo * other.lo, self.lo * other.hi,
                     self.hi * other.lo, self.hi * other.hi)
         return Interval(_down(min(products)), _up(max(products)))
-
-    def scale(self, c: float) -> "Interval":
-        a, b = self.lo * c, self.hi * c
-        if a > b:
-            a, b = b, a
-        return Interval(_down(a), _up(b))
 
     def pow_int(self, n: int) -> "Interval":
         """x^n for integer n >= 0, tight on monotone/even cases."""
@@ -85,23 +81,6 @@ class Interval:
             return Interval(_down(hi_n), _up(lo_n))
         return Interval(0.0, _up(max(lo_n, hi_n)))
 
-    def cos(self) -> "Interval":
-        """Enclosure of cos over the interval."""
-        if self.hi - self.lo >= _TWO_PI:
-            return Interval(-1.0, 1.0)
-        lo = hi = None
-        for v in (math.cos(self.lo), math.cos(self.hi)):
-            lo = v if lo is None else min(lo, v)
-            hi = v if hi is None else max(hi, v)
-        # extrema at integer multiples of pi inside the interval
-        k_min = math.ceil(self.lo / math.pi - 1e-12)
-        k_max = math.floor(self.hi / math.pi + 1e-12)
-        for k in range(k_min, k_max + 1):
-            v = 1.0 if k % 2 == 0 else -1.0
-            lo = min(lo, v)
-            hi = max(hi, v)
-        return Interval(max(-1.0, _down(_down(lo))), min(1.0, _up(_up(hi))))
-
 
 def from_fraction(c: Fraction | int) -> Interval:
     c = Fraction(c)
@@ -111,9 +90,102 @@ def from_fraction(c: Fraction | int) -> Interval:
     return Interval(_down(f), _up(f))
 
 
-def from_point(x: float) -> Interval:
-    return Interval(x, x)
+
+# -- batches of intervals ---------------------------------------------
+# A batch is a pair (lo, hi) of equal-shape float64 arrays.
+
+def _down_array(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(x, -_INF)
 
 
-def hull(a: Interval, b: Interval) -> Interval:
-    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+def _up_array(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(x, _INF)
+
+
+def array_add(a: tuple, b: tuple) -> tuple:
+    return _down_array(a[0] + b[0]), _up_array(a[1] + b[1])
+
+
+def _sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The exact a + b - s for s = a + b rounded (Knuth's TwoSum)."""
+    b_part = s - a
+    return (a - (s - b_part)) + (b - b_part)
+
+
+def add_down(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The largest double <= a + b: the rounded sum, stepped down only
+    when it lies above the exact one."""
+    s = a + b
+    return np.where(_sum_error(a, b, s) < 0, _down_array(s), s)
+
+
+def add_up(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest double >= a + b."""
+    s = a + b
+    return np.where(_sum_error(a, b, s) > 0, _up_array(s), s)
+
+
+def array_mul_int(k: int, a: tuple) -> tuple:
+    """k * a for an integer k; a may have either sign."""
+    lo, hi = k * a[0], k * a[1]
+    if k < 0:
+        lo, hi = hi, lo
+    return _down_array(lo), _up_array(hi)
+
+
+def array_mul_nonneg(a: tuple, b: tuple) -> tuple:
+    """a * b for batches of nonnegative quantities.
+
+    Lower bounds are clamped at 0, which keeps the batch nonnegative
+    when rounding down reaches below it.
+    """
+    return np.maximum(_down_array(a[0] * b[0]), 0.0), _up_array(a[1] * b[1])
+
+
+def array_scale(c: Interval, a: tuple) -> tuple:
+    """c * a for a scalar interval c and a batch a of nonnegative quantities."""
+    lo = c.lo * (a[0] if c.lo >= 0 else a[1])
+    hi = c.hi * (a[1] if c.hi >= 0 else a[0])
+    return _down_array(lo), _up_array(hi)
+
+
+def array_powers(a: tuple, e_max: int) -> list[tuple]:
+    """[a^0, a^1, ..., a^e_max] for a batch a of nonnegative quantities.
+
+    Each power is an outward-rounded product with the one before it:
+    numpy's `power` is not libm's `pow`, and neither is guaranteed
+    correctly rounded.
+    """
+    out = [(np.ones_like(a[0]), np.ones_like(a[1])), a]
+    for _ in range(2, e_max + 1):
+        out.append(array_mul_nonneg(out[-1], a))
+    return out[:e_max + 1]
+
+
+def array_cos(a: tuple) -> tuple:
+    """Enclosure of cos over each interval of a batch.
+
+    Endpoint values from `np.cos`, widened to -1 or 1 wherever the
+    interval holds an odd or even multiple of pi, then by `COS_MARGIN`.
+    """
+    lo, hi = a
+    end_lo, end_hi = np.cos(lo), np.cos(hi)
+    vmin, vmax = np.minimum(end_lo, end_hi), np.maximum(end_lo, end_hi)
+    # extrema at integer multiples of pi inside the interval
+    k_min = np.ceil(lo / math.pi - 1e-12)
+    k_max = np.floor(hi / math.pi + 1e-12)
+    several = k_max > k_min
+    one = k_max == k_min
+    even = np.mod(k_min, 2) == 0
+    vmax = np.where(several | (one & even), 1.0, vmax)
+    vmin = np.where(several | (one & ~even), -1.0, vmin)
+    vmin = np.maximum(-1.0, _down_array(vmin - COS_MARGIN))
+    vmax = np.minimum(1.0, _up_array(vmax + COS_MARGIN))
+    full = hi - lo >= _TWO_PI
+    return np.where(full, -1.0, vmin), np.where(full, 1.0, vmax)
+
+
+def array_versin(a: tuple) -> tuple:
+    """Enclosure of 1 - cos over each interval of a batch; it is >= 0."""
+    c_lo, c_hi = array_cos(a)
+    return np.maximum(_down_array(1.0 - c_hi), 0.0), _up_array(1.0 - c_lo)

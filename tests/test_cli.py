@@ -54,6 +54,22 @@ def test_parse_error_exit_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["check", "x1+x2", "--bogus"],
+                                  ["check", "x1+x2", "--threads", "2"],
+                                  ["power-scan", "--p", "x1+x2"],
+                                  ["nonsense"]])
+def test_usage_error_exit_one(argv, capsys):
+    # argparse's own exit status 2 would read as "Fails"
+    assert run(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exit_zero(capsys):
+    assert run(["--help"]) == 0
+    assert run(["check", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_check_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

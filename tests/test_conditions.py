@@ -4,12 +4,16 @@ import cmath
 import random
 from fractions import Fraction as F
 
+import mpmath
+import numpy as np
 import pytest
 
 from powerpos import (Condition, Pos3Mode, Pos3Options, SgcsResult, Verdict,
                       assoc_bihom_eval, check_pos1, check_pos2, check_pos3,
                       check_sgcs, eval_complex, eval_rational, facet_derivative,
                       max_squared_norm_diag, parse)
+from powerpos import conditions
+from powerpos.conditions import _eval_d_batch, _pair_data, _pair_intervals
 from powerpos.poly import eval_complex_exact
 
 from helpers import rand_complex_point, rand_homogeneous
@@ -148,12 +152,19 @@ def test_pos3_certify_linear():
     assert rep.verdict is Verdict.HOLDS
     assert rep.certificate["delta"] == pytest.approx(1e-3)
     assert rep.certificate["jf_probe"]["all_positive_definite"]
+    # the box tree does not depend on how many boxes are evaluated at once
+    assert rep.budget == {"boxes_processed": 30613, "boxes_closed": 10190,
+                          "boxes_deferred": 5117, "boxes_infeasible": 0,
+                          "max_depth_used": 24}
 
 
 def test_pos3_certify_quartic_family():
     rep = check_pos3(P7, Pos3Options(mode=Pos3Mode.CERTIFY))
     assert rep.verdict is Verdict.HOLDS
     assert rep.certificate["resolution_limited"] is True
+    assert rep.budget == {"boxes_processed": 31489, "boxes_closed": 10628,
+                          "boxes_deferred": 5117, "boxes_infeasible": 0,
+                          "max_depth_used": 24}
 
 
 def test_pos3_falsify_no_counterexample_on_linear():
@@ -170,6 +181,86 @@ def test_pos3_budget_exhaustion_is_inconclusive():
     opts = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=10)
     rep = check_pos3(P7, opts)
     assert rep.verdict is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("max_boxes", [1, 10, 511, 513, 1000])
+def test_pos3_box_budget_is_never_exceeded(max_boxes):
+    rep = check_pos3(P7, Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=max_boxes))
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.budget["boxes_processed"] == max_boxes
+
+
+def test_pos3_box_budget_that_just_suffices_still_holds():
+    p = parse("x1+x2", 2)
+    enough = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=30613)
+    assert check_pos3(p, enough).verdict is Verdict.HOLDS
+    short = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=30612)
+    rep = check_pos3(p, short)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.budget["boxes_processed"] == 30612
+
+
+@pytest.mark.parametrize("expr, nvars, counts", [
+    ("(x1+x2)^4 - 55/7*x1^2*x2^2", 2, (2942, 974, 438, 0)),
+    ("(x1+x2+x3)^2", 3, (213, 35, 0, 13)),
+])
+def test_pos3_unresolved_stop_does_not_depend_on_the_batch_size(expr, nvars, counts,
+                                                                monkeypatch):
+    p = parse(expr, nvars)
+    batched = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY))
+    monkeypatch.setattr(conditions, "_CHUNK", 1)
+    one_by_one = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY))
+    assert batched.to_json_dict() == one_by_one.to_json_dict()
+    assert batched.verdict is Verdict.INCONCLUSIVE
+    budget = batched.budget
+    assert (budget["boxes_processed"], budget["boxes_closed"], budget["boxes_deferred"],
+            budget["boxes_infeasible"]) == counts
+    assert budget["unresolved_boxes"] == 51 and len(budget["unresolved_sample"]) == 5
+
+
+def _d_at(p, radii, phases):
+    """D = p(r)^2 - |p(r e^{i theta})|^2 at 50 digits, and a bound on its error."""
+    with mpmath.workdps(50):
+        z = [mpmath.mpf(r) * mpmath.expj(mpmath.mpf(t)) for r, t in zip(radii, phases)]
+        p_r = mpmath.mpf(0)
+        p_z = mpmath.mpc(0)
+        for exp, coef in p.terms.items():
+            c = mpmath.mpf(coef.numerator) / coef.denominator
+            p_r += c * mpmath.fprod(mpmath.mpf(r) ** e for r, e in zip(radii, exp))
+            p_z += c * mpmath.fprod(v ** e for v, e in zip(z, exp))
+        return p_r ** 2 - abs(p_z) ** 2, mpmath.mpf(10) ** -40 * (1 + p_r ** 2)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_d_batch_encloses_high_precision_values(nvars):
+    rng = random.Random(20 + nvars)
+    for _ in range(6):
+        p = rand_homogeneous(rng, nvars, rng.randint(1, 4), density=0.7)
+        boxes = []
+        for _ in range(20):
+            width = rng.choice([0.0, 1e-9, 0.01, 0.3])
+            r_box = [(a, min(1.0, a + width * rng.random())) for a in
+                     (rng.uniform(0, 1) for _ in range(nvars))]
+            t_box = [(a, a + rng.choice([0.0, 1e-9, 0.1, 1.0, 7.0])) for a in
+                     (rng.uniform(-7, 7) for _ in range(nvars))]
+            boxes.append((r_box, t_box))
+        r = tuple(np.array([[iv[i] for iv in rb] for rb, _ in boxes]) for i in (0, 1))
+        t = tuple(np.array([[iv[i] for iv in tb] for _, tb in boxes]) for i in (0, 1))
+        pair_ivs = _pair_intervals(_pair_data(p))
+        d_lo, d_hi = _eval_d_batch(pair_ivs, r, t)
+        for b, (r_box, t_box) in enumerate(boxes):
+            # one box alone encloses the same values as in the batch
+            one = _eval_d_batch(pair_ivs, (r[0][b:b + 1], r[1][b:b + 1]),
+                                (t[0][b:b + 1], t[1][b:b + 1]))
+            assert (one[0][0], one[1][0]) == (d_lo[b], d_hi[b])
+            for _ in range(4):
+                pick = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(2 * nvars)]
+                radii = [lo + s * (hi - lo) for (lo, hi), s in zip(r_box, pick)]
+                phases = [lo + s * (hi - lo) for (lo, hi), s in zip(t_box, pick[nvars:])]
+                radii = [min(max(v, lo), hi) for v, (lo, hi) in zip(radii, r_box)]
+                phases = [min(max(v, lo), hi) for v, (lo, hi) in zip(phases, t_box)]
+                value, err = _d_at(p, radii, phases)
+                assert d_lo[b] - err <= value <= d_hi[b] + err
 
 
 def test_pos3_options_validate():
