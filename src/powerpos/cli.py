@@ -39,7 +39,6 @@ EXIT_INCONCLUSIVE = 3
 class Budgets:
     grid: int = 32
     max_depth: int = 24
-    delta: float = 1e-3
     tolerance: float = 1e-12
     max_samples: int = 20000
     polya_budget: int = 50
@@ -47,8 +46,7 @@ class Budgets:
 
     def pos3_options(self, mode: str, seed: int) -> Pos3Options:
         return Pos3Options(mode=Pos3Mode(mode.capitalize()), grid=self.grid,
-                           max_depth=self.max_depth, delta=self.delta,
-                           tolerance=self.tolerance,
+                           max_depth=self.max_depth, tolerance=self.tolerance,
                            max_samples=self.max_samples, seed=seed)
 
 
@@ -59,9 +57,8 @@ PROFILES = {
                         polya_budget=120, sample_grid=16),
 }
 
-_BUDGET_FIELDS = {"grid": int, "max_depth": int, "delta": float,
-                  "tolerance": float, "max_samples": int, "polya_budget": int,
-                  "sample_grid": int}
+_BUDGET_FIELDS = {"grid": int, "max_depth": int, "tolerance": float,
+                  "max_samples": int, "polya_budget": int, "sample_grid": int}
 
 
 def load_budgets(profile: str, config_path: Optional[str],
@@ -72,9 +69,10 @@ def load_budgets(profile: str, config_path: Optional[str],
         if not cfg.read(config_path):
             raise FileNotFoundError(f"config file not found: {config_path}")
         if cfg.has_section("budgets"):
-            for key, conv in _BUDGET_FIELDS.items():
-                if cfg.has_option("budgets", key):
-                    budgets = replace(budgets, **{key: conv(cfg.get("budgets", key))})
+            for key, text in cfg.items("budgets"):
+                if key not in _BUDGET_FIELDS:
+                    raise ValueError(f"unknown [budgets] key in {config_path}: {key}")
+                budgets = replace(budgets, **{key: _BUDGET_FIELDS[key](text)})
     clean = {k: v for k, v in overrides.items() if v is not None}
     if clean:
         budgets = replace(budgets, **clean)

@@ -9,9 +9,15 @@ Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       set of points whose nonzero coordinates share one argument (the
       "aligned" set).  Falsify mode samples the normalized domain and
       re-validates candidates exactly when their phases are multiples
-      of pi/2; certify mode runs an interval branch-and-bound outside a
-      delta-neighborhood of the aligned set and backs the neighborhood
-      with a positive-definiteness probe of the log-Hessian matrix.
+      of pi/2.  Certify mode holds at once when every coefficient is
+      positive (any n).  Otherwise it decides n = 2 only: it proves
+      G = D / (4 r1 r2 sin^2(t/2)) > 0 on the compact box
+      [0, 1] x [0, pi] by an outward-rounded interval branch-and-bound,
+      where D = p(r)^2 - |p(r e^{it})|^2 and G is a sum of Fejer kernels
+      (see `_fejer_terms`).  Dividing out the removable zeros of D on
+      the aligned set leaves nothing to fence off.  When the search
+      does not close, quarter-turn points are probed exactly for a
+      Fails witness.
 
 Also here: the associated Hermitian bihomogeneous form
 P(z, conj(w)) = p(z_1 conj(w_1), ..., z_n conj(w_n)), its strict
@@ -30,14 +36,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eventual import polya_exponent
-from .intervals import (add_down, add_up, array_add, array_mul_int,
-                        array_mul_nonneg, array_powers, array_scale,
+from .eventual import all_coeffs_positive, polya_exponent
+from .intervals import (add_down, add_up, array_add, array_cos, array_mul,
+                        array_mul_int, array_mul_nonneg, array_powers,
                         array_versin, from_fraction)
-from .poly import (Polynomial, dehomogenize, eval_complex_exact,
-                   eval_rational, monomials_of_degree, serialize)
-
-TWO_PI = 2 * math.pi
+from .poly import (Polynomial, eval_complex_exact, eval_rational,
+                   monomials_of_degree)
 
 
 class Condition(str, Enum):
@@ -206,19 +210,17 @@ class Pos3Options:
     mode: Pos3Mode = Pos3Mode.FALSIFY
     grid: int = 32
     max_depth: int = 24
-    delta: float = 1e-3      # exclusion radius around the aligned set
     tolerance: float = 1e-12
     max_samples: int = 20000
     max_boxes: int = 2_000_000
-    probe_points: int = 5
     refine_candidates: int = 12
     seed: int = 0
 
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = Pos3Mode(self.mode.capitalize())
-        if self.delta <= 0 or self.tolerance <= 0:
-            raise ValueError("delta and tolerance must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
 
 
 def _pair_data(p: Polynomial):
@@ -237,12 +239,6 @@ def _pair_data(p: Polynomial):
     return pairs
 
 
-def _aligned_quarter_phases(quarters: Sequence[int], radii: Sequence[Fraction]) -> bool:
-    """Exact alignment test for phases that are multiples of pi/2."""
-    active = {q % 4 for q, r in zip(quarters, radii) if r > 0}
-    return len(active) <= 1
-
-
 _QUARTER_UNITS = {
     0: (Fraction(1), Fraction(0)),
     1: (Fraction(0), Fraction(1)),
@@ -251,35 +247,37 @@ _QUARTER_UNITS = {
 }
 
 
-def _exact_pos3_violation(p: Polynomial, radii: Sequence[Fraction],
-                          quarters: Sequence[int]):
+def _exact_witness(p: Polynomial, radii: Sequence[Fraction],
+                   quarters: Sequence[int]) -> Optional[dict]:
     """Exact check of |p(z)|^2 >= p(r)^2 at z_k = r_k i^{q_k}.
 
-    Returns (lhs, rhs) Fractions, or None when the point is aligned.
+    Returns the Fails witness, scaled so the largest modulus is 1, or
+    None when the point is aligned or satisfies the strict inequality.
     """
-    if _aligned_quarter_phases(quarters, radii):
-        return None
-    z = [(r * _QUARTER_UNITS[q % 4][0], r * _QUARTER_UNITS[q % 4][1])
-         for r, q in zip(radii, quarters)]
-    re, im = eval_complex_exact(p, z)
+    if len({q % 4 for q, r in zip(quarters, radii) if r > 0}) <= 1:
+        return None     # aligned
+    units = [_QUARTER_UNITS[q % 4] for q in quarters]
+    re, im = eval_complex_exact(p, [(r * u, r * v) for r, (u, v) in zip(radii, units)])
     lhs = re * re + im * im
     rhs = eval_rational(p, list(radii)) ** 2
-    return lhs, rhs
-
-
-def _normalize_witness(radii: Sequence[Fraction], quarters: Sequence[int]):
-    """Scale so the largest modulus is 1; JSON-friendly exact coordinates."""
+    if lhs < rhs:
+        return None
     top = max(radii)
-    coords = []
-    for r, q in zip(radii, quarters):
-        re, im = _QUARTER_UNITS[q % 4]
-        coords.append([str(re * r / top), str(im * r / top)])
-    return coords
+    return {"z": [[str(u * r / top), str(v * r / top)] for r, (u, v) in zip(radii, units)],
+            "abs_p_z_squared": str(lhs),
+            "p_abs_z_squared": str(rhs),
+            "equality": lhs == rhs,
+            "validation": "exact"}
 
 
 def _simplex_grid(n: int, grid: int) -> list[tuple[Fraction, ...]]:
     return [tuple(Fraction(e, grid) for e in exp)
             for exp in monomials_of_degree(n, grid)]
+
+
+#: Falsify drops candidates whose `_misalignment` is at most this: near
+#: the aligned set D vanishes, and float noise there is no counterexample.
+_MISALIGNMENT_FLOOR = 1e-3
 
 
 def _misalignment(R: np.ndarray, TH: np.ndarray) -> np.ndarray:
@@ -346,7 +344,7 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     scale = np.maximum(pr ** 2, 1e-30)
     mis = _misalignment(R, TH)
 
-    candidate_idx = np.where((D <= opts.tolerance * scale) & (mis > opts.delta))[0]
+    candidate_idx = np.where((D <= opts.tolerance * scale) & (mis > _MISALIGNMENT_FLOOR))[0]
     candidate_idx = candidate_idx[np.argsort(D[candidate_idx])]
     budget = {"samples": len(samples), "candidates": int(len(candidate_idx))}
 
@@ -355,20 +353,10 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
         r, th = samples[idx]
         if any((2 * t) % 1 != 0 for t in th):
             continue
-        quarters = [int(2 * t) % 4 for t in th]
-        res = _exact_pos3_violation(p, r, quarters)
-        if res is None:
-            continue
-        lhs, rhs = res
-        if lhs >= rhs:
-            return ConditionReport(
-                Condition.POS3, Verdict.FAILS,
-                witness={"z": _normalize_witness(r, quarters),
-                         "abs_p_z_squared": str(lhs),
-                         "p_abs_z_squared": str(rhs),
-                         "equality": lhs == rhs,
-                         "validation": "exact"},
-                budget=budget)
+        witness = _exact_witness(p, r, [int(2 * t) % 4 for t in th])
+        if witness is not None:
+            return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
+                                   budget=budget)
 
     # pass 2: local refinement of the best floating candidates
     from scipy.optimize import minimize
@@ -408,7 +396,7 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
             rn = max(0.0, 1.0 - rfree.sum())
             rr = np.concatenate([rfree, [rn]])
             tt = np.concatenate([[0.0], res.x[n - 1:]])
-            if _misalignment(rr[None, :], tt[None, :])[0] <= opts.delta:
+            if _misalignment(rr[None, :], tt[None, :])[0] <= _MISALIGNMENT_FLOOR:
                 continue
             # validate with outward-rounded intervals on a tiny box
             eps = 1e-12
@@ -467,48 +455,97 @@ def _eval_d_batch(pair_ivs, r: tuple, t: tuple) -> tuple:
             factor = phases[k] = array_versin(dot)
         for j, e in rexp:
             factor = array_mul_nonneg(factor, powers[j][e])
-        total = array_add(total, array_scale(coef, factor))
+        total = array_add(total, array_mul((coef.lo, coef.hi), factor))
     return total
 
 
-def _circ_maxdist(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
-    """Max circular distance between points of two narrow arcs, per box."""
-    best = np.zeros(len(a_lo))
-    for x in (a_lo, a_hi):
-        for y in (b_lo, b_hi):
-            d = np.abs(x - y) % TWO_PI
-            best = np.maximum(best, np.minimum(d, TWO_PI - d))
-    return best
+def _fejer_terms(p: Polynomial) -> list:
+    """G for n = 2 as a list of (a, b, [(m, h_m as an Interval)]), where
 
+        G(r1, t) = sum over the list of r1^a r2^b sum_m h_m cos(mt).
 
-def _boxes_in_delta_region(r_hi, t_lo, t_hi, delta: float) -> np.ndarray:
-    """Which boxes lie wholly within the delta-neighborhood of the aligned set.
+    With c_i the coefficient of x1^i x2^(d - i), z = (r1 e^{it}, r2) and
+    D = p(r)^2 - |p(z)|^2,
 
-    Conservative: every pair of phases on coordinates whose radius can
-    exceed delta must stay within 2*delta of each other, circularly.
+        D = 4 r1 r2 sin^2(t/2) G,
+        G = sum over i < j of c_i c_j r1^(i+j-1) r2^(2d-i-j-1) F_(j-i)(t),
+
+    because 1 - cos(kt) = 2 sin^2(t/2) F_k(t) for the Fejer kernel
+    F_k = k + 2 sum_{0<m<k} (k - m) cos(mt).  Both exponents are >= 0
+    because i < j <= d.  The kernels of the pairs with the same i + j
+    multiply the same power of r, so they are summed exactly into one
+    cosine polynomial before any rounding.
     """
-    active = r_hi > delta
-    outside = (active & (t_hi - t_lo > math.pi / 2)).any(axis=1)
-    for a, b in combinations(range(r_hi.shape[1]), 2):
-        far = _circ_maxdist(t_lo[:, a], t_hi[:, a], t_lo[:, b], t_hi[:, b]) > 2 * delta
-        outside |= active[:, a] & active[:, b] & far
-    return (active.sum(axis=1) <= 1) | ~outside
+    d = p.degree()
+    coefs = {exp[0]: c for exp, c in p.terms.items()}
+    sums: dict[int, list] = {}
+    for i, j in combinations(sorted(coefs), 2):
+        cc, k = coefs[i] * coefs[j], j - i
+        h = sums.setdefault(i + j, [Fraction(0)] * d)
+        h[0] += k * cc
+        for m in range(1, k):
+            h[m] += 2 * (k - m) * cc
+    return [(s - 1, 2 * d - s - 1, [(m, from_fraction(v)) for m, v in enumerate(h) if v])
+            for s, h in sorted(sums.items())]
 
 
-def _split(lo, hi, depth, delta: float):
-    """The two children of every box, interleaved (left, right).
+def _eval_g_batch(terms, r1: tuple, t: tuple) -> tuple:
+    """Outward-rounded enclosures of G over a batch of (r1, t) boxes.
 
-    Peel a radius sliver at delta when one straddles it, otherwise halve
-    the relatively widest dimension.
+    r1 and t are (lo, hi) pairs of 1-d arrays, r1 within [0, 1]; r2 is
+    1 - r1, rounded outward.  The natural enclosure is intersected with
+    the mean-value form G(c, T) + dG/dr1(R, T) * (R - c), c the midpoint
+    of R, whose excess width is second order in the width of R.  Each
+    cos(mt) and each power of r1 and r2 is computed once for the batch.
+    Returns (lo, hi) arrays.
     """
-    nr = lo.shape[1] // 2
+    n = len(t[0])
+    m_max = max((m for _, _, h in terms for m, _ in h), default=0)
+    cosines = [(np.ones(n), np.ones(n))]
+    cosines += [array_cos(array_mul_int(m, t)) for m in range(1, m_max + 1)]
+    mid = 0.5 * (r1[0] + r1[1])
+    radius = np.maximum(add_up(mid, -r1[0]), add_up(r1[1], -mid))
+    a_max, b_max = max(a for a, _, _ in terms), max(b for _, b, _ in terms)
+
+    def powers(r):
+        r2 = (add_down(1.0, -r[1]), add_up(1.0, -r[0]))
+        return array_powers(r, a_max), array_powers(r2, b_max)
+
+    (p1, p2), (q1, q2) = powers(r1), powers((mid, mid))
+    zero = (np.zeros(n), np.zeros(n))
+    natural = at_mid = slope = zero
+    for a, b, h in terms:
+        cos_poly = zero
+        for m, c in h:
+            cos_poly = array_add(cos_poly, array_mul((c.lo, c.hi), cosines[m]))
+        natural = array_add(natural, array_mul(array_mul_nonneg(p1[a], p2[b]), cos_poly))
+        at_mid = array_add(at_mid, array_mul(array_mul_nonneg(q1[a], q2[b]), cos_poly))
+        # d/dr1 of r1^a r2^b is a r1^(a-1) r2^b - b r1^a r2^(b-1)
+        deriv = zero
+        if a:
+            deriv = array_mul_int(a, array_mul_nonneg(p1[a - 1], p2[b]))
+        if b:
+            deriv = array_add(deriv, array_mul_int(-b, array_mul_nonneg(p1[a], p2[b - 1])))
+        slope = array_add(slope, array_mul(deriv, cos_poly))
+    mean_value = array_add(at_mid, array_mul(slope, (-radius, radius)))
+    return np.maximum(natural[0], mean_value[0]), np.minimum(natural[1], mean_value[1])
+
+
+#: The root box: r1 in [0, 1] and t in [0, pi].  G is even and 2 pi
+#: periodic in t, so [0, pi] covers every phase; its upper end is the
+#: least double above pi, because math.pi itself lies below pi.
+_ROOT_LO = (0.0, 0.0)
+_ROOT_HI = (1.0, math.nextafter(math.pi, 4.0))
+#: Box widths are compared relative to the root box.
+_ROOT_WIDTH = np.array([1.0, math.pi])
+
+
+def _split(lo, hi, depth):
+    """The two children of every box, interleaved (left, right): the
+    relatively widest dimension is halved."""
     rows = np.arange(len(depth))
-    straddle = (lo[:, :nr] < delta) & (delta < hi[:, :nr])
-    peel = straddle.any(axis=1)
-    widths = hi - lo
-    widths[:, nr:] /= TWO_PI
-    dim = np.where(peel, straddle.argmax(axis=1), widths.argmax(axis=1))
-    at = np.where(peel, delta, 0.5 * (lo[rows, dim] + hi[rows, dim]))
+    dim = ((hi - lo) / _ROOT_WIDTH).argmax(axis=1)
+    at = 0.5 * (lo[rows, dim] + hi[rows, dim])
     child_lo = np.repeat(lo, 2, axis=0)
     child_hi = np.repeat(hi, 2, axis=0)
     child_hi[2 * rows, dim] = at
@@ -521,7 +558,7 @@ _CHUNK = 512
 
 # What an evaluated box came to.  A box that splits records the id of its
 # left child instead (ids are positive); the right child's id follows it.
-_INFEASIBLE, _CLOSED, _DEFERRED, _AT_DEPTH = -1, -2, -3, -4
+_CLOSED, _AT_DEPTH = -1, -2
 
 
 class _Frontier:
@@ -557,75 +594,76 @@ class _Frontier:
         return out
 
 
-def _evaluate(frontier: _Frontier, count: int, next_id: int, pair_ivs,
-              opts: Pos3Options) -> tuple:
+def _evaluate(frontier: _Frontier, count: int, next_id: int, terms,
+              max_depth: int) -> tuple:
     """Evaluate the top `count` boxes of the frontier as one batch.
 
-    Applies every rule to the batch as array operations: infeasibility,
-    the last radius, the D enclosure, the `dv.lo > 0` close, the delta
-    region, the depth limit and the split.  The children of the boxes
-    that split are pushed back with ids from `next_id` on.  Returns
-    ({id: outcome}, {id: box} of the boxes at the depth limit, the next
-    free id).
+    Applies every rule to the batch as array operations: the G
+    enclosure, the `G.lo > 0` close, the depth limit and the split.  The
+    children of the boxes that split are pushed back with ids from
+    `next_id` on.  Returns ({id: outcome}, {id: box} of the boxes at the
+    depth limit, the next free id).
     """
     lo, hi, depth, ids = frontier.pop(count)
-    nr = lo.shape[1] // 2
-    # the free radii must admit a sum <= 1: drop a box only when even a
-    # lower bound of their smallest sum exceeds 1
-    lo_sum, hi_sum = lo[:, 0], hi[:, 0]
-    for j in range(1, nr):
-        lo_sum, hi_sum = add_down(lo_sum, lo[:, j]), add_up(hi_sum, hi[:, j])
-    code = np.full(len(ids), _INFEASIBLE, dtype=np.int64)
-    rows = np.flatnonzero(~(lo_sum > 1.0))
-    lo, hi, depth = lo[rows], hi[rows], depth[rows]
-    lo_sum, hi_sum = lo_sum[rows], hi_sum[rows]
-    # the last radius is 1 minus the others, rounded outward
-    r_lo = np.column_stack([lo[:, :nr], np.maximum(0.0, add_down(1.0, -hi_sum))])
-    r_hi = np.column_stack([hi[:, :nr],
-                            np.maximum(0.0, np.minimum(1.0, add_up(1.0, -lo_sum)))])
-    zero = np.zeros((len(rows), 1))
-    t_lo = np.hstack([zero, lo[:, nr:]])
-    t_hi = np.hstack([zero, hi[:, nr:]])
-
-    dv_lo, _ = _eval_d_batch(pair_ivs, (r_lo, r_hi), (t_lo, t_hi))
-    closed = dv_lo > 0
-    deferred = ~closed & _boxes_in_delta_region(r_hi, t_lo, t_hi, opts.delta)
-    at_depth = ~closed & ~deferred & (depth >= opts.max_depth)
-    split = np.flatnonzero(~closed & ~deferred & ~at_depth)
-    outcome = np.where(closed, _CLOSED, np.where(deferred, _DEFERRED, _AT_DEPTH))
-    outcome[split] = next_id + 2 * np.arange(len(split))
-    code[rows] = outcome
+    g_lo, _ = _eval_g_batch(terms, (lo[:, 0], hi[:, 0]), (lo[:, 1], hi[:, 1]))
+    closed = g_lo > 0
+    at_depth = ~closed & (depth >= max_depth)
+    split = np.flatnonzero(~closed & ~at_depth)
+    code = np.where(closed, _CLOSED, _AT_DEPTH)
+    code[split] = next_id + 2 * np.arange(len(split))
     if len(split):
-        frontier.push(*_split(lo[split], hi[split], depth[split], opts.delta),
+        frontier.push(*_split(lo[split], hi[split], depth[split]),
                       np.arange(next_id, next_id + 2 * len(split)))
-    boxes = dict(zip(ids[rows[at_depth]].tolist(),
+    boxes = dict(zip(ids[at_depth].tolist(),
                      np.stack([lo[at_depth], hi[at_depth]], axis=2).tolist()))
     return dict(zip(ids.tolist(), code.tolist())), boxes, next_id + 2 * len(split)
 
 
+def _quarter_turn_probe(p: Polynomial, grid: int, budget: dict) -> ConditionReport:
+    """Fails with an exact witness at the first r = (j/grid, 1 - j/grid),
+    phase difference pi/2 or pi, where |p(z)| >= p(|z|); else
+    Inconclusive.  `budget` is the search's, reported either way."""
+    points = 0
+    for j in range(1, grid):
+        radii = (Fraction(j, grid), 1 - Fraction(j, grid))
+        for quarter in (1, 2):
+            points += 1
+            witness = _exact_witness(p, radii, (0, quarter))
+            if witness is not None:
+                return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
+                                       budget={**budget, "quarter_turn_points": points})
+    return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE,
+                           budget={**budget, "quarter_turn_points": points})
+
+
 def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
-    n = p.nvars
-    pair_ivs = _pair_intervals(_pair_data(p))
-
-    # sanity sweep: the certificate presumes p > 0 on the orthant
-    for pt in _simplex_grid(n, 4):
-        if eval_rational(p, list(pt)) <= 0 and any(v > 0 for v in pt):
-            return ConditionReport(
-                Condition.POS3, Verdict.INCONCLUSIVE,
-                budget={"note": "p is not positive at a sampled orthant point; "
-                                "run Pos1/Pos2 first",
-                        "point": [str(v) for v in pt]})
-
-    # a box is n - 1 free radii in [0, 1] then n - 1 phases in [0, 2 pi];
-    # the last radius is 1 minus the others and the first phase is 0
-    frontier = _Frontier(2 * (n - 1))
-    frontier.push(np.array([[0.0] * (n - 1) + [0.0] * (n - 1)]),
-                  np.array([[1.0] * (n - 1) + [TWO_PI] * (n - 1)]),
+    # z_i^d and z_i^(d-1) z_j differ in argument whenever arg z_i !=
+    # arg z_j, so with every coefficient positive the triangle
+    # inequality |p(z)| <= p(|z|) is strict off the aligned set
+    if all_coeffs_positive(p):
+        return ConditionReport(Condition.POS3, Verdict.HOLDS,
+                               certificate={"method": "all_coefficients_positive"})
+    if p.nvars > 2:
+        return ConditionReport(
+            Condition.POS3, Verdict.INCONCLUSIVE,
+            budget={"note": "certify decides n >= 3 only when every coefficient "
+                            "is positive"})
+    # G > 0 makes p nonzero on the open segment r1 + r2 = 1, so p keeps
+    # one sign there; this makes the sign positive
+    half = Fraction(1, 2)
+    if eval_rational(p, [half, half]) <= 0:
+        return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE,
+                               budget={"note": "p(1/2, 1/2) <= 0"})
+    # prove G > 0 on the box; a search that does not close hands over to
+    # the exact quarter-turn probe, so a Holds never pays for the probe
+    terms = _fejer_terms(p)
+    frontier = _Frontier(2)
+    frontier.push(np.array([_ROOT_LO]), np.array([_ROOT_HI]),
                   np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
     next_id = 1
     outcome: dict[int, int] = {}         # evaluated boxes the walk has not reached
     at_depth: dict[int, list] = {}
-    evaluated = closed = deferred = infeasible = processed = 0
+    evaluated = closed = processed = 0
     unresolved: list[list[list[float]]] = []
     max_depth_used = 0
 
@@ -640,14 +678,14 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
         node, depth = walk[-1]
         code = outcome.pop(node, None)
         if processed == opts.max_boxes or (code is None and evaluated == opts.max_boxes):
-            return ConditionReport(
-                Condition.POS3, Verdict.INCONCLUSIVE,
-                budget={"boxes_processed": evaluated, "note": "box budget exhausted"})
+            return _quarter_turn_probe(
+                p, opts.grid, {"boxes_processed": evaluated, "note": "box budget exhausted"})
         if code is None:
             if not frontier.size or frontier.ids[frontier.size - 1] != node:
                 raise RuntimeError("certify frontier is out of walk order")
             count = min(_CHUNK, opts.max_boxes - evaluated)
-            found, boxes, next_id = _evaluate(frontier, count, next_id, pair_ivs, opts)
+            found, boxes, next_id = _evaluate(frontier, count, next_id, terms,
+                                              opts.max_depth)
             evaluated += len(found)
             outcome.update(found)
             at_depth.update(boxes)
@@ -661,59 +699,21 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
             walk.append((code + 1, depth + 1))
         elif code == _CLOSED:
             closed += 1
-        elif code == _DEFERRED:
-            deferred += 1
-        elif code == _INFEASIBLE:
-            infeasible += 1
         else:
             unresolved.append(at_depth.pop(node))
             if len(unresolved) > 50:
                 break
 
     budget = {"boxes_processed": processed, "boxes_closed": closed,
-              "boxes_deferred": deferred, "boxes_infeasible": infeasible,
               "max_depth_used": max_depth_used}
     if unresolved:
-        return ConditionReport(
-            Condition.POS3, Verdict.INCONCLUSIVE,
-            budget={**budget, "unresolved_boxes": len(unresolved),
-                    "unresolved_sample": unresolved[:5]})
-
-    # delta-region boxes are backed by the log-Hessian probe
-    probe = _jf_probe(p, opts)
-    if not probe["all_positive_definite"]:
-        return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE,
-                               budget={**budget, "jf_probe": probe})
+        return _quarter_turn_probe(p, opts.grid, {**budget, "unresolved_boxes": len(unresolved),
+                                                  "unresolved_sample": unresolved[:5]})
     return ConditionReport(
         Condition.POS3, Verdict.HOLDS,
-        certificate={"delta": opts.delta, "max_depth": opts.max_depth,
-                     "resolution_limited": True, "jf_probe": probe,
-                     **budget},
+        certificate={"method": "fejer_kernel_branch_and_bound",
+                     "max_depth": opts.max_depth},
         budget=budget)
-
-
-def _jf_probe(p: Polynomial, opts: Pos3Options) -> dict:
-    """Sampled positive-definiteness of J_f for f = p(s_1..s_{n-1}, 1)."""
-    from .geometry import is_positive_definite, jf_matrix
-    n = p.nvars
-    f = dehomogenize(p, n - 1) if n >= 2 else None
-    if f is None or f.is_zero():
-        return {"all_positive_definite": False, "points": 0}
-    rng = random.Random(opts.seed + 1)
-    points = [[Fraction(1)] * (n - 1)]
-    while len(points) < opts.probe_points:
-        points.append([Fraction(rng.randint(1, 12), rng.randint(1, 4))
-                       for _ in range(n - 1)])
-    checked = 0
-    for s in points:
-        if eval_rational(f, s) <= 0:
-            return {"all_positive_definite": False, "points": checked,
-                    "failure": [str(v) for v in s], "reason": "f <= 0"}
-        if not is_positive_definite(jf_matrix(f, s)):
-            return {"all_positive_definite": False, "points": checked,
-                    "failure": [str(v) for v in s], "reason": "not positive definite"}
-        checked += 1
-    return {"all_positive_definite": True, "points": checked}
 
 
 def check_pos3(p: Polynomial, opts: Pos3Options | None = None) -> ConditionReport:
@@ -794,7 +794,4 @@ def max_squared_norm_diag(p: Polynomial) -> bool:
     """
     if not p.is_homogeneous():
         raise ValueError("max_squared_norm_diag requires a homogeneous polynomial")
-    if p.is_zero():
-        return False
-    d = p.degree()
-    return all(p.coefficient(exp) > 0 for exp in monomials_of_degree(p.nvars, d))
+    return all_coeffs_positive(p)

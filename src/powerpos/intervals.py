@@ -142,11 +142,13 @@ def array_mul_nonneg(a: tuple, b: tuple) -> tuple:
     return np.maximum(_down_array(a[0] * b[0]), 0.0), _up_array(a[1] * b[1])
 
 
-def array_scale(c: Interval, a: tuple) -> tuple:
-    """c * a for a scalar interval c and a batch a of nonnegative quantities."""
-    lo = c.lo * (a[0] if c.lo >= 0 else a[1])
-    hi = c.hi * (a[1] if c.hi >= 0 else a[0])
-    return _down_array(lo), _up_array(hi)
+def array_mul(a: tuple, b: tuple) -> tuple:
+    """a * b for batches of either sign; a scalar interval broadcasts."""
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (_down_array(np.minimum(np.minimum(products[0], products[1]),
+                                   np.minimum(products[2], products[3]))),
+            _up_array(np.maximum(np.maximum(products[0], products[1]),
+                                 np.maximum(products[2], products[3]))))
 
 
 def array_powers(a: tuple, e_max: int) -> list[tuple]:

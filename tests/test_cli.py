@@ -56,6 +56,7 @@ def test_parse_error_exit_one(capsys):
 
 @pytest.mark.parametrize("argv", [["check", "x1+x2", "--bogus"],
                                   ["check", "x1+x2", "--threads", "2"],
+                                  ["check", "x1+x2", "--delta", "0.01"],
                                   ["power-scan", "--p", "x1+x2"],
                                   ["nonsense"]])
 def test_usage_error_exit_one(argv, capsys):
@@ -260,6 +261,16 @@ def test_cli_flag_overrides_config(tmp_path):
          "--max-samples", "70", "--json", str(out)])
     report = json.loads(out.read_text())
     assert report["reports"][2]["budget"]["samples"] == 70
+
+
+@pytest.mark.parametrize("line", ["delta = 1e-3", "max_sample = 50"])
+def test_unknown_config_key_errors(line, capsys, tmp_path):
+    # a removed key or a typo is an error, not a silent no-op
+    cfg = tmp_path / "budgets.ini"
+    cfg.write_text(f"[budgets]\nmax_samples = 50\n{line}\n")
+    assert run(["check", "x1+x2", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown [budgets] key" in err and line.split()[0] in err
 
 
 def test_missing_config_errors(capsys, tmp_path):

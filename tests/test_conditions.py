@@ -1,6 +1,7 @@
 """Condition deciders: unit-vector, facet-derivative, and modulus checks."""
 
 import cmath
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,12 +9,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from powerpos import (Condition, Pos3Mode, Pos3Options, SgcsResult, Verdict,
-                      assoc_bihom_eval, check_pos1, check_pos2, check_pos3,
-                      check_sgcs, eval_complex, eval_rational, facet_derivative,
-                      max_squared_norm_diag, parse)
+from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
+                      Verdict, assoc_bihom_eval, check_pos1, check_pos2,
+                      check_pos3, check_sgcs, eval_complex, eval_rational,
+                      facet_derivative, max_squared_norm_diag, parse, power_scan)
 from powerpos import conditions
-from powerpos.conditions import _eval_d_batch, _pair_data, _pair_intervals
+from powerpos.conditions import (_eval_d_batch, _eval_g_batch, _fejer_terms,
+                                 _pair_data, _pair_intervals)
 from powerpos.poly import eval_complex_exact
 
 from helpers import rand_complex_point, rand_homogeneous
@@ -147,24 +149,20 @@ def test_pos3_fails_witness_revalidates_exactly():
 
 
 def test_pos3_certify_linear():
-    rep = check_pos3(parse("x1+x2", 2),
-                     Pos3Options(mode=Pos3Mode.CERTIFY))
+    # every coefficient positive: the strict triangle inequality, no search
+    rep = check_pos3(parse("x1+x2", 2), Pos3Options(mode=Pos3Mode.CERTIFY))
     assert rep.verdict is Verdict.HOLDS
-    assert rep.certificate["delta"] == pytest.approx(1e-3)
-    assert rep.certificate["jf_probe"]["all_positive_definite"]
-    # the box tree does not depend on how many boxes are evaluated at once
-    assert rep.budget == {"boxes_processed": 30613, "boxes_closed": 10190,
-                          "boxes_deferred": 5117, "boxes_infeasible": 0,
-                          "max_depth_used": 24}
+    assert rep.certificate == {"method": "all_coefficients_positive"}
+    assert rep.budget == {}
 
 
 def test_pos3_certify_quartic_family():
     rep = check_pos3(P7, Pos3Options(mode=Pos3Mode.CERTIFY))
     assert rep.verdict is Verdict.HOLDS
-    assert rep.certificate["resolution_limited"] is True
-    assert rep.budget == {"boxes_processed": 31489, "boxes_closed": 10628,
-                          "boxes_deferred": 5117, "boxes_infeasible": 0,
-                          "max_depth_used": 24}
+    assert rep.certificate == {"method": "fejer_kernel_branch_and_bound", "max_depth": 24}
+    # the box tree does not depend on how many boxes are evaluated at once
+    assert rep.budget == {"boxes_processed": 211, "boxes_closed": 106,
+                          "max_depth_used": 10}
 
 
 def test_pos3_falsify_no_counterexample_on_linear():
@@ -183,39 +181,119 @@ def test_pos3_budget_exhaustion_is_inconclusive():
     assert rep.verdict is Verdict.INCONCLUSIVE
 
 
+P_K3_31 = parse("(x1+x2)^6 - 31*x1^3*x2^3", 2)     # Holds after 2,219 boxes
+
+
 @pytest.mark.parametrize("max_boxes", [1, 10, 511, 513, 1000])
 def test_pos3_box_budget_is_never_exceeded(max_boxes):
-    rep = check_pos3(P7, Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=max_boxes))
+    rep = check_pos3(P_K3_31, Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=max_boxes))
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.budget["boxes_processed"] == max_boxes
 
 
 def test_pos3_box_budget_that_just_suffices_still_holds():
-    p = parse("x1+x2", 2)
-    enough = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=30613)
-    assert check_pos3(p, enough).verdict is Verdict.HOLDS
-    short = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=30612)
-    rep = check_pos3(p, short)
+    enough = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=211)
+    assert check_pos3(P7, enough).verdict is Verdict.HOLDS
+    short = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=210)
+    rep = check_pos3(P7, short)
     assert rep.verdict is Verdict.INCONCLUSIVE
-    assert rep.budget["boxes_processed"] == 30612
+    assert rep.budget["boxes_processed"] == 210
 
 
-@pytest.mark.parametrize("expr, nvars, counts", [
-    ("(x1+x2)^4 - 55/7*x1^2*x2^2", 2, (2942, 974, 438, 0)),
-    ("(x1+x2+x3)^2", 3, (213, 35, 0, 13)),
+@pytest.mark.parametrize("expr, nvars, counts, max_depth", [
+    # near the threshold 8, G is small around (1/2, pi): the boxes there
+    # close only at depth 14 (Holds after 867 boxes)
+    ("(x1+x2)^4 - 55/7*x1^2*x2^2", 2, (405, 148, 12), 12),
+    ("x1^3 + x1^2*x2 + x2^3", 2, (328, 109, 24), 24),
 ])
 def test_pos3_unresolved_stop_does_not_depend_on_the_batch_size(expr, nvars, counts,
-                                                                monkeypatch):
+                                                                max_depth, monkeypatch):
     p = parse(expr, nvars)
-    batched = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY))
+    opts = Pos3Options(mode=Pos3Mode.CERTIFY, max_depth=max_depth)
+    batched = check_pos3(p, opts)
     monkeypatch.setattr(conditions, "_CHUNK", 1)
-    one_by_one = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY))
+    one_by_one = check_pos3(p, opts)
     assert batched.to_json_dict() == one_by_one.to_json_dict()
     assert batched.verdict is Verdict.INCONCLUSIVE
     budget = batched.budget
-    assert (budget["boxes_processed"], budget["boxes_closed"], budget["boxes_deferred"],
-            budget["boxes_infeasible"]) == counts
+    assert (budget["boxes_processed"], budget["boxes_closed"],
+            budget["max_depth_used"]) == counts
     assert budget["unresolved_boxes"] == 51 and len(budget["unresolved_sample"]) == 5
+
+
+def test_pos3_certify_never_closes_the_boxes_where_pos2_fails():
+    # G(0, t) = c_0 c_1 = 0 here (Pos2 fails), so the boxes at r1 = 0
+    # never close
+    rep = check_pos3(parse("x1^3 + x1^2*x2 + x2^3", 2), Pos3Options(mode=Pos3Mode.CERTIFY))
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert all(r1[0] == 0.0 for r1, _ in rep.budget["unresolved_sample"])
+
+
+def _dv(k, lam):
+    return parse(f"(x1+x2)^{2 * k} - {lam}*x1^{k}*x2^{k}", 2)
+
+
+@pytest.mark.parametrize("k, lam, onset", [(2, "7", 4), (2, "63/8", 48), (3, "30", 14),
+                                           (3, "31", 32), (4, "120", 16)])
+def test_pos3_certify_agrees_with_the_theorem_below_threshold(k, lam, onset):
+    # Pos1, Pos2 and Pos3 hold, so large powers are all-positive
+    p = _dv(k, lam)
+    assert check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY)).verdict is Verdict.HOLDS
+    assert check_pos1(p).verdict is Verdict.HOLDS
+    assert check_pos2(p).verdict is Verdict.HOLDS
+    assert power_scan(p, Polynomial.constant(2, 1), 60).onset == onset
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_pos3_certify_fails_exactly_at_threshold(k):
+    p = _dv(k, 2 ** (2 * k - 1))
+    rep = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY))
+    assert rep.verdict is Verdict.FAILS
+    assert rep.witness["validation"] == "exact" and rep.witness["equality"] is True
+    # G(1/2, pi) = 0: the box search stops unresolved, then the probe decides
+    assert rep.budget["boxes_processed"] > 0 and rep.budget["unresolved_boxes"] == 51
+    z = [(F(re), F(im)) for re, im in rep.witness["z"]]
+    assert all(re == 0 or im == 0 for re, im in z)     # quarter turns: |z_k| is exact
+    vre, vim = eval_complex_exact(p, z)
+    assert vre * vre + vim * vim == eval_rational(p, [abs(re) + abs(im) for re, im in z]) ** 2
+
+
+def test_pos3_certify_mean_value_form_saves_depth():
+    # the natural enclosure alone needs depth 21 here
+    opts = Pos3Options(mode=Pos3Mode.CERTIFY, max_depth=19)
+    rep = check_pos3(_dv(3, "127/4"), opts)
+    assert rep.verdict is Verdict.HOLDS
+    assert rep.budget == {"boxes_processed": 9039, "boxes_closed": 4520,
+                          "max_depth_used": 19}
+
+
+@pytest.mark.parametrize("expr", ["-(x1+x2)", "-(x1+x2)^4 + 7*x1^2*x2^2", "-x1^2 + x1*x2 - x2^2"])
+def test_pos3_certify_never_holds_for_negative_p(expr):
+    rep = check_pos3(parse(expr, 2), Pos3Options(mode=Pos3Mode.CERTIFY))
+    assert rep.verdict is not Verdict.HOLDS
+
+
+@pytest.mark.parametrize("expr", ["(x1+x2)^4 - 7*x1^2*x2^2", "(x1+x2)^4 - 8*x1^2*x2^2",
+                                  "x1^3 + x1^2*x2 + x2^3", "2*x1^2 + 3*x1*x2 + x2^2",
+                                  "x1^4 - x1^3*x2 + x1^2*x2^2 + 3*x1*x2^3 + x2^4",
+                                  "(x1+x2)^6 - 63/2*x1^3*x2^3"])
+def test_pos3_certify_verdict_survives_swapping_the_variables(expr):
+    p = parse(expr, 2)
+    swapped = Polynomial(2, {(b, a): c for (a, b), c in p.terms.items()})
+    opts = Pos3Options(mode=Pos3Mode.CERTIFY)
+    assert check_pos3(p, opts).verdict is check_pos3(swapped, opts).verdict
+
+
+@pytest.mark.parametrize("expr, verdict", [
+    ("(x1+x2+x3)^2", Verdict.HOLDS),
+    ("(x1+x2+x3)^4 - 3*x1^2*x2^2", Verdict.HOLDS),
+    ("x1^2 + x2^2 + x3^2 + x1*x2", Verdict.INCONCLUSIVE),
+    ("(x1+x2+x3)^4 - 9*x1^2*x2^2", Verdict.INCONCLUSIVE),
+])
+def test_pos3_certify_three_variables(expr, verdict):
+    rep = check_pos3(parse(expr, 3), Pos3Options(mode=Pos3Mode.CERTIFY))
+    assert rep.verdict is verdict
+    assert "boxes_processed" not in rep.budget
 
 
 def _d_at(p, radii, phases):
@@ -263,9 +341,63 @@ def test_d_batch_encloses_high_precision_values(nvars):
                 assert d_lo[b] - err <= value <= d_hi[b] + err
 
 
+def _g_at(p, r1, t):
+    """G at 50 digits, summed pair by pair from its definition."""
+    with mpmath.workdps(50):
+        r1, t = mpmath.mpf(r1), mpmath.mpf(t)
+        d = p.degree()
+        c = {exp[0]: mpmath.mpf(v.numerator) / v.denominator for exp, v in p.terms.items()}
+        return mpmath.fsum(
+            c[i] * c[j] * r1 ** (i + j - 1) * (1 - r1) ** (2 * d - i - j - 1)
+            * (j - i + 2 * mpmath.fsum((j - i - m) * mpmath.cos(m * t) for m in range(1, j - i)))
+            for i in sorted(c) for j in sorted(c) if i < j)
+
+
+def test_g_batch_encloses_high_precision_values():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 8:
+        p = rand_homogeneous(rng, 2, rng.randint(1, 6), density=0.7)
+        if len(p.terms) < 2:
+            continue
+        checked += 1
+        boxes = []
+        for _ in range(20):
+            lo = rng.choice([0.0, rng.random()])
+            r_box = (lo, min(1.0, lo + rng.choice([0.0, 1e-9, 0.01, 0.3, 1.0]) * rng.random()))
+            lo = rng.choice([0.0, rng.uniform(0, math.pi)])
+            boxes.append((r_box, (lo, lo + rng.choice([0.0, 1e-9, 0.1, 1.0]) * rng.random())))
+        r1 = tuple(np.array([rb[i] for rb, _ in boxes]) for i in (0, 1))
+        t = tuple(np.array([tb[i] for _, tb in boxes]) for i in (0, 1))
+        terms = _fejer_terms(p)
+        g_lo, g_hi = _eval_g_batch(terms, r1, t)
+        scale = sum(abs(float(c)) for c in p.terms.values()) ** 2 * p.degree() ** 2
+        err = mpmath.mpf(10) ** -40 * (1 + scale)
+        for b, (r_box, t_box) in enumerate(boxes):
+            # one box alone encloses the same values as in the batch
+            one = _eval_g_batch(terms, (r1[0][b:b + 1], r1[1][b:b + 1]),
+                                (t[0][b:b + 1], t[1][b:b + 1]))
+            assert (one[0][0], one[1][0]) == (g_lo[b], g_hi[b])
+            for _ in range(4):
+                pick = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(2)]
+                rv, tv = (min(max(lo + s * (hi - lo), lo), hi)
+                          for (lo, hi), s in zip((r_box, t_box), pick))
+                g = _g_at(p, rv, tv)
+                assert g_lo[b] - err <= g <= g_hi[b] + err
+                # D = 4 r1 r2 sin^2(t/2) G
+                d_value, d_err = _d_at(p, [rv, 1 - mpmath.mpf(rv)], [tv, 0.0])
+                with mpmath.workdps(50):
+                    factor = 4 * rv * (1 - mpmath.mpf(rv)) * mpmath.sin(mpmath.mpf(tv) / 2) ** 2
+                    assert abs(d_value - factor * g) <= d_err + err
+
+
 def test_pos3_options_validate():
-    with pytest.raises(ValueError):
-        Pos3Options(delta=0.0)
+    for tolerance in (0.0, -1e-12):
+        with pytest.raises(ValueError):
+            Pos3Options(tolerance=tolerance)
+    with pytest.raises(TypeError):
+        Pos3Options(delta=1e-3)
+    assert Pos3Options(mode="certify").mode is Pos3Mode.CERTIFY
 
 
 def test_pos3_witness_transfers_to_odd_powers():
@@ -351,6 +483,8 @@ def test_max_squared_norm_diag_examples():
     telescoping = parse("x1^2 - x1*x2 + x2^2", 2)
     assert max_squared_norm_diag(parse("(x1+x2)^2", 2) * telescoping) is False
     assert max_squared_norm_diag(parse("(x1+x2)^3", 2) * telescoping) is True
+    with pytest.raises(ValueError):
+        max_squared_norm_diag(parse("x1^2 + x2", 2))
 
 
 def test_condition_report_json_shape():

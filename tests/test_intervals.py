@@ -8,9 +8,8 @@ import mpmath
 import numpy as np
 
 from powerpos.intervals import (COS_MARGIN, Interval, add_down, add_up,
-                                array_add, array_cos, array_mul_int,
-                                array_mul_nonneg, array_powers, array_scale,
-                                array_versin)
+                                array_add, array_cos, array_mul, array_mul_int,
+                                array_mul_nonneg, array_powers, array_versin)
 
 mpmath.mp.dps = 50
 
@@ -109,7 +108,7 @@ def test_array_arithmetic_encloses_exact_values():
     powers = array_powers(x, 7)
     versin = array_versin(t)
     shifted = array_mul_int(-3, t)
-    scaled = array_scale(c, array_mul_nonneg(powers[7], versin))
+    scaled = array_mul((c.lo, c.hi), array_mul_nonneg(powers[7], versin))
     total = array_add(scaled, powers[2])
     for i in range(size):
         for s in (0.0, 0.5, 1.0):
