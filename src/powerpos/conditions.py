@@ -270,14 +270,35 @@ def _exact_witness(p: Polynomial, radii: Sequence[Fraction],
             "validation": "exact"}
 
 
-def _simplex_grid(n: int, grid: int) -> list[tuple[Fraction, ...]]:
-    return [tuple(Fraction(e, grid) for e in exp)
-            for exp in monomials_of_degree(n, grid)]
-
-
 #: Falsify drops candidates whose `_misalignment` is at most this: near
 #: the aligned set D vanishes, and float noise there is no counterexample.
 _MISALIGNMENT_FLOOR = 1e-3
+
+#: Falsify evaluates D on the grid about this many (sample, pair) entries
+#: at a time, which bounds its memory.
+_GRID_CHUNK = 1 << 19
+
+
+def _unrank_compositions(n: int, g: int, ranks) -> np.ndarray:
+    """The exponent tuples at the given positions of
+    `monomials_of_degree(n, g)`, one row each.
+
+    That order lists e_0 = g, g - 1, ..., 0 in blocks; the block of
+    e_0 = g - t holds the C(t + n - 2, n - 2) tuples of the other
+    coordinates, so blocks 0..t hold C(t + n - 1, n - 1) tuples.  Within
+    its block a rank is the same problem one variable smaller.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(ranks), n), dtype=np.int64)
+    rest = np.full(len(ranks), g, dtype=np.int64)
+    for j in range(n - 1):
+        through = np.array([math.comb(t + n - 1 - j, n - 1 - j) for t in range(g + 1)])
+        t = np.searchsorted(through, ranks, side="right")
+        ranks = ranks - np.where(t > 0, through[t - 1], 0)
+        out[:, j] = rest - t
+        rest = t
+    out[:, n - 1] = rest
+    return out
 
 
 def _misalignment(R: np.ndarray, TH: np.ndarray) -> np.ndarray:
@@ -291,75 +312,130 @@ def _misalignment(R: np.ndarray, TH: np.ndarray) -> np.ndarray:
     return (R * (1 - np.cos(TH - alpha[:, None]))).sum(axis=1)
 
 
-def _eval_d_numpy(pairs, R: np.ndarray, TH: np.ndarray) -> np.ndarray:
-    C = np.array([float(c) for c, _, _ in pairs])
-    E = np.array([e for _, e, _ in pairs], dtype=float)
-    K = np.array([k for _, _, k in pairs], dtype=float)
-    out = np.empty(len(R))
-    # chunk so the S x P x n intermediate stays small
-    chunk = max(1, int(4e6 / max(1, E.size)))
-    for start in range(0, len(R), chunk):
-        Rb = R[start:start + chunk]
-        THb = TH[start:start + chunk]
-        mono = np.prod(Rb[:, None, :] ** E[None, :, :], axis=2)
-        phase = 1.0 - np.cos(THb @ K.T)
-        out[start:start + chunk] = (mono * phase * C).sum(axis=1)
-    return out
+def _pair_arrays(pairs, n: int) -> tuple:
+    """(2 c_I c_J as floats, I + J, I - J) of every pair, as arrays."""
+    return (np.array([float(c) for c, _, _ in pairs]),
+            np.array([e for _, e, _ in pairs], dtype=np.int64).reshape(-1, n),
+            np.array([k for _, _, k in pairs], dtype=np.int64).reshape(-1, n))
+
+
+def _distinct_rows(a: np.ndarray, base: int) -> tuple:
+    """The distinct rows of an integer array with entries in [0, base), and
+    the position of each row of `a` among them.  Rows are numbered one
+    column at a time, so the keys stay below len(a) * base."""
+    key = np.zeros(len(a), dtype=np.int64)
+    for column in a.T:
+        key = np.unique(key * base + column, return_inverse=True)[1].reshape(-1)
+    distinct = np.empty((key.max(initial=-1) + 1, a.shape[1]), dtype=a.dtype)
+    distinct[key] = a
+    return distinct, key
+
+
+def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
+                 row: np.ndarray, phases: np.ndarray) -> tuple:
+    """D and p(r) at the grid points r = radii[row] / g, theta = 2 pi phases / g.
+
+    On the grid r^(I+J) depends on the radius alone, and the phase factor
+    1 - cos(<I - J, theta>) on the phases alone, through
+    <I - J, phases> mod g.  So both come from tables: the powers of e/g,
+    the g versines 1 - cos(2 pi m/g), and, for each chunk of points, one
+    row of 2 c_I c_J r^(I+J) per distinct radius and one row of phase
+    factors per distinct phase tuple.  Returns (D, p(r)) with one entry
+    per point.
+    """
+    C, E, K = arrays
+    T = np.array(list(p.terms))
+    t_coef = np.array([float(c) for c in p.terms.values()])
+    powers = (np.arange(g + 1) / g)[:, None] ** np.arange(2 * p.degree() + 1, dtype=float)
+    # m and g - m are mirror phases, so the table is made exactly even
+    m = np.arange(g)
+    versin = 1.0 - np.cos((2 * np.minimum(m, g - m)) / g * math.pi)
+
+    def monomials(comps: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        out = np.ones((len(comps), len(exps)))
+        for j in range(comps.shape[1]):
+            out *= powers[comps[:, j][:, None], exps[:, j]]
+        return out
+
+    D = np.empty(len(row))
+    p_r = np.empty(len(row))
+    step = max(1, _GRID_CHUNK // max(1, len(C)))
+    for start in range(0, len(row), step):
+        part = slice(start, start + step)
+        rows, at_row = np.unique(row[part], return_inverse=True)
+        at_row = at_row.reshape(-1)
+        tuples, at_tuple = _distinct_rows(phases[part], g)
+        comps = radii[rows]
+        D[part] = np.einsum("ij,ij->i", (monomials(comps, E) * C)[at_row],
+                            versin[(tuples @ K.T) % g][at_tuple])
+        p_r[part] = (monomials(comps, T) @ t_coef)[at_row]
+    return D, p_r
+
+
+def _grid_samples(n: int, opts: Pos3Options) -> tuple:
+    """The falsify sample points, held as integers.
+
+    Radii are e/g for the compositions e of g, phases 2 pi j/g with the
+    first phase 0.  When the whole grid fits in `max_samples` it is taken
+    in order, radius outer and phases lexicographic; else each sample
+    draws a radius rank in `monomials_of_degree(n, g)` order and then
+    n - 1 phases from `random.Random(seed)`.  Returns (radii, row,
+    phases, R, TH): the distinct compositions drawn, the composition row
+    of each sample, the (samples, n) phase numerators j, and the float
+    radii and phases.
+    """
+    g = opts.grid
+    n_radii = math.comb(g + n - 1, n - 1)
+    if n_radii > np.iinfo(np.int64).max:
+        raise ValueError(f"falsify grid too large: {n_radii} radii")
+    if n_radii * g ** (n - 1) <= opts.max_samples:
+        ranks = np.arange(n_radii)
+        row = np.repeat(ranks, g ** (n - 1))
+        free = np.tile(np.indices((g,) * (n - 1)).reshape(n - 1, -1).T, (n_radii, 1))
+    else:
+        # `choice` reads only the length of its sequence and the item at
+        # the index it draws, so choosing from ranges draws the points that
+        # choosing from the listed radii and phases would
+        rng = random.Random(opts.seed)
+        seqs = (range(n_radii),) + (range(g),) * (n - 1)
+        draws = [rng.choice(s) for _ in range(opts.max_samples) for s in seqs]
+        ranks, row = np.unique(np.array(draws[::n]), return_inverse=True)
+        row = row.reshape(-1)
+        free = np.array([draws[j::n] for j in range(1, n)], dtype=np.int64).T
+    radii = _unrank_compositions(n, g, ranks)
+    phases = np.hstack([np.zeros((len(row), 1), dtype=np.int64), free])
+    return radii, row, phases, (radii / g)[row], (2 * phases) / g * math.pi
 
 
 def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
-    n = p.nvars
+    n, g = p.nvars, opts.grid
     pairs = _pair_data(p)
-    rng = random.Random(opts.seed)
-    g = opts.grid
-
-    # exact sample coordinates: radii on the simplex grid, phases as
-    # rational multiples of pi (2j/g in units of pi), first phase fixed 0
-    r_points = _simplex_grid(n, g)
-    theta_fracs = [Fraction(2 * j, g) for j in range(g)]  # units of pi
-    total = len(r_points) * g ** (n - 1)
-    samples: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
-    if total <= opts.max_samples:
-        def theta_product(depth, acc):
-            if depth == n - 1:
-                yield tuple(acc)
-                return
-            for t in theta_fracs:
-                yield from theta_product(depth + 1, acc + [t])
-        for r in r_points:
-            for th in theta_product(0, []):
-                samples.append((r, (Fraction(0),) + th))
-    else:
-        for _ in range(opts.max_samples):
-            r = rng.choice(r_points)
-            th = (Fraction(0),) + tuple(rng.choice(theta_fracs) for _ in range(n - 1))
-            samples.append((r, th))
-
-    R = np.array([[float(v) for v in r] for r, _ in samples])
-    TH = np.array([[float(t) * math.pi for t in th] for _, th in samples])
-    D = _eval_d_numpy(pairs, R, TH)
-    T = np.array([e for e in p.terms], dtype=float)
-    tc = np.array([float(c) for c in p.terms.values()])
-    pr = np.prod(R[:, None, :] ** T[None, :, :], axis=2) @ tc
-    scale = np.maximum(pr ** 2, 1e-30)
+    arrays = _pair_arrays(pairs, n)
+    radii, row, phases, R, TH = _grid_samples(n, opts)
+    D, p_r = _eval_d_grid(p, arrays, g, radii, row, phases)
+    scale = np.maximum(p_r ** 2, 1e-30)
     mis = _misalignment(R, TH)
 
     candidate_idx = np.where((D <= opts.tolerance * scale) & (mis > _MISALIGNMENT_FLOOR))[0]
-    candidate_idx = candidate_idx[np.argsort(D[candidate_idx])]
-    budget = {"samples": len(samples), "candidates": int(len(candidate_idx))}
+    candidate_idx = candidate_idx[np.argsort(D[candidate_idx], kind="stable")]
+    budget = {"samples": len(row), "candidates": int(len(candidate_idx))}
 
     # pass 1: exact re-validation for quarter-turn phases
     for idx in candidate_idx[:200]:
-        r, th = samples[idx]
-        if any((2 * t) % 1 != 0 for t in th):
+        if np.any(4 * phases[idx] % g):
             continue
-        witness = _exact_witness(p, r, [int(2 * t) % 4 for t in th])
+        witness = _exact_witness(p, [Fraction(int(e), g) for e in radii[row[idx]]],
+                                 (4 * phases[idx] // g).tolist())
         if witness is not None:
             return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
                                    budget=budget)
 
     # pass 2: local refinement of the best floating candidates
     from scipy.optimize import minimize
+
+    C, E, K = arrays[0], arrays[1].astype(float), arrays[2].astype(float)
+    terms = [(float(c), [(j, e) for j, e in enumerate(exp) if e])
+             for exp, c in p.terms.items()]
 
     def objective(x):
         rfree = np.clip(x[:n - 1], 0.0, 1.0)
@@ -368,26 +444,19 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
             return 1e6 * (1 + rn ** 2)
         rr = np.concatenate([rfree, [rn]])[None, :]
         tt = np.concatenate([[0.0], x[n - 1:]])[None, :]
-        dd = _eval_d_numpy(pairs, rr, tt)[0]
-        s = float(eval_complex_from_floats(p, rr[0])) ** 2
-        return dd / max(abs(s), 1e-30)
-
-    def eval_complex_from_floats(poly, rvec):
-        total = 0.0
-        for exp, coef in poly.terms.items():
-            v = float(coef)
-            for x, e in zip(rvec, exp):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
+        mono = np.prod(rr[:, None, :] ** E[None, :, :], axis=2)
+        dd = (mono * (1.0 - np.cos(tt @ K.T)) * C).sum(axis=1)[0]
+        p_rr = 0.0      # term by term, in p.terms order
+        for v, powers in terms:
+            for j, e in powers:
+                v *= rr[0, j] ** e
+            p_rr += v
+        return dd / max(float(p_rr) ** 2, 1e-30)
 
     refined = 0
     pair_ivs = None
     for idx in candidate_idx[:opts.refine_candidates]:
-        r, th = samples[idx]
-        x0 = np.array([float(v) for v in r[:n - 1]] +
-                      [float(t) * math.pi for t in th[1:]])
+        x0 = np.concatenate([R[idx, :n - 1], TH[idx, 1:]])
         res = minimize(objective, x0, method="Nelder-Mead",
                        options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14})
         refined += 1

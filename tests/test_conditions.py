@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -14,11 +15,12 @@ from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
                       check_pos3, check_sgcs, eval_complex, eval_rational,
                       facet_derivative, max_squared_norm_diag, parse, power_scan)
 from powerpos import conditions
-from powerpos.conditions import (_eval_d_batch, _eval_g_batch, _fejer_terms,
-                                 _pair_data, _pair_intervals)
-from powerpos.poly import eval_complex_exact
+from powerpos.conditions import (_eval_d_batch, _eval_d_grid, _eval_g_batch,
+                                 _fejer_terms, _grid_samples, _pair_arrays,
+                                 _pair_data, _pair_intervals, _unrank_compositions)
+from powerpos.poly import eval_complex_exact, monomials_of_degree
 
-from helpers import rand_complex_point, rand_homogeneous
+from helpers import fraction_grid_samples, rand_complex_point, rand_homogeneous
 
 P_CUBIC_MINUS_CORNER = parse("(x1+x2+x3)^3 - x1^3", 3)
 P_FACET_DEGENERATE = parse("x1^2*(x1+x2+x3) + (x2+x3)^3", 3)
@@ -385,10 +387,108 @@ def test_g_batch_encloses_high_precision_values():
                 g = _g_at(p, rv, tv)
                 assert g_lo[b] - err <= g <= g_hi[b] + err
                 # D = 4 r1 r2 sin^2(t/2) G
-                d_value, d_err = _d_at(p, [rv, 1 - mpmath.mpf(rv)], [tv, 0.0])
                 with mpmath.workdps(50):
+                    d_value, d_err = _d_at(p, [rv, 1 - mpmath.mpf(rv)], [tv, 0.0])
                     factor = 4 * rv * (1 - mpmath.mpf(rv)) * mpmath.sin(mpmath.mpf(tv) / 2) ** 2
                     assert abs(d_value - factor * g) <= d_err + err
+
+
+def test_unranked_compositions_follow_monomials_of_degree():
+    for n in range(1, 5):
+        for g in range(1, 9):
+            listed = list(monomials_of_degree(n, g))
+            got = _unrank_compositions(n, g, range(len(listed)))
+            assert [tuple(row) for row in got.tolist()] == listed
+    listed = list(monomials_of_degree(6, 32))
+    ranks = random.Random(6).sample(range(len(listed)), 500) + [0, len(listed) - 1]
+    got = _unrank_compositions(6, 32, ranks)
+    assert [tuple(row) for row in got.tolist()] == [listed[k] for k in ranks]
+
+
+@pytest.mark.parametrize("n, g, seed", [(3, 32, 0), (3, 32, 7), (4, 6, 3), (2, 7, 0),
+                                        (3, 64, 1)])
+def test_grid_samples_equal_the_fraction_lists(n, g, seed):
+    # (4, 6) and (2, 7) fit whole in 20,000 samples; the others are drawn
+    opts = Pos3Options(grid=g, seed=seed)
+    _, _, _, R, TH = _grid_samples(n, opts)
+    ref_R, ref_TH = fraction_grid_samples(n, g, opts.max_samples, seed)
+    assert np.array_equal(R, ref_R)
+    assert np.array_equal(TH, ref_TH)
+
+
+def test_grid_d_matches_high_precision_values():
+    rng = random.Random(53)
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        p = rand_homogeneous(rng, n, rng.randint(1, 5), density=0.7)
+        g = rng.choice([5, 8, 16, 32])
+        radii, row, phases, _, _ = _grid_samples(n, Pos3Options(grid=g, max_samples=300,
+                                                                seed=rng.randint(0, 99)))
+        D, p_r = _eval_d_grid(p, _pair_arrays(_pair_data(p), n), g, radii, row, phases)
+        for s in rng.sample(range(len(row)), 40):
+            r = [F(int(e), g) for e in radii[row[s]]]
+            theta = [2 * mpmath.pi * int(j) / g for j in phases[s]]
+            with mpmath.workdps(50):
+                rm = [mpmath.mpf(v.numerator) / v.denominator for v in r]
+                # sum of |c_I| r^I: D and p(r) are sums of terms at most
+                # its square and itself
+                size = mpmath.fsum(abs(mpmath.mpf(c.numerator) / c.denominator)
+                                   * mpmath.fprod(v ** e for v, e in zip(rm, exp))
+                                   for exp, c in p.terms.items())
+                value, _ = _d_at(p, rm, theta)
+                exact_p_r = eval_rational(p, r)
+                assert abs(D[s] - value) <= 1e-12 * size ** 2
+                assert abs(p_r[s] - mpmath.mpf(exact_p_r.numerator) / exact_p_r.denominator) \
+                    <= 1e-12 * size
+
+
+@pytest.mark.parametrize("lam, candidates, abs_p_z_squared, p_abs_z_squared", [
+    ("29/2", 1779, "841/1024", "9/1024"),
+    ("9", 117, "81/256", "49/256"),
+    ("25/2", 1106, "625/1024", "49/1024"),
+])
+def test_pos3_falsify_lift_reports(lam, candidates, abs_p_z_squared, p_abs_z_squared):
+    # the x3 = 0 face is the dv quartic with the same lam > 8: a
+    # quarter-turn witness at z = (1, -1, 0)
+    rep = check_pos3(parse(f"(x1 + x2 + x3)^4 - {lam}*x1^2*x2^2", 3))
+    assert rep.verdict is Verdict.FAILS
+    assert rep.budget == {"samples": 20000, "candidates": candidates}
+    assert rep.witness == {"z": [["1", "0"], ["-1", "0"], ["0", "0"]],
+                           "abs_p_z_squared": abs_p_z_squared,
+                           "p_abs_z_squared": p_abs_z_squared,
+                           "equality": False, "validation": "exact"}
+
+
+def test_pos3_falsify_quarter_turn_witness_off_the_real_axis():
+    # p(1, i) = 3 against p(1, 1) = 1; at phase pi |p| = p(|z|) only, so
+    # the most negative D, and the witness, sit at phase pi/2
+    rep = check_pos3(parse("x1^4 + x2^4 - x1^2*x2^2", 2))
+    assert rep.budget == {"samples": 1056, "candidates": 857}
+    assert rep.witness == {"z": [["1", "0"], ["0", "1/3"]],
+                           "abs_p_z_squared": "8281/65536",
+                           "p_abs_z_squared": "5329/65536",
+                           "equality": False, "validation": "exact"}
+
+
+def test_pos3_falsify_single_term_has_equality_witness():
+    # |z1 z2| = |z1| |z2|: a monomial has no pairs, D = 0, and Pos3 fails
+    rep = check_pos3(parse("x1*x2", 2))
+    assert rep.verdict is Verdict.FAILS
+    assert rep.witness["equality"] is True
+    assert rep.witness["validation"] == "exact"
+
+
+def test_pos3_falsify_never_lists_the_radius_grid(monkeypatch):
+    # 8 variables at grid 32 have 15,380,937 radii
+    def listed(*args):
+        raise AssertionError("the radius grid was listed")
+    monkeypatch.setattr(conditions, "monomials_of_degree", listed)
+    p = parse("(x1+x2+x3+x4+x5+x6+x7+x8)^2 - 3*x1*x2", 8)
+    start = time.perf_counter()
+    rep = check_pos3(p, Pos3Options(max_samples=2000))
+    assert time.perf_counter() - start < 10
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.budget["samples"] == 2000
 
 
 def test_pos3_options_validate():
