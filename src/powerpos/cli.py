@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import json
 import os
 import sys
@@ -35,14 +36,19 @@ EXIT_FAILS = 2
 EXIT_INCONCLUSIVE = 3
 
 
+_POS2_DEFAULTS = inspect.signature(check_pos2).parameters
+
+
 @dataclass(frozen=True)
 class Budgets:
-    grid: int = 32
-    max_depth: int = 24
-    tolerance: float = 1e-12
-    max_samples: int = 20000
-    polya_budget: int = 50
-    sample_grid: int = 8
+    """The budgets a profile, config file or flag can set; each default is
+    the one of the option or parameter it feeds."""
+    grid: int = Pos3Options.grid
+    max_depth: int = Pos3Options.max_depth
+    tolerance: float = Pos3Options.tolerance
+    max_samples: int = Pos3Options.max_samples
+    polya_budget: int = _POS2_DEFAULTS["polya_budget"].default
+    sample_grid: int = _POS2_DEFAULTS["sample_grid"].default
 
     def pos3_options(self, mode: str, seed: int) -> Pos3Options:
         return Pos3Options(mode=Pos3Mode(mode.capitalize()), grid=self.grid,

@@ -11,12 +11,13 @@ Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       re-validates candidates exactly when their phases are multiples
       of pi/2.  Certify mode holds at once when every coefficient is
       positive (any n).  Otherwise it decides n = 2 only: it proves
-      G = D / (4 r1 r2 sin^2(t/2)) > 0 on the compact box
-      [0, 1] x [0, pi] by an outward-rounded interval branch-and-bound,
-      where D = p(r)^2 - |p(r e^{it})|^2 and G is a sum of Fejer kernels
-      (see `_fejer_terms`).  Dividing out the removable zeros of D on
-      the aligned set leaves nothing to fence off.  When the search
-      does not close, quarter-turn points are probed exactly for a
+      G = D / (4 r1 r2 sin^2(t/2)) > 0, where D = p(r)^2 - |p(r e^{it})|^2
+      and G is a sum of Fejer kernels (see `_fejer_terms`).  G is a
+      polynomial in (r1, cos t), so exact Bernstein coefficients on
+      [0, 1] x [-1, 1], split by de Casteljau, decide its sign with no
+      rounding at all.  Dividing out the removable zeros of D on the
+      aligned set leaves nothing to fence off.  When the search stops
+      without a proof, quarter-turn points are probed exactly for a
       Fails witness.
 
 Also here: the associated Hermitian bihomogeneous form
@@ -37,9 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .eventual import all_coeffs_positive, polya_exponent
-from .intervals import (add_down, add_up, array_add, array_cos, array_mul,
-                        array_mul_int, array_mul_nonneg, array_powers,
-                        array_versin, from_fraction)
+from .intervals import (array_add, array_mul, array_mul_int, array_mul_nonneg,
+                        array_powers, array_versin, from_fraction)
 from .poly import (Polynomial, eval_complex_exact, eval_rational,
                    monomials_of_degree)
 
@@ -209,10 +209,10 @@ class Pos3Mode(str, Enum):
 class Pos3Options:
     mode: Pos3Mode = Pos3Mode.FALSIFY
     grid: int = 32
-    max_depth: int = 24
+    max_depth: int = 24         # certify: halvings of one box before the search stops
     tolerance: float = 1e-12
     max_samples: int = 20000
-    max_boxes: int = 2_000_000
+    max_boxes: int = 2_000_000  # certify: boxes processed before the search stops
     refine_candidates: int = 12
     seed: int = 0
 
@@ -221,22 +221,6 @@ class Pos3Options:
             self.mode = Pos3Mode(self.mode.capitalize())
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-
-
-def _pair_data(p: Polynomial):
-    """Cross terms of D(r, theta) = p(r)^2 - |p(r e^{i theta})|^2.
-
-    D = sum over unordered pairs I != J of
-        2 c_I c_J r^{I+J} (1 - cos(<I - J, theta>));
-    the diagonal cancels.
-    """
-    terms = p.sorted_terms()
-    pairs = []
-    for (ei, ci), (ej, cj) in combinations(terms, 2):
-        pairs.append((2 * ci * cj,
-                      tuple(a + b for a, b in zip(ei, ej)),
-                      tuple(a - b for a, b in zip(ei, ej))))
-    return pairs
 
 
 _QUARTER_UNITS = {
@@ -312,11 +296,23 @@ def _misalignment(R: np.ndarray, TH: np.ndarray) -> np.ndarray:
     return (R * (1 - np.cos(TH - alpha[:, None]))).sum(axis=1)
 
 
-def _pair_arrays(pairs, n: int) -> tuple:
-    """(2 c_I c_J as floats, I + J, I - J) of every pair, as arrays."""
-    return (np.array([float(c) for c, _, _ in pairs]),
-            np.array([e for _, e, _ in pairs], dtype=np.int64).reshape(-1, n),
-            np.array([k for _, _, k in pairs], dtype=np.int64).reshape(-1, n))
+def _pair_arrays(p: Polynomial) -> tuple:
+    """Cross terms of D(r, theta) = p(r)^2 - |p(r e^{i theta})|^2.
+
+    D = sum over unordered pairs I != J of
+        2 c_I c_J r^{I+J} (1 - cos(<I - J, theta>));
+    the diagonal cancels.  Returns (2 c_I c_J as floats, I + J, I - J)
+    as arrays, one row per pair.  Each float is one division of Python
+    ints, correctly rounded like float() of the exact product, which is
+    never formed.
+    """
+    pairs = list(combinations(p.sorted_terms(), 2))
+    return (np.array([2 * ci.numerator * cj.numerator / (ci.denominator * cj.denominator)
+                      for (_, ci), (_, cj) in pairs]),
+            np.array([[a + b for a, b in zip(ei, ej)] for (ei, _), (ej, _) in pairs],
+                     dtype=np.int64).reshape(-1, p.nvars),
+            np.array([[a - b for a, b in zip(ei, ej)] for (ei, _), (ej, _) in pairs],
+                     dtype=np.int64).reshape(-1, p.nvars))
 
 
 def _distinct_rows(a: np.ndarray, base: int) -> tuple:
@@ -409,8 +405,7 @@ def _grid_samples(n: int, opts: Pos3Options) -> tuple:
 
 def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     n, g = p.nvars, opts.grid
-    pairs = _pair_data(p)
-    arrays = _pair_arrays(pairs, n)
+    arrays = _pair_arrays(p)
     radii, row, phases, R, TH = _grid_samples(n, opts)
     D, p_r = _eval_d_grid(p, arrays, g, radii, row, phases)
     scale = np.maximum(p_r ** 2, 1e-30)
@@ -470,7 +465,7 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
             # validate with outward-rounded intervals on a tiny box
             eps = 1e-12
             if pair_ivs is None:
-                pair_ivs = _pair_intervals(pairs)
+                pair_ivs = _pair_intervals(p)
             r_box = (np.maximum(0.0, rr - eps)[None, :], (rr + eps)[None, :])
             t_box = ((tt - eps)[None, :], (tt + eps)[None, :])
             dv = [float(v[0]) for v in _eval_d_batch(pair_ivs, r_box, t_box)]
@@ -487,14 +482,16 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
                                    "note": "no counterexample found"})
 
 
-def _pair_intervals(pairs):
-    """The pairs in the form `_eval_d_batch` takes.
+def _pair_intervals(p: Polynomial) -> list:
+    """The pairs of `_pair_arrays` in the form `_eval_d_batch` takes.
 
-    Each pair becomes (coefficient as an Interval, [(dimension, exponent)
-    for its nonzero exponents of r], k): one conversion per pair.
+    Each pair becomes (2 c_I c_J as an Interval, [(dimension, exponent)
+    for the nonzero exponents of r^(I+J)], I - J), in the same order.
     """
-    return [(from_fraction(coef2), [(j, e) for j, e in enumerate(rexp) if e], k)
-            for coef2, rexp, k in pairs]
+    return [(from_fraction(2 * ci * cj),
+             [(j, a + b) for j, (a, b) in enumerate(zip(ei, ej)) if a + b],
+             tuple(a - b for a, b in zip(ei, ej)))
+            for (ei, ci), (ej, cj) in combinations(p.sorted_terms(), 2)]
 
 
 def _eval_d_batch(pair_ivs, r: tuple, t: tuple) -> tuple:
@@ -528,10 +525,10 @@ def _eval_d_batch(pair_ivs, r: tuple, t: tuple) -> tuple:
     return total
 
 
-def _fejer_terms(p: Polynomial) -> list:
-    """G for n = 2 as a list of (a, b, [(m, h_m as an Interval)]), where
+def _fejer_terms(p: Polynomial) -> dict:
+    """G for n = 2 as {a: [h_0, ..., h_(d-1)]}, exact, where
 
-        G(r1, t) = sum over the list of r1^a r2^b sum_m h_m cos(mt).
+        G(r1, t) = sum over a of r1^a r2^(2d-2-a) sum_m h_m cos(mt).
 
     With c_i the coefficient of x1^i x2^(d - i), z = (r1 e^{it}, r2) and
     D = p(r)^2 - |p(z)|^2,
@@ -542,150 +539,67 @@ def _fejer_terms(p: Polynomial) -> list:
     because 1 - cos(kt) = 2 sin^2(t/2) F_k(t) for the Fejer kernel
     F_k = k + 2 sum_{0<m<k} (k - m) cos(mt).  Both exponents are >= 0
     because i < j <= d.  The kernels of the pairs with the same i + j
-    multiply the same power of r, so they are summed exactly into one
-    cosine polynomial before any rounding.
+    multiply the same power of r, so they are summed into one cosine
+    polynomial.
     """
     d = p.degree()
     coefs = {exp[0]: c for exp, c in p.terms.items()}
     sums: dict[int, list] = {}
     for i, j in combinations(sorted(coefs), 2):
         cc, k = coefs[i] * coefs[j], j - i
-        h = sums.setdefault(i + j, [Fraction(0)] * d)
+        h = sums.setdefault(i + j - 1, [Fraction(0)] * d)
         h[0] += k * cc
         for m in range(1, k):
             h[m] += 2 * (k - m) * cc
-    return [(s - 1, 2 * d - s - 1, [(m, from_fraction(v)) for m, v in enumerate(h) if v])
-            for s, h in sorted(sums.items())]
+    return sums
 
 
-def _eval_g_batch(terms, r1: tuple, t: tuple) -> tuple:
-    """Outward-rounded enclosures of G over a batch of (r1, t) boxes.
+def _bernstein_g(p: Polynomial) -> tuple:
+    """G's Bernstein coefficients in (r1, c = cos t) on [0, 1] x [-1, 1].
 
-    r1 and t are (lo, hi) pairs of 1-d arrays, r1 within [0, 1]; r2 is
-    1 - r1, rounded outward.  The natural enclosure is intersected with
-    the mean-value form G(c, T) + dG/dr1(R, T) * (R - c), c the midpoint
-    of R, whose excess width is second order in the width of R.  Each
-    cos(mt) and each power of r1 and r2 is computed once for the batch.
-    Returns (lo, hi) arrays.
+    G has degree B = 2d - 2 in r1 and M = d - 1 in c, because
+    cos(mt) = T_m(c), the Chebyshev polynomial.  Returns (b, scale): a
+    (B + 1) x (M + 1) object array of Python ints and a Fraction > 0 with
+
+        G = scale sum b[a, k] C(B, a) r1^a r2^(B-a) C(M, k) u^k (1 - u)^(M-k)
+
+    for u = (1 + c)/2.  Along r1 a coefficient is the one of r1^a r2^(B-a)
+    over C(B, a); along c each cosine polynomial is written in powers of
+    u through T_m(2u - 1), then in the Bernstein basis.
     """
-    n = len(t[0])
-    m_max = max((m for _, _, h in terms for m, _ in h), default=0)
-    cosines = [(np.ones(n), np.ones(n))]
-    cosines += [array_cos(array_mul_int(m, t)) for m in range(1, m_max + 1)]
-    mid = 0.5 * (r1[0] + r1[1])
-    radius = np.maximum(add_up(mid, -r1[0]), add_up(r1[1], -mid))
-    a_max, b_max = max(a for a, _, _ in terms), max(b for _, b, _ in terms)
-
-    def powers(r):
-        r2 = (add_down(1.0, -r[1]), add_up(1.0, -r[0]))
-        return array_powers(r, a_max), array_powers(r2, b_max)
-
-    (p1, p2), (q1, q2) = powers(r1), powers((mid, mid))
-    zero = (np.zeros(n), np.zeros(n))
-    natural = at_mid = slope = zero
-    for a, b, h in terms:
-        cos_poly = zero
-        for m, c in h:
-            cos_poly = array_add(cos_poly, array_mul((c.lo, c.hi), cosines[m]))
-        natural = array_add(natural, array_mul(array_mul_nonneg(p1[a], p2[b]), cos_poly))
-        at_mid = array_add(at_mid, array_mul(array_mul_nonneg(q1[a], q2[b]), cos_poly))
-        # d/dr1 of r1^a r2^b is a r1^(a-1) r2^b - b r1^a r2^(b-1)
-        deriv = zero
-        if a:
-            deriv = array_mul_int(a, array_mul_nonneg(p1[a - 1], p2[b]))
-        if b:
-            deriv = array_add(deriv, array_mul_int(-b, array_mul_nonneg(p1[a], p2[b - 1])))
-        slope = array_add(slope, array_mul(deriv, cos_poly))
-    mean_value = array_add(at_mid, array_mul(slope, (-radius, radius)))
-    return np.maximum(natural[0], mean_value[0]), np.minimum(natural[1], mean_value[1])
+    d = p.degree()
+    big_b, big_m = 2 * d - 2, d - 1
+    # T_m(2u - 1) in powers of u, by T_(m+1) = 2 (2u - 1) T_m - T_(m-1)
+    cheb = [[1] + [0] * big_m, [-1, 2] + [0] * (big_m - 1)]
+    while len(cheb) <= big_m:
+        t1, t0 = cheb[-1], cheb[-2]
+        cheb.append([4 * (t1[j - 1] if j else 0) - 2 * t1[j] - t0[j]
+                     for j in range(big_m + 1)])
+    terms = _fejer_terms(p)
+    rows = []
+    for a in range(big_b + 1):
+        h = terms.get(a, ())
+        power = [sum(v * cheb[m][j] for m, v in enumerate(h)) for j in range(big_m + 1)]
+        rows.append([sum(Fraction(math.comb(k, j), math.comb(big_m, j)) * power[j]
+                         for j in range(k + 1)) / math.comb(big_b, a)
+                     for k in range(big_m + 1)])
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return (np.array([[int(v * scale) for v in row] for row in rows], dtype=object),
+            Fraction(1, scale))
 
 
-#: The root box: r1 in [0, 1] and t in [0, pi].  G is even and 2 pi
-#: periodic in t, so [0, pi] covers every phase; its upper end is the
-#: least double above pi, because math.pi itself lies below pi.
-_ROOT_LO = (0.0, 0.0)
-_ROOT_HI = (1.0, math.nextafter(math.pi, 4.0))
-#: Box widths are compared relative to the root box.
-_ROOT_WIDTH = np.array([1.0, math.pi])
-
-
-def _split(lo, hi, depth):
-    """The two children of every box, interleaved (left, right): the
-    relatively widest dimension is halved."""
-    rows = np.arange(len(depth))
-    dim = ((hi - lo) / _ROOT_WIDTH).argmax(axis=1)
-    at = 0.5 * (lo[rows, dim] + hi[rows, dim])
-    child_lo = np.repeat(lo, 2, axis=0)
-    child_hi = np.repeat(hi, 2, axis=0)
-    child_hi[2 * rows, dim] = at
-    child_lo[2 * rows + 1, dim] = at
-    return child_lo, child_hi, np.repeat(depth + 1, 2)
-
-
-#: Boxes the certify frontier evaluates together, as one batch.
-_CHUNK = 512
-
-# What an evaluated box came to.  A box that splits records the id of its
-# left child instead (ids are positive); the right child's id follows it.
-_CLOSED, _AT_DEPTH = -1, -2
-
-
-class _Frontier:
-    """Stack of unevaluated boxes, one row of (lo, hi, depth, id) each;
-    pops take the top rows."""
-
-    def __init__(self, width: int):
-        self.lo = np.empty((_CHUNK, width))
-        self.hi = np.empty((_CHUNK, width))
-        self.depth = np.empty(_CHUNK, dtype=np.int64)
-        self.ids = np.empty(_CHUNK, dtype=np.int64)
-        self.size = 0
-
-    def push(self, lo, hi, depth, ids) -> None:
-        end = self.size + len(depth)
-        if end > len(self.depth):
-            cap = max(end, 2 * len(self.depth))
-            for name in ("lo", "hi", "depth", "ids"):
-                old = getattr(self, name)
-                new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-                new[:self.size] = old[:self.size]
-                setattr(self, name, new)
-        self.lo[self.size:end] = lo
-        self.hi[self.size:end] = hi
-        self.depth[self.size:end] = depth
-        self.ids[self.size:end] = ids
-        self.size = end
-
-    def pop(self, count: int) -> tuple:
-        start = max(0, self.size - count)
-        out = tuple(a[start:self.size].copy() for a in (self.lo, self.hi, self.depth, self.ids))
-        self.size = start
-        return out
-
-
-def _evaluate(frontier: _Frontier, count: int, next_id: int, terms,
-              max_depth: int) -> tuple:
-    """Evaluate the top `count` boxes of the frontier as one batch.
-
-    Applies every rule to the batch as array operations: the G
-    enclosure, the `G.lo > 0` close, the depth limit and the split.  The
-    children of the boxes that split are pushed back with ids from
-    `next_id` on.  Returns ({id: outcome}, {id: box} of the boxes at the
-    depth limit, the next free id).
-    """
-    lo, hi, depth, ids = frontier.pop(count)
-    g_lo, _ = _eval_g_batch(terms, (lo[:, 0], hi[:, 0]), (lo[:, 1], hi[:, 1]))
-    closed = g_lo > 0
-    at_depth = ~closed & (depth >= max_depth)
-    split = np.flatnonzero(~closed & ~at_depth)
-    code = np.where(closed, _CLOSED, _AT_DEPTH)
-    code[split] = next_id + 2 * np.arange(len(split))
-    if len(split):
-        frontier.push(*_split(lo[split], hi[split], depth[split]),
-                      np.arange(next_id, next_id + 2 * len(split)))
-    boxes = dict(zip(ids[at_depth].tolist(),
-                     np.stack([lo[at_depth], hi[at_depth]], axis=2).tolist()))
-    return dict(zip(ids.tolist(), code.tolist())), boxes, next_id + 2 * len(split)
+def _halves(b: np.ndarray, axis: int) -> tuple:
+    """The Bernstein coefficients of the two halves of a box cut at the
+    midpoint of `axis`, by de Casteljau.  Both come times 2^degree, which
+    keeps them integers and leaves their signs alone."""
+    row = np.moveaxis(b, axis, 0)
+    n = len(row) - 1
+    left, right = [None] * (n + 1), [None] * (n + 1)
+    for k in range(n + 1):
+        left[k] = row[0] * 2 ** (n - k)
+        right[n - k] = row[-1] * 2 ** (n - k)
+        row = row[:-1] + row[1:]
+    return tuple(np.moveaxis(np.stack(half), 0, axis) for half in (left, right))
 
 
 def _quarter_turn_probe(p: Polynomial, grid: int, budget: dict) -> ConditionReport:
@@ -723,66 +637,54 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     if eval_rational(p, [half, half]) <= 0:
         return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE,
                                budget={"note": "p(1/2, 1/2) <= 0"})
-    # prove G > 0 on the box; a search that does not close hands over to
+    # prove G > 0 on [0, 1] x [-1, 1]; a search that stops hands over to
     # the exact quarter-turn probe, so a Holds never pays for the probe
-    terms = _fejer_terms(p)
-    frontier = _Frontier(2)
-    frontier.push(np.array([_ROOT_LO]), np.array([_ROOT_HI]),
-                  np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
-    next_id = 1
-    outcome: dict[int, int] = {}         # evaluated boxes the walk has not reached
-    at_depth: dict[int, list] = {}
-    evaluated = closed = processed = 0
-    unresolved: list[list[list[float]]] = []
-    max_depth_used = 0
-
-    # Boxes are evaluated in batches but counted in the order of a
-    # depth-first walk that visits the right child first, so the counts
-    # and the stop after 50 unresolved boxes do not depend on the batch
-    # size.  The frontier holds the unevaluated boxes in that same order,
-    # next one on top, so the box the walk waits for is always the top
-    # of the next batch.
-    walk = [(0, 0)]                      # (box id, depth)
-    while walk:
-        node, depth = walk[-1]
-        code = outcome.pop(node, None)
-        if processed == opts.max_boxes or (code is None and evaluated == opts.max_boxes):
-            return _quarter_turn_probe(
-                p, opts.grid, {"boxes_processed": evaluated, "note": "box budget exhausted"})
-        if code is None:
-            if not frontier.size or frontier.ids[frontier.size - 1] != node:
-                raise RuntimeError("certify frontier is out of walk order")
-            count = min(_CHUNK, opts.max_boxes - evaluated)
-            found, boxes, next_id = _evaluate(frontier, count, next_id, terms,
-                                              opts.max_depth)
-            evaluated += len(found)
-            outcome.update(found)
-            at_depth.update(boxes)
-            continue
-        walk.pop()
+    root, scale = _bernstein_g(p)
+    degrees = (root.shape[0] - 1, root.shape[1] - 1)
+    # A box at depth k has been halved k times, along r1 at even depths
+    # and along c at odd ones; (i, j) is its position along r1 and along
+    # u = (1 + c)/2 among the boxes of its size.  A corner coefficient is
+    # G at that corner, times a positive scale, so a corner <= 0 shows that
+    # G > 0 fails; the search stops at the first box it cannot close.
+    stack = [(root, 0, 0, 0)]
+    processed = closed = max_depth_used = 0
+    stop = None
+    while stack and stop is None:
+        if processed == opts.max_boxes:
+            stop = {"reason": "box budget"}
+            break
+        b, depth, i, j = stack.pop()
         processed += 1
-        if depth > max_depth_used:
-            max_depth_used = depth
-        if code > 0:
-            walk.append((code, depth + 1))
-            walk.append((code + 1, depth + 1))
-        elif code == _CLOSED:
+        max_depth_used = max(max_depth_used, depth)
+        if b.min() > 0:
             closed += 1
+            continue
+        cuts = ((depth + 1) // 2, depth // 2)
+        r1 = [Fraction(i + x, 2 ** cuts[0]) for x in (0, 1)]
+        c = [Fraction(2 * (j + y), 2 ** cuts[1]) - 1 for y in (0, 1)]
+        box = {"r1": [str(v) for v in r1], "c": [str(v) for v in c]}
+        x, y = min(((x, y) for x in (0, 1) for y in (0, 1)), key=lambda xy: b[-xy[0], -xy[1]])
+        if b[-x, -y] <= 0:
+            g = scale * b[-x, -y] / 2 ** (degrees[0] * cuts[0] + degrees[1] * cuts[1])
+            stop = {"reason": "G <= 0 at a corner", **box,
+                    "corner": [str(r1[x]), str(c[y])], "g": str(g)}
+        elif depth >= opts.max_depth:
+            stop = {"reason": "depth limit", **box}
         else:
-            unresolved.append(at_depth.pop(node))
-            if len(unresolved) > 50:
-                break
+            axis = depth % 2
+            left, right = _halves(b, axis)
+            if axis == 0:
+                stack += [(right, depth + 1, 2 * i + 1, j), (left, depth + 1, 2 * i, j)]
+            else:
+                stack += [(right, depth + 1, i, 2 * j + 1), (left, depth + 1, i, 2 * j)]
 
     budget = {"boxes_processed": processed, "boxes_closed": closed,
               "max_depth_used": max_depth_used}
-    if unresolved:
-        return _quarter_turn_probe(p, opts.grid, {**budget, "unresolved_boxes": len(unresolved),
-                                                  "unresolved_sample": unresolved[:5]})
-    return ConditionReport(
-        Condition.POS3, Verdict.HOLDS,
-        certificate={"method": "fejer_kernel_branch_and_bound",
-                     "max_depth": opts.max_depth},
-        budget=budget)
+    if stop is not None:
+        return _quarter_turn_probe(p, opts.grid, {**budget, "stop": stop})
+    return ConditionReport(Condition.POS3, Verdict.HOLDS,
+                           certificate={"method": "fejer_kernel_bernstein"},
+                           budget=budget)
 
 
 def check_pos3(p: Polynomial, opts: Pos3Options | None = None) -> ConditionReport:

@@ -2,7 +2,9 @@
 
 Every arithmetic operation pads its result by one ulp in each
 direction, so true values are always enclosed.  Desk-scale
-certification only: no arbitrary-precision intervals.
+validation only: no arbitrary-precision intervals.  Pos3 falsify uses
+it to validate a Nelder-Mead witness on a tiny box; Pos3 certify is
+exact and does not use it.
 
 `Interval` holds one scalar interval.  The array functions below hold a
 batch of intervals as a pair of equal-shape float64 arrays (lo, hi) and
@@ -26,12 +28,13 @@ _TWO_PI = 2 * math.pi
 #: Absolute widening of every `np.cos` endpoint value in `array_cos`.
 #: It is 2^-40, about 8,000 ulps of 1.0.  A float64 cos that is accurate
 #: to a few ulps is off by at most about 2^-50 on [-1, 1], and the
-#: arguments the certifier passes (phase sums <k, theta> with |k| at most
-#: twice the degree) stay below a few hundred, small enough for any
-#: argument reduction in use.  The margin covers the implementation that
-#: runs, not one named implementation: tests/test_intervals.py measures
-#: the error of the `np.cos` in use against 50-digit values and requires
-#: it to stay below COS_MARGIN / 256.
+#: arguments that falsify's witness validation passes (phase sums
+#: <k, theta> with each |k_j| at most the degree, at a Nelder-Mead point
+#: started from phases in [0, 2 pi)) stay far below the sizes where
+#: argument reduction loses accuracy.  The margin covers the
+#: implementation that runs, not one named implementation:
+#: tests/test_intervals.py measures the error of the `np.cos` in use
+#: against 50-digit values and requires it to stay below COS_MARGIN / 256.
 COS_MARGIN = 2.0 ** -40
 
 
@@ -104,25 +107,6 @@ def _up_array(x: np.ndarray) -> np.ndarray:
 
 def array_add(a: tuple, b: tuple) -> tuple:
     return _down_array(a[0] + b[0]), _up_array(a[1] + b[1])
-
-
-def _sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The exact a + b - s for s = a + b rounded (Knuth's TwoSum)."""
-    b_part = s - a
-    return (a - (s - b_part)) + (b - b_part)
-
-
-def add_down(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The largest double <= a + b: the rounded sum, stepped down only
-    when it lies above the exact one."""
-    s = a + b
-    return np.where(_sum_error(a, b, s) < 0, _down_array(s), s)
-
-
-def add_up(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The smallest double >= a + b."""
-    s = a + b
-    return np.where(_sum_error(a, b, s) > 0, _up_array(s), s)
 
 
 def array_mul_int(k: int, a: tuple) -> tuple:

@@ -1,11 +1,13 @@
 """CLI contract: exit codes, JSON/CSV output, config precedence, determinism."""
 
 import csv
+import inspect
 import json
 
 import pytest
 
-from powerpos.cli import main
+from powerpos import Pos3Options, check_pos2
+from powerpos.cli import Budgets, main
 
 CUBIC_MINUS_CORNER = "(x1+x2+x3)^3 - x1^3"
 EQUALITY_QUARTIC = "(x1+x2)^4 - 8*x1^2*x2^2"
@@ -47,6 +49,16 @@ def test_check_inconclusive_exit_three(tmp_path):
     code = run(["check", "x1+x2", "--pos3-mode", "falsify",
                 "--json", str(tmp_path / "r.json")])
     assert code == 3
+
+
+@pytest.mark.parametrize("expr", ["x1*x2", "x1^2*x2^2"])
+@pytest.mark.parametrize("mode", ["certify", "falsify"])
+def test_single_term_fails_with_an_equality_witness(expr, mode, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["check", expr, "--pos3-mode", mode, "--json", str(out)]) == 2
+    pos3 = json.loads(out.read_text())["reports"][2]
+    assert pos3["verdict"] == "Fails" and pos3["witness"]["equality"] is True
+    assert pos3["witness"]["validation"] == "exact"
 
 
 def test_parse_error_exit_one(capsys):
@@ -281,3 +293,11 @@ def test_budget_profiles_accepted(tmp_path):
     code = run(["check", "x1+x2", "--budget-profile", "fast",
                 "--pos3-mode", "falsify", "--json", str(tmp_path / "r.json")])
     assert code == 3  # falsify cannot certify a true instance
+
+
+@pytest.mark.parametrize("mode", ["certify", "falsify"])
+def test_budget_defaults_are_the_option_defaults(mode):
+    assert Budgets().pos3_options(mode, 5) == Pos3Options(mode=mode, seed=5)
+    pos2 = inspect.signature(check_pos2).parameters
+    assert (Budgets().polya_budget, Budgets().sample_grid) == \
+        (pos2["polya_budget"].default, pos2["sample_grid"].default)

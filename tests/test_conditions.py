@@ -15,9 +15,10 @@ from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
                       check_pos3, check_sgcs, eval_complex, eval_rational,
                       facet_derivative, max_squared_norm_diag, parse, power_scan)
 from powerpos import conditions
-from powerpos.conditions import (_eval_d_batch, _eval_d_grid, _eval_g_batch,
-                                 _fejer_terms, _grid_samples, _pair_arrays,
-                                 _pair_data, _pair_intervals, _unrank_compositions)
+from powerpos.conditions import (_bernstein_g, _eval_d_batch, _eval_d_grid,
+                                 _grid_samples, _halves, _pair_arrays,
+                                 _pair_intervals, _unrank_compositions)
+from powerpos.intervals import from_fraction
 from powerpos.poly import eval_complex_exact, monomials_of_degree
 
 from helpers import fraction_grid_samples, rand_complex_point, rand_homogeneous
@@ -161,10 +162,9 @@ def test_pos3_certify_linear():
 def test_pos3_certify_quartic_family():
     rep = check_pos3(P7, Pos3Options(mode=Pos3Mode.CERTIFY))
     assert rep.verdict is Verdict.HOLDS
-    assert rep.certificate == {"method": "fejer_kernel_branch_and_bound", "max_depth": 24}
-    # the box tree does not depend on how many boxes are evaluated at once
-    assert rep.budget == {"boxes_processed": 211, "boxes_closed": 106,
-                          "max_depth_used": 10}
+    assert rep.certificate == {"method": "fejer_kernel_bernstein"}
+    # the root box halves along r1 and both halves close
+    assert rep.budget == {"boxes_processed": 3, "boxes_closed": 2, "max_depth_used": 1}
 
 
 def test_pos3_falsify_no_counterexample_on_linear():
@@ -177,58 +177,68 @@ def test_pos3_single_variable_vacuous():
     assert rep.verdict is Verdict.HOLDS
 
 
+# an asymmetric septic whose certificate takes 23 boxes, down to depth 7
+P_ASYM = parse("6*x1^7 + 5*x1^6*x2 + x1^5*x2^2 + 5*x1^4*x2^3 - 293/40*x1^3*x2^4"
+               " + 2*x1^2*x2^5 + 6*x1*x2^6 + 8*x2^7", 2)
+CERTIFY = Pos3Options(mode=Pos3Mode.CERTIFY)
+
+
+def test_pos3_certify_asymmetric_septic():
+    rep = check_pos3(P_ASYM, CERTIFY)
+    assert rep.verdict is Verdict.HOLDS
+    assert rep.budget == {"boxes_processed": 23, "boxes_closed": 12, "max_depth_used": 7}
+
+
 def test_pos3_budget_exhaustion_is_inconclusive():
-    opts = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=10)
-    rep = check_pos3(P7, opts)
+    rep = check_pos3(P_ASYM, Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=10))
     assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.budget["stop"] == {"reason": "box budget"}
 
 
-P_K3_31 = parse("(x1+x2)^6 - 31*x1^3*x2^3", 2)     # Holds after 2,219 boxes
-
-
-@pytest.mark.parametrize("max_boxes", [1, 10, 511, 513, 1000])
+@pytest.mark.parametrize("max_boxes", [0, 1, 10, 20, 511, 513, 1000])
 def test_pos3_box_budget_is_never_exceeded(max_boxes):
-    rep = check_pos3(P_K3_31, Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=max_boxes))
-    assert rep.verdict is Verdict.INCONCLUSIVE
-    assert rep.budget["boxes_processed"] == max_boxes
+    rep = check_pos3(P_ASYM, Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=max_boxes))
+    if max_boxes < 23:
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.budget["boxes_processed"] == max_boxes
+        assert rep.budget["stop"] == {"reason": "box budget"}
+    else:
+        # a budget above what the search needs changes nothing
+        assert rep.verdict is Verdict.HOLDS and rep.budget["boxes_processed"] == 23
 
 
 def test_pos3_box_budget_that_just_suffices_still_holds():
-    enough = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=211)
-    assert check_pos3(P7, enough).verdict is Verdict.HOLDS
-    short = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=210)
-    rep = check_pos3(P7, short)
+    enough = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=23)
+    assert check_pos3(P_ASYM, enough).verdict is Verdict.HOLDS
+    short = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=22)
+    rep = check_pos3(P_ASYM, short)
     assert rep.verdict is Verdict.INCONCLUSIVE
-    assert rep.budget["boxes_processed"] == 210
+    assert rep.budget["boxes_processed"] == 22
 
 
-@pytest.mark.parametrize("expr, nvars, counts, max_depth", [
-    # near the threshold 8, G is small around (1/2, pi): the boxes there
-    # close only at depth 14 (Holds after 867 boxes)
-    ("(x1+x2)^4 - 55/7*x1^2*x2^2", 2, (405, 148, 12), 12),
-    ("x1^3 + x1^2*x2 + x2^3", 2, (328, 109, 24), 24),
-])
-def test_pos3_unresolved_stop_does_not_depend_on_the_batch_size(expr, nvars, counts,
-                                                                max_depth, monkeypatch):
-    p = parse(expr, nvars)
-    opts = Pos3Options(mode=Pos3Mode.CERTIFY, max_depth=max_depth)
-    batched = check_pos3(p, opts)
-    monkeypatch.setattr(conditions, "_CHUNK", 1)
-    one_by_one = check_pos3(p, opts)
-    assert batched.to_json_dict() == one_by_one.to_json_dict()
-    assert batched.verdict is Verdict.INCONCLUSIVE
-    budget = batched.budget
-    assert (budget["boxes_processed"], budget["boxes_closed"],
-            budget["max_depth_used"]) == counts
-    assert budget["unresolved_boxes"] == 51 and len(budget["unresolved_sample"]) == 5
+def test_pos3_depth_limit_counts_the_halvings_of_a_box():
+    assert check_pos3(P_ASYM, Pos3Options(mode=Pos3Mode.CERTIFY, max_depth=7)).verdict \
+        is Verdict.HOLDS
+    rep = check_pos3(P_ASYM, Pos3Options(mode=Pos3Mode.CERTIFY, max_depth=6))
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.budget["max_depth_used"] == 6
+    stop = rep.budget["stop"]
+    assert stop["reason"] == "depth limit"
+    # six halvings, three along r1 and three along c, on the dyadic grid
+    (r_lo, r_hi), (c_lo, c_hi) = ([F(v) for v in stop[key]] for key in ("r1", "c"))
+    assert (r_hi - r_lo, c_hi - c_lo) == (F(1, 8), F(2, 8))
+    assert (8 * r_lo).denominator == 1 and (4 * (c_lo + 1)).denominator == 1
 
 
 def test_pos3_certify_never_closes_the_boxes_where_pos2_fails():
-    # G(0, t) = c_0 c_1 = 0 here (Pos2 fails), so the boxes at r1 = 0
-    # never close
-    rep = check_pos3(parse("x1^3 + x1^2*x2 + x2^3", 2), Pos3Options(mode=Pos3Mode.CERTIFY))
+    # G(0, t) = c_0 c_1 = 0 here (Pos2 fails): the root box has a zero
+    # corner at r1 = 0, so the search stops there, at once
+    rep = check_pos3(parse("x1^3 + x1^2*x2 + x2^3", 2), CERTIFY)
     assert rep.verdict is Verdict.INCONCLUSIVE
-    assert all(r1[0] == 0.0 for r1, _ in rep.budget["unresolved_sample"])
+    assert rep.budget["boxes_processed"] == 1
+    stop = rep.budget["stop"]
+    assert stop["reason"] == "G <= 0 at a corner"
+    assert stop["corner"][0] == "0" and stop["g"] == "0"
 
 
 def _dv(k, lam):
@@ -252,21 +262,61 @@ def test_pos3_certify_fails_exactly_at_threshold(k):
     rep = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY))
     assert rep.verdict is Verdict.FAILS
     assert rep.witness["validation"] == "exact" and rep.witness["equality"] is True
-    # G(1/2, pi) = 0: the box search stops unresolved, then the probe decides
-    assert rep.budget["boxes_processed"] > 0 and rep.budget["unresolved_boxes"] == 51
+    # G(1/2, pi) = 0: the search stops at that corner of a half of the
+    # root box, then the probe decides
+    assert rep.budget["boxes_processed"] == 2
+    stop = rep.budget["stop"]
+    assert stop["reason"] == "G <= 0 at a corner"
+    assert (stop["corner"], stop["g"]) == (["1/2", "-1"], "0")
     z = [(F(re), F(im)) for re, im in rep.witness["z"]]
     assert all(re == 0 or im == 0 for re, im in z)     # quarter turns: |z_k| is exact
     vre, vim = eval_complex_exact(p, z)
     assert vre * vre + vim * vim == eval_rational(p, [abs(re) + abs(im) for re, im in z]) ** 2
 
 
-def test_pos3_certify_mean_value_form_saves_depth():
-    # the natural enclosure alone needs depth 21 here
-    opts = Pos3Options(mode=Pos3Mode.CERTIFY, max_depth=19)
-    rep = check_pos3(_dv(3, "127/4"), opts)
+@pytest.mark.parametrize("k, lam", [(3, "127/4"), (3, "1023/32"), (4, "511/4")])
+def test_pos3_certify_near_the_threshold_needs_one_halving(k, lam):
+    # the Bernstein bound is tight enough that halving r1 at 1/2, where G
+    # is least, closes both halves
+    rep = check_pos3(_dv(k, lam), Pos3Options(mode=Pos3Mode.CERTIFY, max_depth=1))
     assert rep.verdict is Verdict.HOLDS
-    assert rep.budget == {"boxes_processed": 9039, "boxes_closed": 4520,
-                          "max_depth_used": 19}
+    assert rep.budget == {"boxes_processed": 3, "boxes_closed": 2, "max_depth_used": 1}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_pos3_certify_dv_family_below_and_at_the_threshold(k):
+    top = 2 ** (2 * k - 1)
+    below = check_pos3(_dv(k, top - F(1, 2 ** k)), CERTIFY)
+    assert below.verdict is Verdict.HOLDS and below.budget["boxes_processed"] == 3
+    at = check_pos3(_dv(k, top), CERTIFY)
+    assert at.verdict is Verdict.FAILS and at.witness["equality"] is True
+
+
+@pytest.mark.parametrize("expr", ["(x1+x2)^10 - 511*x1^5*x2^5",
+                                  "(x1+x2)^12 - 2047*x1^6*x2^6"])
+def test_pos3_certify_decides_high_degree_members_below_the_threshold(expr):
+    # below 2^(2k-1) Pos3 holds (the dv truth); the float search left these
+    # Inconclusive
+    assert check_pos3(parse(expr, 2), CERTIFY).verdict is Verdict.HOLDS
+
+
+def test_pos3_certify_holds_only_where_falsify_finds_no_witness():
+    # positive coefficients with one set below zero, to minus a random share
+    # of their sum, so every input reaches the Bernstein search
+    rng = random.Random(61)
+    holds = 0
+    for _ in range(60):
+        d = rng.randint(4, 7)
+        coefs = [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(d + 1)]
+        k = rng.randint(2, d - 2)
+        coefs[k] = -F(rng.randint(1, 16), 64) * sum(coefs)
+        p = Polynomial(2, {(i, d - i): c for i, c in enumerate(coefs) if c})
+        rep = check_pos3(p, CERTIFY)
+        if rep.verdict is Verdict.HOLDS:
+            holds += 1
+            assert rep.certificate == {"method": "fejer_kernel_bernstein"}
+            assert check_pos3(p, FAST_FALSIFY).verdict is not Verdict.FAILS
+    assert holds >= 20
 
 
 @pytest.mark.parametrize("expr", ["-(x1+x2)", "-(x1+x2)^4 + 7*x1^2*x2^2", "-x1^2 + x1*x2 - x2^2"])
@@ -326,7 +376,7 @@ def test_d_batch_encloses_high_precision_values(nvars):
             boxes.append((r_box, t_box))
         r = tuple(np.array([[iv[i] for iv in rb] for rb, _ in boxes]) for i in (0, 1))
         t = tuple(np.array([[iv[i] for iv in tb] for _, tb in boxes]) for i in (0, 1))
-        pair_ivs = _pair_intervals(_pair_data(p))
+        pair_ivs = _pair_intervals(p)
         d_lo, d_hi = _eval_d_batch(pair_ivs, r, t)
         for b, (r_box, t_box) in enumerate(boxes):
             # one box alone encloses the same values as in the batch
@@ -355,42 +405,96 @@ def _g_at(p, r1, t):
             for i in sorted(c) for j in sorted(c) if i < j)
 
 
-def test_g_batch_encloses_high_precision_values():
+def _bernstein_value(b, r1, c):
+    """The Bernstein form of `_bernstein_g`'s coefficients at (r1, c),
+    without the scale; exact for rational arguments."""
+    big_b, big_m = b.shape[0] - 1, b.shape[1] - 1
+    u = (1 + c) / 2
+    return sum(int(b[a, k]) * math.comb(big_b, a) * r1 ** a * (1 - r1) ** (big_b - a)
+               * math.comb(big_m, k) * u ** k * (1 - u) ** (big_m - k)
+               for a in range(big_b + 1) for k in range(big_m + 1))
+
+
+def _fejer_sum(p, r1, c):
+    """G at (r1, cos t = c), exactly, summed pair by pair from its definition."""
+    d = p.degree()
+    cheb = [F(1), c]        # T_m(c)
+    while len(cheb) < d:
+        cheb.append(2 * c * cheb[-1] - cheb[-2])
+    coef = {exp[0]: v for exp, v in p.terms.items()}
+    return sum((coef[i] * coef[j] * r1 ** (i + j - 1) * (1 - r1) ** (2 * d - i - j - 1)
+                * (j - i + 2 * sum((j - i - m) * cheb[m] for m in range(1, j - i)))
+                for i in coef for j in coef if i < j), F(0))
+
+
+def test_bernstein_form_is_g_exactly():
     rng = random.Random(41)
     checked = 0
-    while checked < 8:
-        p = rand_homogeneous(rng, 2, rng.randint(1, 6), density=0.7)
+    while checked < 12:
+        p = rand_homogeneous(rng, 2, rng.randint(1, 7), density=0.7)
         if len(p.terms) < 2:
             continue
         checked += 1
-        boxes = []
-        for _ in range(20):
-            lo = rng.choice([0.0, rng.random()])
-            r_box = (lo, min(1.0, lo + rng.choice([0.0, 1e-9, 0.01, 0.3, 1.0]) * rng.random()))
-            lo = rng.choice([0.0, rng.uniform(0, math.pi)])
-            boxes.append((r_box, (lo, lo + rng.choice([0.0, 1e-9, 0.1, 1.0]) * rng.random())))
-        r1 = tuple(np.array([rb[i] for rb, _ in boxes]) for i in (0, 1))
-        t = tuple(np.array([tb[i] for _, tb in boxes]) for i in (0, 1))
-        terms = _fejer_terms(p)
-        g_lo, g_hi = _eval_g_batch(terms, r1, t)
-        scale = sum(abs(float(c)) for c in p.terms.values()) ** 2 * p.degree() ** 2
-        err = mpmath.mpf(10) ** -40 * (1 + scale)
-        for b, (r_box, t_box) in enumerate(boxes):
-            # one box alone encloses the same values as in the batch
-            one = _eval_g_batch(terms, (r1[0][b:b + 1], r1[1][b:b + 1]),
-                                (t[0][b:b + 1], t[1][b:b + 1]))
-            assert (one[0][0], one[1][0]) == (g_lo[b], g_hi[b])
-            for _ in range(4):
-                pick = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(2)]
-                rv, tv = (min(max(lo + s * (hi - lo), lo), hi)
-                          for (lo, hi), s in zip((r_box, t_box), pick))
-                g = _g_at(p, rv, tv)
-                assert g_lo[b] - err <= g <= g_hi[b] + err
-                # D = 4 r1 r2 sin^2(t/2) G
-                with mpmath.workdps(50):
-                    d_value, d_err = _d_at(p, [rv, 1 - mpmath.mpf(rv)], [tv, 0.0])
-                    factor = 4 * rv * (1 - mpmath.mpf(rv)) * mpmath.sin(mpmath.mpf(tv) / 2) ** 2
-                    assert abs(d_value - factor * g) <= d_err + err
+        b, scale = _bernstein_g(p)
+        d = p.degree()
+        assert b.shape == (2 * d - 1, d) and scale > 0
+        # the corner coefficients are G at the corners (r1, c)
+        for (x, y), (r1, c) in {(0, 0): (0, -1), (0, -1): (0, 1),
+                                (-1, 0): (1, -1), (-1, -1): (1, 1)}.items():
+            assert scale * b[x, y] == _fejer_sum(p, F(r1), F(c))
+        size = sum(abs(float(c)) for c in p.terms.values()) ** 2 * d ** 2
+        for _ in range(10):
+            r1 = rng.choice([F(0), F(1), F(rng.randint(1, 29), rng.randint(30, 40))])
+            v = F(rng.randint(-20, 20), rng.randint(1, 9))
+            c, s = (1 - v * v) / (1 + v * v), 2 * v / (1 + v * v)     # |c + is| = 1
+            g = scale * _bernstein_value(b, r1, c)
+            assert g == _fejer_sum(p, r1, c)
+            # D = 4 r1 r2 sin^2(t/2) G = 2 r1 r2 (1 - cos t) G
+            re, im = eval_complex_exact(p, [(r1 * c, r1 * s), (1 - r1, F(0))])
+            d_value = eval_rational(p, [r1, 1 - r1]) ** 2 - (re * re + im * im)
+            assert d_value == 2 * r1 * (1 - r1) * (1 - c) * g
+            # and at c = cos t against the 50-digit G
+            t = rng.uniform(0, math.pi)
+            with mpmath.workdps(50):
+                rm = mpmath.mpf(r1.numerator) / r1.denominator
+                value = (mpmath.mpf(scale.numerator) / scale.denominator
+                         * _bernstein_value(b, rm, mpmath.cos(mpmath.mpf(t))))
+                assert abs(value - _g_at(p, rm, t)) <= mpmath.mpf(10) ** -40 * (1 + size)
+
+
+def test_halves_are_the_restrictions_to_the_half_boxes():
+    rng = random.Random(43)
+    for _ in range(10):
+        shape = (rng.randint(1, 6), rng.randint(1, 6))
+        b = np.array([[rng.randint(-50, 50) for _ in range(shape[1])]
+                      for _ in range(shape[0])], dtype=object)
+        for axis in (0, 1):
+            halves = _halves(b, axis)
+            n = shape[axis] - 1
+            for _ in range(5):
+                x, y = F(rng.randint(0, 16), 16), F(rng.randint(0, 16), 16)
+                for side, half in enumerate(halves):
+                    # the half's (x, y) is the box's point with the cut
+                    # coordinate mapped into [side/2, (side + 1)/2]
+                    point = [x, y]
+                    point[axis] = (side + point[axis]) / 2
+                    assert _bernstein_value(half, x, 2 * y - 1) == \
+                        2 ** n * _bernstein_value(b, point[0], 2 * point[1] - 1)
+
+
+def test_pair_floats_round_like_the_exact_products():
+    rng = random.Random(47)
+    for _ in range(20):
+        p = rand_homogeneous(rng, rng.randint(2, 4), rng.randint(1, 4), density=0.7)
+        C, E, K = _pair_arrays(p)
+        ivs = _pair_intervals(p)
+        terms = p.sorted_terms()
+        exact = [2 * ci * cj for i, (_, ci) in enumerate(terms) for _, cj in terms[i + 1:]]
+        assert C.tolist() == [float(v) for v in exact]
+        assert len(ivs) == len(exact) == len(E) == len(K)
+        for (iv, rexp, k), value, e_row, k_row in zip(ivs, exact, E.tolist(), K.tolist()):
+            assert iv == from_fraction(value) and list(k) == k_row
+            assert rexp == [(j, e) for j, e in enumerate(e_row) if e]
 
 
 def test_unranked_compositions_follow_monomials_of_degree():
@@ -424,7 +528,7 @@ def test_grid_d_matches_high_precision_values():
         g = rng.choice([5, 8, 16, 32])
         radii, row, phases, _, _ = _grid_samples(n, Pos3Options(grid=g, max_samples=300,
                                                                 seed=rng.randint(0, 99)))
-        D, p_r = _eval_d_grid(p, _pair_arrays(_pair_data(p), n), g, radii, row, phases)
+        D, p_r = _eval_d_grid(p, _pair_arrays(p), g, radii, row, phases)
         for s in rng.sample(range(len(row)), 40):
             r = [F(int(e), g) for e in radii[row[s]]]
             theta = [2 * mpmath.pi * int(j) / g for j in phases[s]]
