@@ -17,8 +17,9 @@ Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       [0, 1] x [-1, 1], split by de Casteljau, decide its sign with no
       rounding at all.  Dividing out the removable zeros of D on the
       aligned set leaves nothing to fence off.  When the search stops
-      without a proof, quarter-turn points are probed exactly for a
-      Fails witness.
+      at a corner where G < 0 inside the segment, rational points next
+      to it are checked exactly for a Fails witness; failing that,
+      quarter-turn points are.
 
 Also here: the associated Hermitian bihomogeneous form
 P(z, conj(w)) = p(z_1 conj(w_1), ..., z_n conj(w_n)), its strict
@@ -223,24 +224,22 @@ class Pos3Options:
             raise ValueError("tolerance must be positive")
 
 
-_QUARTER_UNITS = {
-    0: (Fraction(1), Fraction(0)),
-    1: (Fraction(0), Fraction(1)),
-    2: (Fraction(-1), Fraction(0)),
-    3: (Fraction(0), Fraction(-1)),
-}
+#: i^q for q = 0, 1, 2, 3, as (real, imaginary) pairs
+_QUARTER_UNITS = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+                  (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))
 
 
 def _exact_witness(p: Polynomial, radii: Sequence[Fraction],
-                   quarters: Sequence[int]) -> Optional[dict]:
-    """Exact check of |p(z)|^2 >= p(r)^2 at z_k = r_k i^{q_k}.
+                   units: Sequence[tuple]) -> Optional[dict]:
+    """Exact check of |p(z)|^2 >= p(r)^2 at z_k = r_k u_k.
 
-    Returns the Fails witness, scaled so the largest modulus is 1, or
-    None when the point is aligned or satisfies the strict inequality.
+    Each u_k is a rational unit vector, a (real, imaginary) pair of
+    Fractions, so |z_k| = r_k exactly.  Returns the Fails witness, scaled
+    so the largest modulus is 1, or None when the point is aligned or
+    satisfies the strict inequality.
     """
-    if len({q % 4 for q, r in zip(quarters, radii) if r > 0}) <= 1:
+    if len({u for u, r in zip(units, radii) if r > 0}) <= 1:
         return None     # aligned
-    units = [_QUARTER_UNITS[q % 4] for q in quarters]
     re, im = eval_complex_exact(p, [(r * u, r * v) for r, (u, v) in zip(radii, units)])
     lhs = re * re + im * im
     rhs = eval_rational(p, list(radii)) ** 2
@@ -288,12 +287,11 @@ def _unrank_compositions(n: int, g: int, ranks) -> np.ndarray:
 def _misalignment(R: np.ndarray, TH: np.ndarray) -> np.ndarray:
     """Distance-to-aligned-set proxy: sum_j r_j (1 - cos(theta_j - alpha)).
 
-    alpha is the phase of the radius-weighted mean direction.
+    alpha is the phase of the radius-weighted mean direction
+    sum_j r_j e^{i theta_j}, so the sum is sum_j r_j minus the modulus of
+    that mean, which is how it is computed.
     """
-    w = R * np.exp(1j * TH)
-    mean = w.sum(axis=1)
-    alpha = np.angle(mean)
-    return (R * (1 - np.cos(TH - alpha[:, None]))).sum(axis=1)
+    return R.sum(axis=1) - np.abs((R * np.exp(1j * TH)).sum(axis=1))
 
 
 def _pair_arrays(p: Polynomial) -> tuple:
@@ -333,11 +331,16 @@ def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
 
     On the grid r^(I+J) depends on the radius alone, and the phase factor
     1 - cos(<I - J, theta>) on the phases alone, through
-    <I - J, phases> mod g.  So both come from tables: the powers of e/g,
-    the g versines 1 - cos(2 pi m/g), and, for each chunk of points, one
-    row of 2 c_I c_J r^(I+J) per distinct radius and one row of phase
-    factors per distinct phase tuple.  Returns (D, p(r)) with one entry
-    per point.
+    <I - J, phases> mod g.  The versine table 1 - cos(2 pi m/g) is made
+    exactly even, so the pairs with the same +-(I - J) share one phase
+    factor: their 2 c_I c_J r^(I+J) are summed first, per radius, and
+    then weighted by that factor, one sum per group of pairs.  The
+    samples are walked in radius order, in chunks of about `_GRID_CHUNK`
+    (sample, pair) entries that end at a change of radius where they can,
+    so a radius's row of group sums is built once.  Each value is a sum
+    over one radius's row alone (`np.add.reduceat` over the pairs sorted
+    by group), so it does not depend on the chunks.  Returns (D, p(r))
+    with one entry per point.
     """
     C, E, K = arrays
     T = np.array(list(p.terms))
@@ -346,6 +349,14 @@ def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
     # m and g - m are mirror phases, so the table is made exactly even
     m = np.arange(g)
     versin = 1.0 - np.cos((2 * np.minimum(m, g - m)) / g * math.pi)
+    # a group's key is +-(I - J) with its first nonzero entry > 0; the
+    # pairs are sorted by group
+    first = K[np.arange(len(K)), np.argmax(K != 0, axis=1)]
+    keys, group = np.unique(K * np.sign(first)[:, None], axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    by_group = np.argsort(group, kind="stable")
+    C, E = C[by_group], E[by_group]
+    group_starts = np.flatnonzero(np.diff(group[by_group], prepend=-1))
 
     def monomials(comps: np.ndarray, exps: np.ndarray) -> np.ndarray:
         out = np.ones((len(comps), len(exps)))
@@ -355,17 +366,102 @@ def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
 
     D = np.empty(len(row))
     p_r = np.empty(len(row))
+    order = np.argsort(row, kind="stable")
+    sorted_row = row[order]
     step = max(1, _GRID_CHUNK // max(1, len(C)))
-    for start in range(0, len(row), step):
-        part = slice(start, start + step)
-        rows, at_row = np.unique(row[part], return_inverse=True)
+    start = 0
+    while start < len(row):
+        end = min(start + step, len(row))
+        if end < len(row):
+            # back to the first sample of the radius the chunk would cut
+            cut = int(np.searchsorted(sorted_row, sorted_row[end]))
+            end = cut if cut > start else end
+        part = order[start:end]
+        rows, at_row = np.unique(sorted_row[start:end], return_inverse=True)
         at_row = at_row.reshape(-1)
         tuples, at_tuple = _distinct_rows(phases[part], g)
         comps = radii[rows]
-        D[part] = np.einsum("ij,ij->i", (monomials(comps, E) * C)[at_row],
-                            versin[(tuples @ K.T) % g][at_tuple])
+        sums = np.add.reduceat(monomials(comps, E) * C, group_starts, axis=1)
+        D[part] = np.einsum("ij,ij->i", sums[at_row],
+                            versin[(tuples @ keys.T) % g][at_tuple])
         p_r[part] = (monomials(comps, T) @ t_coef)[at_row]
+        start = end
     return D, p_r
+
+
+def _word_estimate(sizes: Sequence[int], count: int) -> int:
+    """Stream words that `count` rounds of draws from `sizes` use, with
+    eight standard deviations to spare.  An attempt at a size s of k bits
+    takes w = 1 or 2 words and succeeds with probability q = s / 2^k >= 1/2,
+    so a draw takes w/q words on average, with variance w^2 (1 - q)/q^2."""
+    mean = var = 0.0
+    for s in sizes:
+        k = s.bit_length()
+        w, q = (1 if k <= 32 else 2), s / 2 ** k
+        mean += w / q
+        var += w * w * (1 - q) / (q * q)
+    return math.ceil(count * mean + 8 * math.sqrt(count * var)) + 64
+
+
+def _replay_choices(seed: int, sizes: Sequence[int], count: int) -> np.ndarray:
+    """The indices `rng.choice(range(s))` draws for s in `sizes`, `count`
+    times over, with rng = random.Random(seed): a (count, len(sizes)) array.
+
+    The stream is replayed in numpy, with no loop per draw.  Random's
+    state is copied into numpy's MT19937 (its 624 words and position), so
+    `random_raw` gives the 32-bit words that `getrandbits` reads.  A draw
+    below s of k = s.bit_length() bits repeats attempts until one is < s;
+    an attempt is word >> (32 - k), or for k > 32 two words, the low one
+    first.  For each size, the next accepted attempt at or after every
+    word is tabulated; one round of draws composed from these tables maps
+    its first word to the word after it, and the chain of round starts
+    from word 0 is walked by pointer doubling.  When the chain runs past
+    the buffer of words, the stream is read again with twice as many.
+    """
+    state = random.Random(seed).getstate()[1]
+    bits = np.random.MT19937()
+    n_words = _word_estimate(sizes, count)
+    while True:
+        bits.state = {"bit_generator": "MT19937",
+                      "state": {"key": np.array(state[:624], dtype=np.uint32),
+                                "pos": state[624]}}
+        words = bits.random_raw(n_words)
+        # positions 0..n_words; `over` marks a draw that leaves the buffer
+        over = n_words + 1
+        tables = {}
+        for s in set(sizes):
+            k = s.bit_length()
+            width = 1 if k <= 32 else 2
+            if width == 1:
+                attempt = words >> np.uint64(32 - k)
+            else:
+                attempt = words[:-1] | (words[1:] >> np.uint64(64 - k)) << np.uint64(32)
+            nxt = np.full(n_words + 2, over)
+            for q in range(width):
+                # attempts start at q, q + width, ...; hits index that list
+                hits = np.flatnonzero(attempt[q::width] < s)
+                ahead = q + width * np.repeat(hits, np.diff(hits, prepend=-1))
+                nxt[q:q + width * len(ahead):width] = ahead
+            tables[s] = (attempt, nxt, np.where(nxt < over, nxt + width, over))
+        jump = np.arange(n_words + 2)
+        for s in sizes:
+            jump = tables[s][2][jump]
+        # starts[k] is where round k begins; each doubling step appends the
+        # next len(starts) of them
+        starts = np.zeros(1, dtype=np.int64)
+        while len(starts) <= count:
+            starts = np.concatenate([starts, jump[starts]])
+            jump = jump[jump]
+        if starts[count] != over:
+            break
+        n_words *= 2
+    out = np.empty((count, len(sizes)), dtype=np.int64)
+    at = starts[:count]
+    for j, s in enumerate(sizes):
+        attempt, nxt, after = tables[s]
+        out[:, j] = attempt[nxt[at]]
+        at = after[at]
+    return out
 
 
 def _grid_samples(n: int, opts: Pos3Options) -> tuple:
@@ -375,7 +471,8 @@ def _grid_samples(n: int, opts: Pos3Options) -> tuple:
     first phase 0.  When the whole grid fits in `max_samples` it is taken
     in order, radius outer and phases lexicographic; else each sample
     draws a radius rank in `monomials_of_degree(n, g)` order and then
-    n - 1 phases from `random.Random(seed)`.  Returns (radii, row,
+    n - 1 phases from `random.Random(seed)`, replayed exactly by
+    `_replay_choices`.  Returns (radii, row,
     phases, R, TH): the distinct compositions drawn, the composition row
     of each sample, the (samples, n) phase numerators j, and the float
     radii and phases.
@@ -390,14 +487,12 @@ def _grid_samples(n: int, opts: Pos3Options) -> tuple:
         free = np.tile(np.indices((g,) * (n - 1)).reshape(n - 1, -1).T, (n_radii, 1))
     else:
         # `choice` reads only the length of its sequence and the item at
-        # the index it draws, so choosing from ranges draws the points that
+        # the index it draws, so choosing indices draws the points that
         # choosing from the listed radii and phases would
-        rng = random.Random(opts.seed)
-        seqs = (range(n_radii),) + (range(g),) * (n - 1)
-        draws = [rng.choice(s) for _ in range(opts.max_samples) for s in seqs]
-        ranks, row = np.unique(np.array(draws[::n]), return_inverse=True)
+        draws = _replay_choices(opts.seed, (n_radii,) + (g,) * (n - 1), opts.max_samples)
+        ranks, row = np.unique(draws[:, 0], return_inverse=True)
         row = row.reshape(-1)
-        free = np.array([draws[j::n] for j in range(1, n)], dtype=np.int64).T
+        free = draws[:, 1:]
     radii = _unrank_compositions(n, g, ranks)
     phases = np.hstack([np.zeros((len(row), 1), dtype=np.int64), free])
     return radii, row, phases, (radii / g)[row], (2 * phases) / g * math.pi
@@ -408,10 +503,8 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     arrays = _pair_arrays(p)
     radii, row, phases, R, TH = _grid_samples(n, opts)
     D, p_r = _eval_d_grid(p, arrays, g, radii, row, phases)
-    scale = np.maximum(p_r ** 2, 1e-30)
-    mis = _misalignment(R, TH)
-
-    candidate_idx = np.where((D <= opts.tolerance * scale) & (mis > _MISALIGNMENT_FLOOR))[0]
+    low = np.flatnonzero(D <= opts.tolerance * np.maximum(p_r ** 2, 1e-30))
+    candidate_idx = low[_misalignment(R[low], TH[low]) > _MISALIGNMENT_FLOOR]
     candidate_idx = candidate_idx[np.argsort(D[candidate_idx], kind="stable")]
     budget = {"samples": len(row), "candidates": int(len(candidate_idx))}
 
@@ -420,7 +513,7 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
         if np.any(4 * phases[idx] % g):
             continue
         witness = _exact_witness(p, [Fraction(int(e), g) for e in radii[row[idx]]],
-                                 (4 * phases[idx] // g).tolist())
+                                 [_QUARTER_UNITS[q] for q in (4 * phases[idx] // g).tolist()])
         if witness is not None:
             return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
                                    budget=budget)
@@ -602,6 +695,29 @@ def _halves(b: np.ndarray, axis: int) -> tuple:
     return tuple(np.moveaxis(np.stack(half), 0, axis) for half in (left, right))
 
 
+def _corner_probe(p: Polynomial, r1: Fraction, c: Fraction) -> tuple:
+    """An exact Fails witness near a point where G(r1, c) < 0, or None,
+    and the number of points checked.
+
+    With 0 < r1 < 1 and c < 1, D = 2 r1 r2 (1 - c) G < 0 at z = (r1 u, r2)
+    for the unit vector u with real part c, and so near it.  u is rational
+    at c = -1; else the rational unit vectors ((1 - v^2) + 2vi)/(1 + v^2)
+    approach it as v runs over the best rational approximations of
+    tan(arccos(c)/2) with denominators up to 10, 100, ..., 10^8.
+    """
+    if c == -1:
+        units = [(Fraction(-1), Fraction(0))]
+    else:
+        v0 = Fraction(math.tan(math.acos(c) / 2))
+        units = [((1 - v * v) / (1 + v * v), 2 * v / (1 + v * v))
+                 for v in dict.fromkeys(v0.limit_denominator(10 ** k) for k in range(1, 9))]
+    for points, u in enumerate(units, 1):
+        witness = _exact_witness(p, (r1, 1 - r1), (u, _QUARTER_UNITS[0]))
+        if witness is not None:
+            return witness, points
+    return None, len(units)
+
+
 def _quarter_turn_probe(p: Polynomial, grid: int, budget: dict) -> ConditionReport:
     """Fails with an exact witness at the first r = (j/grid, 1 - j/grid),
     phase difference pi/2 or pi, where |p(z)| >= p(|z|); else
@@ -611,7 +727,7 @@ def _quarter_turn_probe(p: Polynomial, grid: int, budget: dict) -> ConditionRepo
         radii = (Fraction(j, grid), 1 - Fraction(j, grid))
         for quarter in (1, 2):
             points += 1
-            witness = _exact_witness(p, radii, (0, quarter))
+            witness = _exact_witness(p, radii, (_QUARTER_UNITS[0], _QUARTER_UNITS[quarter]))
             if witness is not None:
                 return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
                                        budget={**budget, "quarter_turn_points": points})
@@ -638,7 +754,8 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
         return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE,
                                budget={"note": "p(1/2, 1/2) <= 0"})
     # prove G > 0 on [0, 1] x [-1, 1]; a search that stops hands over to
-    # the exact quarter-turn probe, so a Holds never pays for the probe
+    # the exact corner and quarter-turn probes, so a Holds never pays for
+    # them
     root, scale = _bernstein_g(p)
     degrees = (root.shape[0] - 1, root.shape[1] - 1)
     # A box at depth k has been halved k times, along r1 at even depths
@@ -648,7 +765,7 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     # G > 0 fails; the search stops at the first box it cannot close.
     stack = [(root, 0, 0, 0)]
     processed = closed = max_depth_used = 0
-    stop = None
+    stop = corner = None
     while stack and stop is None:
         if processed == opts.max_boxes:
             stop = {"reason": "box budget"}
@@ -668,6 +785,8 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
             g = scale * b[-x, -y] / 2 ** (degrees[0] * cuts[0] + degrees[1] * cuts[1])
             stop = {"reason": "G <= 0 at a corner", **box,
                     "corner": [str(r1[x]), str(c[y])], "g": str(g)}
+            if g < 0 and 0 < r1[x] < 1 and c[y] < 1:
+                corner = (r1[x], c[y])
         elif depth >= opts.max_depth:
             stop = {"reason": "depth limit", **box}
         else:
@@ -681,7 +800,13 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     budget = {"boxes_processed": processed, "boxes_closed": closed,
               "max_depth_used": max_depth_used}
     if stop is not None:
-        return _quarter_turn_probe(p, opts.grid, {**budget, "stop": stop})
+        budget["stop"] = stop
+        if corner is not None:
+            witness, budget["corner_points"] = _corner_probe(p, *corner)
+            if witness is not None:
+                return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
+                                       budget=budget)
+        return _quarter_turn_probe(p, opts.grid, budget)
     return ConditionReport(Condition.POS3, Verdict.HOLDS,
                            certificate={"method": "fejer_kernel_bernstein"},
                            budget=budget)

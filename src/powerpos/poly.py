@@ -220,15 +220,24 @@ def eval_complex_exact(p: Polynomial, point: Sequence[GaussianRational]) -> Gaus
     """Exact evaluation at a point with Gaussian-rational coordinates.
 
     Each coordinate is a (real, imaginary) pair of Fractions.  Used to
-    re-validate Pos3 witnesses whose phases are multiples of pi/2.
+    re-validate Pos3 witnesses.  The powers of each coordinate are
+    computed once, so a term costs one multiplication per variable in it.
     """
     if len(point) != p.nvars:
         raise ValueError(f"point has length {len(point)}, expected {p.nvars}")
+    powers = []
+    for j, (zr, zi) in enumerate(point):
+        row = [(Fraction(1), Fraction(0))]
+        for _ in range(max(exp[j] for exp in p.terms) if p.terms else 0):
+            re, im = row[-1]
+            row.append((re * zr - im * zi, re * zi + im * zr))
+        powers.append(row)
     tre, tim = Fraction(0), Fraction(0)
     for exp, coef in p.terms.items():
         re, im = coef, Fraction(0)
-        for (zr, zi), e in zip(point, exp):
-            for _ in range(e):
+        for row, e in zip(powers, exp):
+            if e:
+                zr, zi = row[e]
                 re, im = re * zr - im * zi, re * zi + im * zr
         tre += re
         tim += im

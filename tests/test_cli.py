@@ -61,6 +61,18 @@ def test_single_term_fails_with_an_equality_witness(expr, mode, tmp_path):
     assert pos3["witness"]["validation"] == "exact"
 
 
+def test_certify_fails_with_the_witness_at_a_negative_corner(tmp_path):
+    # the Bernstein search stops where G < 0 at cos t = 1/2; the
+    # quarter-turn probe alone leaves this Inconclusive
+    out = tmp_path / "r.json"
+    expr = ("4*x2^7 + 3*x1*x2^6 + x1^2*x2^5 - 17/4*x1^3*x2^4 + 4/3*x1^4*x2^3"
+            " + 8/3*x1^5*x2^2 + 5*x1^6*x2 + 2*x1^7")
+    assert run(["check", expr, "--pos3-mode", "certify", "--json", str(out)]) == 2
+    pos3 = json.loads(out.read_text())["reports"][2]
+    assert pos3["verdict"] == "Fails" and pos3["witness"]["validation"] == "exact"
+    assert pos3["budget"]["stop"]["reason"] == "G <= 0 at a corner"
+
+
 def test_parse_error_exit_one(capsys):
     assert run(["check", "x1 + ("]) == 1
     assert "error" in capsys.readouterr().err

@@ -17,7 +17,8 @@ from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
 from powerpos import conditions
 from powerpos.conditions import (_bernstein_g, _eval_d_batch, _eval_d_grid,
                                  _grid_samples, _halves, _pair_arrays,
-                                 _pair_intervals, _unrank_compositions)
+                                 _pair_intervals, _replay_choices,
+                                 _unrank_compositions)
 from powerpos.intervals import from_fraction
 from powerpos.poly import eval_complex_exact, monomials_of_degree
 
@@ -319,6 +320,55 @@ def test_pos3_certify_holds_only_where_falsify_finds_no_witness():
     assert holds >= 20
 
 
+P_NEGATIVE_CORNER = parse("4*x2^7 + 3*x1*x2^6 + x1^2*x2^5 - 17/4*x1^3*x2^4 + 4/3*x1^4*x2^3"
+                          " + 8/3*x1^5*x2^2 + 5*x1^6*x2 + 2*x1^7", 2)
+
+
+def test_pos3_certify_reads_a_witness_off_a_negative_corner():
+    # the search stops at (r1, c) = (1/2, 1/2), where G < 0; cos t = 1/2
+    # is no quarter turn, and no quarter-turn point fails
+    rep = check_pos3(P_NEGATIVE_CORNER, CERTIFY)
+    assert rep.verdict is Verdict.FAILS
+    stop = rep.budget["stop"]
+    assert stop["corner"] == ["1/2", "1/2"] and F(stop["g"]) < 0
+    assert rep.budget["corner_points"] == 1 and "quarter_turn_points" not in rep.budget
+    assert rep.witness["validation"] == "exact" and rep.witness["equality"] is False
+    # both radii are 1/2, so the scaled z is (u, 1) for a rational unit u
+    # near e^{i pi/3}
+    (ur, ui), second = [(F(re), F(im)) for re, im in rep.witness["z"]]
+    assert second == (1, 0) and ur * ur + ui * ui == 1 and abs(ur - F(1, 2)) < F(1, 10)
+    vre, vim = eval_complex_exact(P_NEGATIVE_CORNER, [(ur, ui), second])
+    assert vre * vre + vim * vim > eval_rational(P_NEGATIVE_CORNER, [1, 1]) ** 2
+    assert conditions._quarter_turn_probe(P_NEGATIVE_CORNER, 32, {}).verdict \
+        is Verdict.INCONCLUSIVE
+
+
+def test_pos3_certify_negative_corner_at_phase_pi_is_itself_the_witness():
+    rep = check_pos3(_dv(2, 9), CERTIFY)
+    assert rep.budget["stop"]["corner"] == ["1/2", "-1"]
+    assert rep.budget["corner_points"] == 1
+    assert rep.witness["z"] == [["-1", "0"], ["1", "0"]]
+
+
+@pytest.mark.parametrize("r1, c", [(F(1, 2), F(1, 2)), (F(3, 8), F(-5, 8)), (F(7, 16), F(-3, 4)),
+                                   (F(1, 2), F(63, 64))])
+def test_corner_probe_points_are_rational_and_approach_the_corner(monkeypatch, r1, c):
+    # Pos3 holds for (x1 + x2)^2, so no point is a witness and every
+    # candidate unit vector is tried
+    p = parse("(x1 + x2)^2", 2)
+    witness, points = conditions._corner_probe(p, r1, c)
+    assert witness is None
+    tried = []
+    monkeypatch.setattr(conditions, "_exact_witness",
+                        lambda p, radii, units: tried.append((radii, units)))
+    conditions._corner_probe(p, r1, c)
+    assert len(tried) == points >= 4
+    for radii, (u, other) in tried:
+        assert radii == (r1, 1 - r1) and other == (1, 0)
+        assert u[0] ** 2 + u[1] ** 2 == 1 and u[1] > 0
+    assert abs(tried[-1][1][0][0] - c) < 1e-12
+
+
 @pytest.mark.parametrize("expr", ["-(x1+x2)", "-(x1+x2)^4 + 7*x1^2*x2^2", "-x1^2 + x1*x2 - x2^2"])
 def test_pos3_certify_never_holds_for_negative_p(expr):
     rep = check_pos3(parse(expr, 2), Pos3Options(mode=Pos3Mode.CERTIFY))
@@ -544,6 +594,111 @@ def test_grid_d_matches_high_precision_values():
                 assert abs(D[s] - value) <= 1e-12 * size ** 2
                 assert abs(p_r[s] - mpmath.mpf(exact_p_r.numerator) / exact_p_r.denominator) \
                     <= 1e-12 * size
+
+
+def _choices(seed, sizes, count):
+    rng = random.Random(seed)
+    return [[rng.choice(range(s)) for s in sizes] for _ in range(count)]
+
+
+# 2^32 and 2^40 + 3 take two words per attempt; 1, 2, 32 and 2^32 accept
+# half the attempts, the worst case
+@pytest.mark.parametrize("sizes", [(1,), (2,), (31,), (32,), (33,), (2 ** 32 - 1,), (2 ** 32,),
+                                   (2 ** 40 + 3,), (561, 32, 32), (2 ** 40 + 3, 1, 33),
+                                   (7, 2 ** 32, 2 ** 32 - 1, 2)])
+def test_replay_draws_what_random_choice_draws(sizes):
+    for seed in (0, 1, 7, 2024):
+        for count in (0, 1, 2, 3, 500):
+            got = _replay_choices(seed, sizes, count)
+            assert got.shape == (count, len(sizes)) and got.dtype == np.int64
+            assert got.tolist() == _choices(seed, sizes, count)
+
+
+@pytest.mark.parametrize("estimate", [1, 2, 37])
+def test_replay_reads_more_words_when_the_estimate_falls_short(monkeypatch, estimate):
+    # 300 rounds need hundreds of words, so the buffer has to grow
+    monkeypatch.setattr(conditions, "_word_estimate", lambda sizes, count: estimate)
+    for sizes in [(561, 32, 32), (2 ** 40 + 3, 5), (1,)]:
+        assert _replay_choices(3, sizes, 300).tolist() == _choices(3, sizes, 300)
+
+
+class _CountingRandom(random.Random):
+    """random.Random that counts the 32-bit words its draws read."""
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += (k + 31) // 32
+        return super().getrandbits(k)
+
+
+def test_word_estimate_covers_the_draws_with_little_to_spare():
+    for sizes in [(561, 32, 32), (2 ** 40 + 3, 1), (15_380_937, 32, 32, 32, 32, 32, 32, 32)]:
+        estimate = conditions._word_estimate(sizes, 2000)
+        for seed in range(5):
+            rng = _CountingRandom(seed)
+            for _ in range(2000):
+                for s in sizes:
+                    rng.choice(range(s))
+            assert rng.words < estimate < 1.1 * rng.words + 1000
+
+
+def _random_grid_points(rng, g, n, count):
+    radii, row, phases, _, _ = _grid_samples(n, Pos3Options(grid=g, max_samples=count,
+                                                            seed=rng.randint(0, 99)))
+    return radii, row, phases
+
+
+def test_grid_d_is_even_in_the_phases():
+    # theta and -theta give |p(z)| and |p(conj z)|, the same D, exactly
+    rng = random.Random(71)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        p = rand_homogeneous(rng, n, rng.randint(1, 5), density=0.7)
+        g = rng.choice([5, 7, 12, 32])
+        radii, row, phases = _random_grid_points(rng, g, n, 500)
+        D, p_r = _eval_d_grid(p, _pair_arrays(p), g, radii, row, phases)
+        D_mirror, p_r_mirror = _eval_d_grid(p, _pair_arrays(p), g, radii, row, -phases % g)
+        assert np.array_equal(D, D_mirror) and np.array_equal(p_r, p_r_mirror)
+
+
+@pytest.mark.parametrize("g", [5, 7, 32])
+def test_grouped_d_equals_the_sum_over_pairs(g):
+    rng = random.Random(g)
+    m = np.arange(g)
+    versin = 1.0 - np.cos((2 * np.minimum(m, g - m)) / g * math.pi)
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        p = rand_homogeneous(rng, n, rng.randint(1, 5), density=rng.choice([0.5, 1.0]))
+        C, E, K = _pair_arrays(p)
+        radii, row, phases = _random_grid_points(rng, g, n, 400)
+        D, _ = _eval_d_grid(p, (C, E, K), g, radii, row, phases)
+        r = radii[row] / g
+        per_pair = (np.prod(r[:, None, :] ** E[None], axis=2) * C
+                    * versin[(phases @ K.T) % g]).sum(axis=1)
+        size = np.prod(r[:, None, :] ** np.array(list(p.terms))[None], axis=2) \
+            @ np.array([abs(float(c)) for c in p.terms.values()])
+        assert np.all(np.abs(D - per_pair) <= 1e-13 * size ** 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 19])
+def test_grid_d_does_not_depend_on_the_chunks(monkeypatch, chunk):
+    p = parse("(x1 + x2 + x3)^4 - 29/2*x1^2*x2^2 + x2*x3^3", 3)
+    radii, row, phases, _, _ = _grid_samples(3, Pos3Options(max_samples=3000))
+    whole = _eval_d_grid(p, _pair_arrays(p), 32, radii, row, phases)
+    monkeypatch.setattr(conditions, "_GRID_CHUNK", chunk)
+    parts = _eval_d_grid(p, _pair_arrays(p), 32, radii, row, phases)
+    assert np.array_equal(whole[0], parts[0]) and np.array_equal(whole[1], parts[1])
+
+
+def test_misalignment_is_the_distance_to_the_mean_direction():
+    rng = np.random.default_rng(5)
+    R = rng.random((200, 4))
+    TH = rng.uniform(-7, 7, (200, 4))
+    alpha = np.angle((R * np.exp(1j * TH)).sum(axis=1))
+    by_definition = (R * (1 - np.cos(TH - alpha[:, None]))).sum(axis=1)
+    assert np.allclose(conditions._misalignment(R, TH), by_definition, rtol=0, atol=1e-14)
+    aligned = conditions._misalignment(R, np.full_like(TH, 1.25))
+    assert np.all(np.abs(aligned) <= 1e-15)
 
 
 @pytest.mark.parametrize("lam, candidates, abs_p_z_squared, p_abs_z_squared", [

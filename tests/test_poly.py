@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerpos import (MINUS_INFINITY, Interval, ParseError, Polynomial,
-                      dehomogenize, eval_complex, eval_interval, eval_rational,
+                      dehomogenize, eval_complex, eval_complex_exact,
+                      eval_interval, eval_rational,
                       from_json, infer_nvars, monomials_of_degree, parse,
                       serialize, to_json)
 from powerpos.corpus import load_corpus
@@ -152,6 +153,28 @@ def test_eval_interval_contains_range_endpoints():
 def test_eval_complex_single_monomial():
     p = parse("x1*x2", 2)
     assert eval_complex(p, [1j, 2]) == pytest.approx(2j)
+
+
+def test_eval_complex_exact_matches_multiplying_term_by_term():
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        p = rand_homogeneous(rng, n, rng.randint(0, 6), density=0.6)
+        point = [(F(rng.randint(-9, 9), rng.randint(1, 5)), F(rng.randint(-9, 9), rng.randint(1, 5)))
+                 for _ in range(n)]
+        want_re, want_im = F(0), F(0)
+        for exp, coef in p.terms.items():
+            re, im = coef, F(0)
+            for (zr, zi), e in zip(point, exp):
+                for _ in range(e):
+                    re, im = re * zr - im * zi, re * zi + im * zr
+            want_re, want_im = want_re + re, want_im + im
+        assert eval_complex_exact(p, point) == (want_re, want_im)
+        # and it agrees with the float evaluation
+        got = complex(*(float(v) for v in eval_complex_exact(p, point)))
+        assert got == pytest.approx(eval_complex(p, [complex(float(a), float(b)) for a, b in point]),
+                                    rel=1e-9, abs=1e-9)
+    assert eval_complex_exact(Polynomial(2, {}), [(F(1), F(2)), (F(3), F(0))]) == (0, 0)
 
 
 # ---------------------------------------------------------------------
