@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import inspect
 import json
 import os
@@ -306,7 +307,10 @@ def cmd_examples(args, budgets: Budgets) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: it depends on no call, and
+    `parse_args` leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write the JSON report here")
     common.add_argument("--seed", type=int, default=0)

@@ -7,10 +7,13 @@ Pos2: strict positivity of each facet derivative on its facet minus the
       outcome.
 Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       set of points whose nonzero coordinates share one argument (the
-      "aligned" set).  Falsify mode samples the normalized domain and
+      "aligned" set).  Falsify mode samples the normalized domain,
       re-validates candidates exactly when their phases are multiples
-      of pi/2.  Certify mode holds at once when every coefficient is
-      positive (any n).  Otherwise it decides n = 2 only: it proves
+      of pi/2, and else refines the best ones by Nelder-Mead and checks
+      rational points next to each refined point exactly.  Every Fails
+      carries an exact Gaussian-rational witness.  Certify mode holds
+      at once when every coefficient is positive (any n).  Otherwise
+      it decides n = 2 only: it proves
       G = D / (4 r1 r2 sin^2(t/2)) > 0, where D = p(r)^2 - |p(r e^{it})|^2
       and G is a sum of Fejer kernels (see `_fejer_terms`).  G is a
       polynomial in (r1, cos t), so exact Bernstein coefficients on
@@ -39,8 +42,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .eventual import all_coeffs_positive, polya_exponent
-from .intervals import (array_add, array_mul, array_mul_int, array_mul_nonneg,
-                        array_powers, array_versin, from_fraction)
 from .poly import (Polynomial, eval_complex_exact, eval_rational,
                    monomials_of_degree)
 
@@ -251,6 +252,29 @@ def _exact_witness(p: Polynomial, radii: Sequence[Fraction],
             "p_abs_z_squared": str(rhs),
             "equality": lhs == rhs,
             "validation": "exact"}
+
+
+#: Denominator bounds of the rational points next to a float point at
+#: which a Fails witness is checked exactly, coarsest first.
+_DENOMINATORS = tuple(10 ** k for k in range(1, 9))
+
+
+def _rational_near(x: float, bound: Optional[int]) -> Fraction:
+    """The best rational approximation of x with denominator at most
+    `bound`, or x's exact value when bound is None."""
+    return Fraction(x) if bound is None else Fraction(x).limit_denominator(bound)
+
+
+def _rational_unit(theta: float, bound: Optional[int]) -> tuple:
+    """A rational unit vector next to e^{i theta}, as a (real, imaginary)
+    pair: ((1 - v^2) + 2vi)/(1 + v^2) = e^{2i arctan v} for v =
+    `_rational_near(tan(theta/2), bound)`, and exactly -1 when theta
+    reduces to +-pi modulo 2 pi."""
+    t = math.remainder(theta, 2 * math.pi)
+    if abs(t) == math.pi:
+        return Fraction(-1), Fraction(0)
+    v = _rational_near(math.tan(t / 2), bound)
+    return (1 - v * v) / (1 + v * v), 2 * v / (1 + v * v)
 
 
 #: Falsify drops candidates whose `_misalignment` is at most this: near
@@ -542,7 +566,6 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
         return dd / max(float(p_rr) ** 2, 1e-30)
 
     refined = 0
-    pair_ivs = None
     for idx in candidate_idx[:opts.refine_candidates]:
         x0 = np.concatenate([R[idx, :n - 1], TH[idx, 1:]])
         res = minimize(objective, x0, method="Nelder-Mead",
@@ -555,67 +578,21 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
             tt = np.concatenate([[0.0], res.x[n - 1:]])
             if _misalignment(rr[None, :], tt[None, :])[0] <= _MISALIGNMENT_FLOOR:
                 continue
-            # validate with outward-rounded intervals on a tiny box
-            eps = 1e-12
-            if pair_ivs is None:
-                pair_ivs = _pair_intervals(p)
-            r_box = (np.maximum(0.0, rr - eps)[None, :], (rr + eps)[None, :])
-            t_box = ((tt - eps)[None, :], (tt + eps)[None, :])
-            dv = [float(v[0]) for v in _eval_d_batch(pair_ivs, r_box, t_box)]
-            if dv[1] < 0:
-                return ConditionReport(
-                    Condition.POS3, Verdict.FAILS,
-                    witness={"r": [repr(float(v)) for v in rr],
-                             "theta": [repr(float(v)) for v in tt],
-                             "d_enclosure": dv,
-                             "validation": "interval"},
-                    budget={**budget, "refined": refined})
+            # exact checks at rational points next to the refined point, the
+            # coarsest (shortest witness) first, and last at the point's own
+            # exact binary value
+            points = dict.fromkeys(
+                (tuple(_rational_near(v, bound) for v in rr.tolist()),
+                 tuple(_rational_unit(t, bound) for t in tt.tolist()))
+                for bound in _DENOMINATORS + (None,))
+            for radii, units in points:
+                witness = _exact_witness(p, radii, units)
+                if witness is not None:
+                    return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
+                                           budget={**budget, "refined": refined})
     return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE,
                            budget={**budget, "refined": refined,
                                    "note": "no counterexample found"})
-
-
-def _pair_intervals(p: Polynomial) -> list:
-    """The pairs of `_pair_arrays` in the form `_eval_d_batch` takes.
-
-    Each pair becomes (2 c_I c_J as an Interval, [(dimension, exponent)
-    for the nonzero exponents of r^(I+J)], I - J), in the same order.
-    """
-    return [(from_fraction(2 * ci * cj),
-             [(j, a + b) for j, (a, b) in enumerate(zip(ei, ej)) if a + b],
-             tuple(a - b for a, b in zip(ei, ej)))
-            for (ei, ci), (ej, cj) in combinations(p.sorted_terms(), 2)]
-
-
-def _eval_d_batch(pair_ivs, r: tuple, t: tuple) -> tuple:
-    """Outward-rounded enclosures of D over a batch of boxes.
-
-    r and t are (lo, hi) pairs of (boxes, n) arrays holding the radius
-    and phase intervals of every coordinate.  Each power of each radius
-    and each phase factor 1 - cos(<k, theta>) is computed once for the
-    batch and shared by the pairs that use it.  Returns (lo, hi) arrays.
-    """
-    n = r[0].shape[1]
-    e_max = [0] * n
-    for _, rexp, _ in pair_ivs:
-        for j, e in rexp:
-            e_max[j] = max(e_max[j], e)
-    powers = [array_powers((r[0][:, j], r[1][:, j]), e_max[j]) for j in range(n)]
-    phases: dict[tuple, tuple] = {}
-    total = (np.zeros(len(r[0])), np.zeros(len(r[0])))
-    for coef, rexp, k in pair_ivs:
-        factor = phases.get(k)
-        if factor is None:
-            dot = None      # k = I - J is nonzero, so dot gets a term
-            for j, kk in enumerate(k):
-                if kk:
-                    piece = array_mul_int(kk, (t[0][:, j], t[1][:, j]))
-                    dot = piece if dot is None else array_add(dot, piece)
-            factor = phases[k] = array_versin(dot)
-        for j, e in rexp:
-            factor = array_mul_nonneg(factor, powers[j][e])
-        total = array_add(total, array_mul((coef.lo, coef.hi), factor))
-    return total
 
 
 def _fejer_terms(p: Polynomial) -> dict:
@@ -700,17 +677,11 @@ def _corner_probe(p: Polynomial, r1: Fraction, c: Fraction) -> tuple:
     and the number of points checked.
 
     With 0 < r1 < 1 and c < 1, D = 2 r1 r2 (1 - c) G < 0 at z = (r1 u, r2)
-    for the unit vector u with real part c, and so near it.  u is rational
-    at c = -1; else the rational unit vectors ((1 - v^2) + 2vi)/(1 + v^2)
-    approach it as v runs over the best rational approximations of
-    tan(arccos(c)/2) with denominators up to 10, 100, ..., 10^8.
+    for the unit vector u with real part c, and so near it.  The points tried
+    are u = `_rational_unit(arccos c, bound)` for the bounds in
+    `_DENOMINATORS`, each point once.
     """
-    if c == -1:
-        units = [(Fraction(-1), Fraction(0))]
-    else:
-        v0 = Fraction(math.tan(math.acos(c) / 2))
-        units = [((1 - v * v) / (1 + v * v), 2 * v / (1 + v * v))
-                 for v in dict.fromkeys(v0.limit_denominator(10 ** k) for k in range(1, 9))]
+    units = list(dict.fromkeys(_rational_unit(math.acos(c), bound) for bound in _DENOMINATORS))
     for points, u in enumerate(units, 1):
         witness = _exact_witness(p, (r1, 1 - r1), (u, _QUARTER_UNITS[0]))
         if witness is not None:

@@ -13,6 +13,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import numpy as np
 import sympy
 
@@ -147,3 +148,16 @@ def fraction_grid_samples(n: int, g: int, max_samples: int, seed: int):
     R = np.array([[float(v) for v in r] for r, _ in samples])
     TH = np.array([[float(t) * math.pi for t in th] for _, th in samples])
     return R, TH
+
+
+def modulus_gap(p: Polynomial, radii, phases):
+    """D = p(r)^2 - |p(r e^{i theta})|^2 at 50 digits."""
+    with mpmath.workdps(50):
+        z = [mpmath.mpf(r) * mpmath.expj(mpmath.mpf(t)) for r, t in zip(radii, phases)]
+        p_r = mpmath.mpf(0)
+        p_z = mpmath.mpc(0)
+        for exp, coef in p.terms.items():
+            c = mpmath.mpf(coef.numerator) / coef.denominator
+            p_r += c * mpmath.fprod(mpmath.mpf(r) ** e for r, e in zip(radii, exp))
+            p_z += c * mpmath.fprod(v ** e for v, e in zip(z, exp))
+        return p_r ** 2 - abs(p_z) ** 2

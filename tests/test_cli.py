@@ -3,11 +3,15 @@
 import csv
 import inspect
 import json
+from fractions import Fraction
 
+import mpmath
 import pytest
 
-from powerpos import Pos3Options, check_pos2
+from powerpos import Pos3Options, check_pos2, parse
 from powerpos.cli import Budgets, main
+
+from helpers import modulus_gap
 
 CUBIC_MINUS_CORNER = "(x1+x2+x3)^3 - x1^3"
 EQUALITY_QUARTIC = "(x1+x2)^4 - 8*x1^2*x2^2"
@@ -103,19 +107,43 @@ def test_check_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_interval_witness_serialises_plain_floats(tmp_path):
+@pytest.mark.parametrize("expr, nvars", [("(x1+x2)^4 - 9*x1^2*x2^2", 2),
+                                         ("(x1+x2+x3)^4 - 9*x1^2*x2^2", 3)],
+                         ids=["quartic", "lift"])
+def test_nelder_mead_witness_is_exact(expr, nvars, tmp_path):
     # An odd grid holds no quarter-turn phase, so no exact witness exists
     # among the samples and the Nelder-Mead refinement supplies one.
     out = tmp_path / "r.json"
-    code = run(["check", "(x1+x2)^4 - 9*x1^2*x2^2", "--pos3-mode", "falsify",
-                "--grid", "7", "--seed", "1", "--json", str(out)])
+    code = run(["check", expr, "--pos3-mode", "falsify", "--grid", "7", "--seed", "1",
+                "--json", str(out)])
     assert code == 2
-    witness = json.loads(out.read_text())["reports"][2]["witness"]
-    assert witness["validation"] == "interval"
-    for text in witness["r"] + witness["theta"]:
-        float(text)
-    lo, hi = witness["d_enclosure"]
-    assert lo <= hi < 0
+    pos3 = json.loads(out.read_text())["reports"][2]
+    assert pos3["budget"]["refined"] >= 1
+    witness = pos3["witness"]
+    assert witness["validation"] == "exact" and witness["equality"] is False
+    assert Fraction(witness["abs_p_z_squared"]) > Fraction(witness["p_abs_z_squared"])
+
+    # independently of the program: D < 0 at the witness, at 50 digits
+    def mp(text):
+        v = Fraction(text)
+        return mpmath.mpf(v.numerator) / v.denominator
+
+    with mpmath.workdps(50):
+        z = [mpmath.mpc(mp(re), mp(im)) for re, im in witness["z"]]
+        gap = modulus_gap(parse(expr, nvars), [abs(v) for v in z], [mpmath.arg(v) for v in z])
+        assert gap < -mpmath.mpf(10) ** -6
+
+
+def test_main_gives_the_same_report_on_every_call(tmp_path):
+    # the parser is built once, so a call must leave it as it was
+    argv = ["check", EQUALITY_QUARTIC, "--pos3-mode", "falsify", "--seed", "7"]
+    first, other, again = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
+    assert run(argv + ["--json", str(first)]) == 2
+    assert run(["check", "x1+x2", "--grid", "5", "--budget-profile", "fast",
+                "--json", str(other)]) == 0
+    assert run(["check", "x1+x2", "--bogus"]) == 1
+    assert run(argv + ["--json", str(again)]) == 2
+    assert first.read_bytes() == again.read_bytes()
 
 
 def test_check_reads_expression_from_file(tmp_path):

@@ -15,14 +15,14 @@ from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
                       check_pos3, check_sgcs, eval_complex, eval_rational,
                       facet_derivative, max_squared_norm_diag, parse, power_scan)
 from powerpos import conditions
-from powerpos.conditions import (_bernstein_g, _eval_d_batch, _eval_d_grid,
+from powerpos.conditions import (_DENOMINATORS, _bernstein_g, _eval_d_grid,
                                  _grid_samples, _halves, _pair_arrays,
-                                 _pair_intervals, _replay_choices,
+                                 _rational_unit, _replay_choices,
                                  _unrank_compositions)
-from powerpos.intervals import from_fraction
 from powerpos.poly import eval_complex_exact, monomials_of_degree
 
-from helpers import fraction_grid_samples, rand_complex_point, rand_homogeneous
+from helpers import (fraction_grid_samples, modulus_gap, rand_complex_point,
+                     rand_homogeneous)
 
 P_CUBIC_MINUS_CORNER = parse("(x1+x2+x3)^3 - x1^3", 3)
 P_FACET_DEGENERATE = parse("x1^2*(x1+x2+x3) + (x2+x3)^3", 3)
@@ -369,6 +369,86 @@ def test_corner_probe_points_are_rational_and_approach_the_corner(monkeypatch, r
     assert abs(tried[-1][1][0][0] - c) < 1e-12
 
 
+@pytest.mark.parametrize("c", [F(-1), F(1, 2), F(-9, 10)])
+def test_corner_probe_tries_the_points_it_always_tried(monkeypatch, c):
+    # reference: -1 itself at c = -1, else ((1 - v^2) + 2vi)/(1 + v^2) for
+    # the best approximations v of tan(arccos(c)/2) at denominators
+    # 10, ..., 10^8, each once
+    if c == -1:
+        expected = [(F(-1), F(0))]
+    else:
+        v0 = F(math.tan(math.acos(c) / 2))
+        expected = [((1 - v * v) / (1 + v * v), 2 * v / (1 + v * v))
+                    for v in dict.fromkeys(v0.limit_denominator(10 ** k) for k in range(1, 9))]
+    tried = []
+    monkeypatch.setattr(conditions, "_exact_witness",
+                        lambda p, radii, units: tried.append(units[0]))
+    _, points = conditions._corner_probe(parse("(x1 + x2)^2", 2), F(1, 2), c)
+    assert tried == expected and points == len(expected)
+
+
+def _angle_error(u, theta):
+    with mpmath.workdps(50):
+        re, im = (mpmath.mpf(v.numerator) / v.denominator for v in u)
+        return abs(mpmath.mpc(re, im) - mpmath.expj(mpmath.mpf(theta)))
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+                                   7 * math.pi, -0.3, math.pi - 1e-15, -math.pi + 1e-15])
+def test_rational_units_have_norm_one_and_approach_the_phase(theta):
+    ladder = [_rational_unit(theta, bound) for bound in _DENOMINATORS + (None,)]
+    for re, im in ladder:
+        assert isinstance(re, F) and isinstance(im, F) and re * re + im * im == 1
+    errors = [_angle_error(u, theta) for u in ladder]
+    assert all(later <= earlier for earlier, later in zip(errors, errors[1:]))
+    # the float's own tan(theta/2) is a few ulps off the phase
+    assert errors[-1] <= 1e-15
+    if abs(theta) == math.pi:
+        assert set(ladder) == {(-1, 0)}
+
+
+def test_rational_units_at_quarter_turns_are_the_quarter_units():
+    # tan(pi/4) of the float pi/4 is 1 - 2^-53, which every bound rounds to 1
+    for theta, unit in [(0.0, (1, 0)), (math.pi / 2, (0, 1)), (-math.pi / 2, (0, -1))]:
+        assert {_rational_unit(theta, bound) for bound in _DENOMINATORS} == {unit}
+
+
+def _rational_modulus(re, im):
+    """|re + i im| for a Gaussian rational whose modulus is rational."""
+    square = re * re + im * im
+    num, den = math.isqrt(square.numerator), math.isqrt(square.denominator)
+    assert num * num == square.numerator and den * den == square.denominator
+    return F(num, den)
+
+
+def test_pos3_falsify_fails_exactly_only_where_certify_does_not_hold():
+    # positive coefficients with one set below zero, so that certify both
+    # holds and fails; odd grids hold no quarter-turn phase, so every
+    # falsify Fails comes from the Nelder-Mead refinement and its exact check
+    rng = random.Random(67)
+    verdicts = {Verdict.HOLDS: 0, Verdict.FAILS: 0}
+    for _ in range(40):
+        d = rng.randint(2, 5)
+        coefs = [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(d + 1)]
+        coefs[rng.randint(1, d - 1)] = -F(rng.randint(1, 4), 64) * sum(coefs)
+        p = Polynomial(2, {(i, d - i): c for i, c in enumerate(coefs)})
+        falsified = False
+        for g in (5, 7):
+            rep = check_pos3(p, Pos3Options(grid=g, seed=rng.randint(0, 99)))
+            if rep.verdict is Verdict.FAILS:
+                falsified = True
+                assert rep.witness["validation"] == "exact" and rep.budget["refined"] >= 1
+                z = [(F(re), F(im)) for re, im in rep.witness["z"]]
+                radii = [_rational_modulus(re, im) for re, im in z]
+                vre, vim = eval_complex_exact(p, z)
+                assert vre * vre + vim * vim >= eval_rational(p, radii) ** 2
+        certified = check_pos3(p, CERTIFY).verdict
+        assert not (falsified and certified is Verdict.HOLDS)
+        if certified in verdicts and falsified == (certified is Verdict.FAILS):
+            verdicts[certified] += 1
+    assert verdicts[Verdict.HOLDS] >= 5 and verdicts[Verdict.FAILS] >= 20
+
+
 @pytest.mark.parametrize("expr", ["-(x1+x2)", "-(x1+x2)^4 + 7*x1^2*x2^2", "-x1^2 + x1*x2 - x2^2"])
 def test_pos3_certify_never_holds_for_negative_p(expr):
     rep = check_pos3(parse(expr, 2), Pos3Options(mode=Pos3Mode.CERTIFY))
@@ -396,51 +476,6 @@ def test_pos3_certify_three_variables(expr, verdict):
     rep = check_pos3(parse(expr, 3), Pos3Options(mode=Pos3Mode.CERTIFY))
     assert rep.verdict is verdict
     assert "boxes_processed" not in rep.budget
-
-
-def _d_at(p, radii, phases):
-    """D = p(r)^2 - |p(r e^{i theta})|^2 at 50 digits, and a bound on its error."""
-    with mpmath.workdps(50):
-        z = [mpmath.mpf(r) * mpmath.expj(mpmath.mpf(t)) for r, t in zip(radii, phases)]
-        p_r = mpmath.mpf(0)
-        p_z = mpmath.mpc(0)
-        for exp, coef in p.terms.items():
-            c = mpmath.mpf(coef.numerator) / coef.denominator
-            p_r += c * mpmath.fprod(mpmath.mpf(r) ** e for r, e in zip(radii, exp))
-            p_z += c * mpmath.fprod(v ** e for v, e in zip(z, exp))
-        return p_r ** 2 - abs(p_z) ** 2, mpmath.mpf(10) ** -40 * (1 + p_r ** 2)
-
-
-@pytest.mark.parametrize("nvars", [2, 3])
-def test_d_batch_encloses_high_precision_values(nvars):
-    rng = random.Random(20 + nvars)
-    for _ in range(6):
-        p = rand_homogeneous(rng, nvars, rng.randint(1, 4), density=0.7)
-        boxes = []
-        for _ in range(20):
-            width = rng.choice([0.0, 1e-9, 0.01, 0.3])
-            r_box = [(a, min(1.0, a + width * rng.random())) for a in
-                     (rng.uniform(0, 1) for _ in range(nvars))]
-            t_box = [(a, a + rng.choice([0.0, 1e-9, 0.1, 1.0, 7.0])) for a in
-                     (rng.uniform(-7, 7) for _ in range(nvars))]
-            boxes.append((r_box, t_box))
-        r = tuple(np.array([[iv[i] for iv in rb] for rb, _ in boxes]) for i in (0, 1))
-        t = tuple(np.array([[iv[i] for iv in tb] for _, tb in boxes]) for i in (0, 1))
-        pair_ivs = _pair_intervals(p)
-        d_lo, d_hi = _eval_d_batch(pair_ivs, r, t)
-        for b, (r_box, t_box) in enumerate(boxes):
-            # one box alone encloses the same values as in the batch
-            one = _eval_d_batch(pair_ivs, (r[0][b:b + 1], r[1][b:b + 1]),
-                                (t[0][b:b + 1], t[1][b:b + 1]))
-            assert (one[0][0], one[1][0]) == (d_lo[b], d_hi[b])
-            for _ in range(4):
-                pick = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(2 * nvars)]
-                radii = [lo + s * (hi - lo) for (lo, hi), s in zip(r_box, pick)]
-                phases = [lo + s * (hi - lo) for (lo, hi), s in zip(t_box, pick[nvars:])]
-                radii = [min(max(v, lo), hi) for v, (lo, hi) in zip(radii, r_box)]
-                phases = [min(max(v, lo), hi) for v, (lo, hi) in zip(phases, t_box)]
-                value, err = _d_at(p, radii, phases)
-                assert d_lo[b] - err <= value <= d_hi[b] + err
 
 
 def _g_at(p, r1, t):
@@ -537,14 +572,12 @@ def test_pair_floats_round_like_the_exact_products():
     for _ in range(20):
         p = rand_homogeneous(rng, rng.randint(2, 4), rng.randint(1, 4), density=0.7)
         C, E, K = _pair_arrays(p)
-        ivs = _pair_intervals(p)
         terms = p.sorted_terms()
         exact = [2 * ci * cj for i, (_, ci) in enumerate(terms) for _, cj in terms[i + 1:]]
         assert C.tolist() == [float(v) for v in exact]
-        assert len(ivs) == len(exact) == len(E) == len(K)
-        for (iv, rexp, k), value, e_row, k_row in zip(ivs, exact, E.tolist(), K.tolist()):
-            assert iv == from_fraction(value) and list(k) == k_row
-            assert rexp == [(j, e) for j, e in enumerate(e_row) if e]
+        pairs = [(ei, ej) for i, (ei, _) in enumerate(terms) for ej, _ in terms[i + 1:]]
+        assert E.tolist() == [[a + b for a, b in zip(ei, ej)] for ei, ej in pairs]
+        assert K.tolist() == [[a - b for a, b in zip(ei, ej)] for ei, ej in pairs]
 
 
 def test_unranked_compositions_follow_monomials_of_degree():
@@ -589,7 +622,7 @@ def test_grid_d_matches_high_precision_values():
                 size = mpmath.fsum(abs(mpmath.mpf(c.numerator) / c.denominator)
                                    * mpmath.fprod(v ** e for v, e in zip(rm, exp))
                                    for exp, c in p.terms.items())
-                value, _ = _d_at(p, rm, theta)
+                value = modulus_gap(p, rm, theta)
                 exact_p_r = eval_rational(p, r)
                 assert abs(D[s] - value) <= 1e-12 * size ** 2
                 assert abs(p_r[s] - mpmath.mpf(exact_p_r.numerator) / exact_p_r.denominator) \
