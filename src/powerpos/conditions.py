@@ -7,13 +7,18 @@ Pos2: strict positivity of each facet derivative on its facet minus the
       outcome.
 Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       set of points whose nonzero coordinates share one argument (the
-      "aligned" set).  Falsify mode samples the normalized domain,
-      re-validates candidates exactly when their phases are multiples
-      of pi/2, and else refines the best ones by Nelder-Mead and checks
-      rational points next to each refined point exactly.  Every Fails
-      carries an exact Gaussian-rational witness.  Certify mode holds
-      at once when every coefficient is positive (any n).  Otherwise
-      it decides n = 2 only: it proves
+      "aligned" set).  Both modes first decide a p with no negative
+      coefficient from its support, any n (`_nonnegative_support`):
+      Holds when every pair face x_i, x_j carries exponents whose
+      differences have gcd 1, Fails with an exact equality witness at
+      e_i - e_j when some gcd is even (0 for a face with one term or
+      none); an odd gcd >= 3 goes on to the mode's search.  Falsify
+      mode samples the normalized domain, re-validates candidates
+      exactly when their phases are multiples of pi/2, and else refines
+      the best ones by Nelder-Mead and checks rational points next to
+      each refined point exactly.  Every Fails carries an exact
+      Gaussian-rational witness.  Certify mode decides the rest for
+      n = 2 only: it proves
       G = D / (4 r1 r2 sin^2(t/2)) > 0, where D = p(r)^2 - |p(r e^{it})|^2
       and G is a sum of Fejer kernels (see `_fejer_terms`).  G is a
       polynomial in (r1, cos t), so exact Bernstein coefficients on
@@ -337,18 +342,6 @@ def _pair_arrays(p: Polynomial) -> tuple:
                      dtype=np.int64).reshape(-1, p.nvars))
 
 
-def _distinct_rows(a: np.ndarray, base: int) -> tuple:
-    """The distinct rows of an integer array with entries in [0, base), and
-    the position of each row of `a` among them.  Rows are numbered one
-    column at a time, so the keys stay below len(a) * base."""
-    key = np.zeros(len(a), dtype=np.int64)
-    for column in a.T:
-        key = np.unique(key * base + column, return_inverse=True)[1].reshape(-1)
-    distinct = np.empty((key.max(initial=-1) + 1, a.shape[1]), dtype=a.dtype)
-    distinct[key] = a
-    return distinct, key
-
-
 def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
                  row: np.ndarray, phases: np.ndarray) -> tuple:
     """D and p(r) at the grid points r = radii[row] / g, theta = 2 pi phases / g.
@@ -361,10 +354,13 @@ def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
     then weighted by that factor, one sum per group of pairs.  The
     samples are walked in radius order, in chunks of about `_GRID_CHUNK`
     (sample, pair) entries that end at a change of radius where they can,
-    so a radius's row of group sums is built once.  Each value is a sum
-    over one radius's row alone (`np.add.reduceat` over the pairs sorted
-    by group), so it does not depend on the chunks.  Returns (D, p(r))
-    with one entry per point.
+    so a radius's row of group sums is built once.  A phase tuple is
+    known by its mixed-radix code in g: one `np.unique` of the codes
+    numbers a chunk's tuples, and their phase-factor rows are built from
+    the decoded codes.  Each value is a sum over one radius's row and
+    one tuple's row alone (`np.add.reduceat` over the pairs sorted by
+    group), so it does not depend on the chunks.  Returns (D, p(r)) with
+    one entry per point.
     """
     C, E, K = arrays
     T = np.array(list(p.terms))
@@ -382,6 +378,13 @@ def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
     C, E = C[by_group], E[by_group]
     group_starts = np.flatnonzero(np.diff(group[by_group], prepend=-1))
 
+    # a phase tuple's mixed-radix code in g; the first phase is 0, and the
+    # codes are Python ints once g^(n-1) leaves int64
+    n = phases.shape[1]
+    wide = object if g ** (n - 1) > np.iinfo(np.int64).max else np.int64
+    radix = np.array([g ** k for k in range(n - 1)], dtype=wide)
+    code = phases[:, 1:].astype(wide) @ radix
+
     def monomials(comps: np.ndarray, exps: np.ndarray) -> np.ndarray:
         out = np.ones((len(comps), len(exps)))
         for j in range(comps.shape[1]):
@@ -390,7 +393,8 @@ def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
 
     D = np.empty(len(row))
     p_r = np.empty(len(row))
-    order = np.argsort(row, kind="stable")
+    # the narrowest integer type lets numpy's stable sort run as a radix sort
+    order = np.argsort(row.astype(np.min_scalar_type(len(radii))), kind="stable")
     sorted_row = row[order]
     step = max(1, _GRID_CHUNK // max(1, len(C)))
     start = 0
@@ -403,11 +407,12 @@ def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
         part = order[start:end]
         rows, at_row = np.unique(sorted_row[start:end], return_inverse=True)
         at_row = at_row.reshape(-1)
-        tuples, at_tuple = _distinct_rows(phases[part], g)
+        codes, at_tuple = np.unique(code[part], return_inverse=True)
+        tuples = (codes[:, None] // radix % g).astype(np.int64)
         comps = radii[rows]
         sums = np.add.reduceat(monomials(comps, E) * C, group_starts, axis=1)
         D[part] = np.einsum("ij,ij->i", sums[at_row],
-                            versin[(tuples @ keys.T) % g][at_tuple])
+                            versin[(tuples @ keys[:, 1:].T) % g][at_tuple.reshape(-1)])
         p_r[part] = (monomials(comps, T) @ t_coef)[at_row]
         start = end
     return D, p_r
@@ -707,17 +712,11 @@ def _quarter_turn_probe(p: Polynomial, grid: int, budget: dict) -> ConditionRepo
 
 
 def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
-    # z_i^d and z_i^(d-1) z_j differ in argument whenever arg z_i !=
-    # arg z_j, so with every coefficient positive the triangle
-    # inequality |p(z)| <= p(|z|) is strict off the aligned set
-    if all_coeffs_positive(p):
-        return ConditionReport(Condition.POS3, Verdict.HOLDS,
-                               certificate={"method": "all_coefficients_positive"})
     if p.nvars > 2:
         return ConditionReport(
             Condition.POS3, Verdict.INCONCLUSIVE,
-            budget={"note": "certify decides n >= 3 only when every coefficient "
-                            "is positive"})
+            budget={"note": "certify decides n >= 3 only from the support, when "
+                            "no coefficient is negative"})
     # G > 0 makes p nonzero on the open segment r1 + r2 = 1, so p keeps
     # one sign there; this makes the sign positive
     half = Fraction(1, 2)
@@ -783,11 +782,63 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
                            budget=budget)
 
 
+def _pair_face_gcds(p: Polynomial) -> dict:
+    """g_ij for each pair i < j: the gcd of the differences of the
+    x_i-exponents on the support of p_ij, which is p with every variable
+    but x_i and x_j set to 0; 0 when p_ij has one term or none."""
+    n, d = p.nvars, p.degree()
+    exponents = {pair: set() for pair in combinations(range(n), 2)}
+    for exp in p.terms:
+        support = [k for k, e in enumerate(exp) if e]
+        if len(support) == 2:
+            exponents[tuple(support)].add(exp[support[0]])
+        elif len(support) == 1:
+            # x_k^d lies on every face that holds x_k
+            k = support[0]
+            for i in range(k):
+                exponents[i, k].add(0)
+            for j in range(k + 1, n):
+                exponents[k, j].add(d)
+    return {pair: math.gcd(*(a - min(e) for a in e)) for pair, e in exponents.items()}
+
+
+def _nonnegative_support(p: Polynomial) -> Optional[ConditionReport]:
+    """Pos3 decided from the support of p when no coefficient is negative,
+    else None.
+
+    Then |p(z)| <= p(|z|) by the triangle inequality, with equality
+    exactly when the terms nonzero at z share one argument.  Take a
+    non-aligned z, so arg z_i != arg z_j for some nonzero z_i, z_j.  The
+    terms of p_ij are nonzero at z, and x_i^a x_j^(d-a) has argument
+    d arg z_j + a (arg z_i - arg z_j), so equality needs
+    (a - a') (arg z_i - arg z_j) in 2 pi Z for all exponents a, a' of
+    p_ij; when g_ij = 1, Bezout makes arg z_i = arg z_j.  So every
+    g_ij = 1 gives Holds.  When g_ij is even, all the a have one parity,
+    and z = e_i - e_j gives |p_ij(1, -1)| = p_ij(1, 1): an exact equality
+    witness; g_ij = 0 (p_ij with one term or none) counts as even.  An odd
+    g_ij >= 3 puts equality at phase difference 2 pi/g_ij, where no
+    Gaussian-rational point lies, so the rule leaves p to the search.
+    """
+    if any(c < 0 for c in p.terms.values()):
+        return None
+    gcds = _pair_face_gcds(p)
+    for (i, j), g in gcds.items():
+        if g % 2 == 0:
+            radii = [Fraction(int(k in (i, j))) for k in range(p.nvars)]
+            units = [_QUARTER_UNITS[2 if k == j else 0] for k in range(p.nvars)]
+            return ConditionReport(Condition.POS3, Verdict.FAILS,
+                                   witness=_exact_witness(p, radii, units))
+    if all(g == 1 for g in gcds.values()):
+        return ConditionReport(Condition.POS3, Verdict.HOLDS,
+                               certificate={"method": "nonnegative_support"})
+    return None
+
+
 def check_pos3(p: Polynomial, opts: Pos3Options | None = None) -> ConditionReport:
     """Decide the strict modulus inequality at the configured resolution.
 
-    Budget exhaustion is always reported as Inconclusive, never as a
-    verdict.
+    Both modes first try `_nonnegative_support`.  Budget exhaustion is
+    always reported as Inconclusive, never as a verdict.
     """
     _require_nonconstant_homogeneous(p)
     if opts is None:
@@ -796,6 +847,9 @@ def check_pos3(p: Polynomial, opts: Pos3Options | None = None) -> ConditionRepor
         # every nonzero complex point is a rotated positive-orthant point
         return ConditionReport(Condition.POS3, Verdict.HOLDS,
                                certificate={"note": "vacuous for one variable"})
+    decided = _nonnegative_support(p)
+    if decided is not None:
+        return decided
     if opts.mode is Pos3Mode.FALSIFY:
         return _falsify(p, opts)
     return _certify(p, opts)

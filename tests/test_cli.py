@@ -49,8 +49,9 @@ def test_check_quartic_family_exit_zero(tmp_path):
 
 
 def test_check_inconclusive_exit_three(tmp_path):
-    # falsify mode cannot certify, so a condition-satisfying p comes back 3
-    code = run(["check", "x1+x2", "--pos3-mode", "falsify",
+    # falsify mode cannot certify, so a condition-satisfying p comes back 3;
+    # the negative coefficient keeps the support from deciding Pos3 first
+    code = run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--pos3-mode", "falsify",
                 "--json", str(tmp_path / "r.json")])
     assert code == 3
 
@@ -298,8 +299,8 @@ def test_config_file_overrides_profile(tmp_path):
     cfg = tmp_path / "budgets.ini"
     cfg.write_text("[budgets]\nmax_samples = 50\n")
     out = tmp_path / "r.json"
-    run(["check", "x1+x2", "--pos3-mode", "falsify", "--config", str(cfg),
-         "--json", str(out)])
+    run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--pos3-mode", "falsify",
+         "--config", str(cfg), "--json", str(out)])
     report = json.loads(out.read_text())
     pos3 = report["reports"][2]
     assert pos3["budget"]["samples"] <= 50
@@ -309,8 +310,8 @@ def test_cli_flag_overrides_config(tmp_path):
     cfg = tmp_path / "budgets.ini"
     cfg.write_text("[budgets]\nmax_samples = 50\n")
     out = tmp_path / "r.json"
-    run(["check", "x1+x2", "--pos3-mode", "falsify", "--config", str(cfg),
-         "--max-samples", "70", "--json", str(out)])
+    run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--pos3-mode", "falsify",
+         "--config", str(cfg), "--max-samples", "70", "--json", str(out)])
     report = json.loads(out.read_text())
     assert report["reports"][2]["budget"]["samples"] == 70
 
@@ -330,7 +331,7 @@ def test_missing_config_errors(capsys, tmp_path):
 
 
 def test_budget_profiles_accepted(tmp_path):
-    code = run(["check", "x1+x2", "--budget-profile", "fast",
+    code = run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--budget-profile", "fast",
                 "--pos3-mode", "falsify", "--json", str(tmp_path / "r.json")])
     assert code == 3  # falsify cannot certify a true instance
 

@@ -9,6 +9,8 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
                       Verdict, assoc_bihom_eval, check_pos1, check_pos2,
@@ -156,7 +158,7 @@ def test_pos3_certify_linear():
     # every coefficient positive: the strict triangle inequality, no search
     rep = check_pos3(parse("x1+x2", 2), Pos3Options(mode=Pos3Mode.CERTIFY))
     assert rep.verdict is Verdict.HOLDS
-    assert rep.certificate == {"method": "all_coefficients_positive"}
+    assert rep.certificate == {"method": "nonnegative_support"}
     assert rep.budget == {}
 
 
@@ -169,8 +171,11 @@ def test_pos3_certify_quartic_family():
 
 
 def test_pos3_falsify_no_counterexample_on_linear():
+    # the support decides before the sample grid is built
     rep = check_pos3(parse("x1+x2", 2), FAST_FALSIFY)
-    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.verdict is Verdict.HOLDS
+    assert rep.certificate == {"method": "nonnegative_support"}
+    assert "samples" not in rep.budget
 
 
 def test_pos3_single_variable_vacuous():
@@ -233,8 +238,9 @@ def test_pos3_depth_limit_counts_the_halvings_of_a_box():
 
 def test_pos3_certify_never_closes_the_boxes_where_pos2_fails():
     # G(0, t) = c_0 c_1 = 0 here (Pos2 fails): the root box has a zero
-    # corner at r1 = 0, so the search stops there, at once
-    rep = check_pos3(parse("x1^3 + x1^2*x2 + x2^3", 2), CERTIFY)
+    # corner at r1 = 0, so the search stops there, at once; the negative
+    # coefficient keeps the support from deciding first
+    rep = check_pos3(parse("x1^4 + x1^3*x2 - 1/100*x1^2*x2^2 + x2^4", 2), CERTIFY)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.budget["boxes_processed"] == 1
     stop = rep.budget["stop"]
@@ -469,13 +475,101 @@ def test_pos3_certify_verdict_survives_swapping_the_variables(expr):
 @pytest.mark.parametrize("expr, verdict", [
     ("(x1+x2+x3)^2", Verdict.HOLDS),
     ("(x1+x2+x3)^4 - 3*x1^2*x2^2", Verdict.HOLDS),
-    ("x1^2 + x2^2 + x3^2 + x1*x2", Verdict.INCONCLUSIVE),
+    ("x1^2 + x2^2 + x3^2 + x1*x2", Verdict.FAILS),
     ("(x1+x2+x3)^4 - 9*x1^2*x2^2", Verdict.INCONCLUSIVE),
 ])
 def test_pos3_certify_three_variables(expr, verdict):
     rep = check_pos3(parse(expr, 3), Pos3Options(mode=Pos3Mode.CERTIFY))
     assert rep.verdict is verdict
     assert "boxes_processed" not in rep.budget
+
+
+# ---------------------------------------------------------------------
+# Pos3 from the support of a nonnegative p
+# ---------------------------------------------------------------------
+
+def test_pair_face_gcds():
+    # x1x2x3^4 lies on no pair face; x3^6 alone is on the (x2, x3) face
+    p = parse("x1^6 + x1^2*x2^4 + x1^3*x3^3 + x3^6 + x1*x2*x3^4", 3)
+    assert conditions._pair_face_gcds(p) == {(0, 1): 4, (0, 2): 3, (1, 2): 0}
+
+
+def _quarter_witness_holds(p, witness):
+    """|p(z)|^2 >= p(|z|)^2, exactly, at a witness on the real axis."""
+    z = [(F(re), F(im)) for re, im in witness["z"]]
+    assert all(im == 0 for _, im in z)
+    vre, vim = eval_complex_exact(p, z)
+    return vre * vre + vim * vim >= eval_rational(p, [abs(re) for re, _ in z]) ** 2
+
+
+@pytest.mark.parametrize("expr, n, face", [("x1^2 + x2^2", 2, (0, 1)),
+                                           ("x1*x2*x3", 3, (0, 1)),
+                                           ("x1^2 + x2^2 + x3^2 + x1*x2", 3, (0, 2))])
+@pytest.mark.parametrize("mode", [Pos3Mode.FALSIFY, Pos3Mode.CERTIFY])
+def test_support_rule_fails_with_an_equality_witness_on_a_pair_face(expr, n, face, mode):
+    # g_ij even (exponents 2 and 0) or 0 (no term on the face): z = e_i - e_j
+    # gives |p(z)| = p(|z|)
+    p = parse(expr, n)
+    rep = check_pos3(p, Pos3Options(mode=mode))
+    assert rep.verdict is Verdict.FAILS and rep.budget == {}
+    assert rep.witness["z"] == [["1" if k == face[0] else "-1" if k == face[1] else "0", "0"]
+                                for k in range(n)]
+    assert rep.witness["equality"] is True and rep.witness["validation"] == "exact"
+    assert _quarter_witness_holds(p, rep.witness)
+
+
+def test_support_rule_leaves_an_odd_face_gcd_to_the_search():
+    # g_12 = 3: equality sits at phase difference 2 pi/3, where no
+    # Gaussian-rational point lies, so both modes search as they did
+    p = parse("x1^3 + x2^3", 2)
+    assert conditions._nonnegative_support(p) is None
+    falsify = check_pos3(p)
+    assert falsify.verdict is Verdict.INCONCLUSIVE
+    assert falsify.budget == {"samples": 1056, "candidates": 0, "refined": 0,
+                              "note": "no counterexample found"}
+    certify = check_pos3(p, CERTIFY)
+    assert certify.verdict is Verdict.INCONCLUSIVE
+    assert certify.budget == {"boxes_processed": 1, "boxes_closed": 0, "max_depth_used": 0,
+                              "stop": {"reason": "G <= 0 at a corner", "r1": ["0", "1"],
+                                       "c": ["-1", "1"], "corner": ["0", "-1"], "g": "0"},
+                              "quarter_turn_points": 62}
+
+
+@pytest.mark.parametrize("expr, n", [("(x1+x2+x3)^3 - x1^3", 3), ("x1^4 + x1^3*x2 + x2^4", 2)])
+def test_support_rule_certifies_nonnegative_p_with_missing_monomials(expr, n):
+    rep = check_pos3(parse(expr, n), CERTIFY)
+    assert rep.verdict is Verdict.HOLDS
+    assert rep.certificate == {"method": "nonnegative_support"} and rep.budget == {}
+
+
+@st.composite
+def nonnegative_st(draw):
+    """A nonnegative homogeneous p in 2..4 variables, from dense to sparse."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
+    keep = draw(st.integers(3, 10))
+    terms = {exp: F(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+             for exp in monomials_of_degree(n, d) if draw(st.integers(0, 9)) < keep}
+    return Polynomial(n, terms or {(d,) + (0,) * (n - 1): F(1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonnegative_st(), st.data())
+def test_support_rule_agrees_with_both_searches(p, data):
+    rule = conditions._nonnegative_support(p)
+    if rule is not None and rule.verdict is Verdict.HOLDS:
+        assert conditions._falsify(p, FAST_FALSIFY).verdict is not Verdict.FAILS
+        assert conditions._certify(p, CERTIFY).verdict is not Verdict.FAILS
+    if rule is not None and rule.verdict is Verdict.FAILS:
+        assert conditions._certify(p, CERTIFY).verdict is not Verdict.HOLDS
+        assert _quarter_witness_holds(p, rule.witness)
+    # the verdict is a property of the support up to relabelling
+    perm = data.draw(st.permutations(range(p.nvars)))
+    scale = F(data.draw(st.integers(1, 50)), data.draw(st.integers(1, 50)))
+    moved = Polynomial(p.nvars, {tuple(exp[k] for k in perm): scale * c
+                                 for exp, c in p.terms.items()})
+    moved_rule = conditions._nonnegative_support(moved)
+    assert (rule and rule.verdict) == (moved_rule and moved_rule.verdict)
 
 
 def _g_at(p, r1, t):
