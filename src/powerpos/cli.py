@@ -1,6 +1,9 @@
 """Command-line front-end.
 
-Subcommands: check, power-scan, polya, geometry, beta, sweep, examples.
+Subcommands: check, power-scan, polya, geometry, beta verify, sweep,
+examples.  Every subcommand takes --json.  check, sweep and examples
+also take --seed and the budgets; beta verify takes --seed; the others
+take nothing more.
 Exit codes for verdict-bearing commands: 0 all Holds, 1 usage/parse
 error, 2 any Fails (or expectation mismatch), 3 any Inconclusive.
 Budgets come from a profile (fast/default/thorough), optionally
@@ -17,13 +20,13 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
-from .conditions import (Condition, ConditionReport, Pos3Mode, Pos3Options,
-                         Verdict, check_pos1, check_pos2, check_pos3)
+from .conditions import (Pos3Options, Verdict, check_pos1, check_pos2,
+                         check_pos3)
 from .eventual import power_scan, polya_exponent
 from .geometry import (difference_lattice_generators, hessian_logf_fd,
                        is_positive_definite, jf_matrix, newton_affine_dim,
@@ -52,7 +55,7 @@ class Budgets:
     sample_grid: int = _POS2_DEFAULTS["sample_grid"].default
 
     def pos3_options(self, mode: str, seed: int) -> Pos3Options:
-        return Pos3Options(mode=Pos3Mode(mode.capitalize()), grid=self.grid,
+        return Pos3Options(mode=mode, grid=self.grid,
                            max_depth=self.max_depth, tolerance=self.tolerance,
                            max_samples=self.max_samples, seed=seed)
 
@@ -64,13 +67,14 @@ PROFILES = {
                         polya_budget=120, sample_grid=16),
 }
 
-_BUDGET_FIELDS = {"grid": int, "max_depth": int, "tolerance": float,
-                  "max_samples": int, "polya_budget": int, "sample_grid": int}
+#: Budget name -> the type its text is read as
+_BUDGET_FIELDS = {f.name: type(f.default) for f in fields(Budgets)}
 
 
-def load_budgets(profile: str, config_path: Optional[str],
-                 overrides: dict) -> Budgets:
-    budgets = PROFILES[profile]
+def load_budgets(args) -> Budgets:
+    """The profile, then the config file's [budgets], then the flags."""
+    budgets = PROFILES[args.budget_profile]
+    config_path = args.config
     if config_path:
         cfg = configparser.ConfigParser()
         if not cfg.read(config_path):
@@ -80,10 +84,9 @@ def load_budgets(profile: str, config_path: Optional[str],
                 if key not in _BUDGET_FIELDS:
                     raise ValueError(f"unknown [budgets] key in {config_path}: {key}")
                 budgets = replace(budgets, **{key: _BUDGET_FIELDS[key](text)})
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    if clean:
-        budgets = replace(budgets, **clean)
-    return budgets
+    flags = {key: getattr(args, key) for key in _BUDGET_FIELDS
+             if getattr(args, key) is not None}
+    return replace(budgets, **flags)
 
 
 def _load_expr(arg: str) -> str:
@@ -124,10 +127,11 @@ def _verdict_exit(verdicts: Sequence[Verdict]) -> int:
 def run_check(p: Polynomial, budgets: Budgets, pos3_mode: str,
               seed: int) -> tuple[int, dict]:
     """Run all three condition checks and aggregate the reports."""
+    pos3_options = budgets.pos3_options(pos3_mode, seed)
     reports = [check_pos1(p),
                check_pos2(p, polya_budget=budgets.polya_budget,
                           sample_grid=budgets.sample_grid),
-               check_pos3(p, budgets.pos3_options(pos3_mode, seed))]
+               check_pos3(p, pos3_options)]
     result = {
         "polynomial": serialize(p),
         "nvars": p.nvars,
@@ -137,20 +141,18 @@ def run_check(p: Polynomial, budgets: Budgets, pos3_mode: str,
     return _verdict_exit([r.verdict for r in reports]), result
 
 
-def cmd_check(args, budgets: Budgets) -> int:
+def cmd_check(args) -> int:
     p = _parse_poly(args.expr, args.nvars)
-    code, result = run_check(p, budgets, args.pos3_mode, args.seed)
+    code, result = run_check(p, load_budgets(args), args.pos3_mode, args.seed)
     _emit(result, args.json)
     return code
 
 
-def cmd_power_scan(args, budgets: Budgets) -> int:
+def cmd_power_scan(args) -> int:
     p = _parse_poly(args.p, args.nvars)
     q = _parse_poly(args.q, p.nvars)
     pattern = power_scan(p, q, args.max_m)
-    result = pattern.to_json_dict()
-    result["metadata"] = {"seed": args.seed}
-    _emit(result, args.json)
+    _emit(pattern.to_json_dict(), args.json)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -161,20 +163,22 @@ def cmd_power_scan(args, budgets: Budgets) -> int:
     return EXIT_OK
 
 
-def cmd_polya(args, budgets: Budgets) -> int:
+def cmd_polya(args) -> int:
     g = _parse_poly(args.g, args.nvars)
     n = polya_exponent(g, args.max_n)
     _emit({"g": serialize(g), "max_n": args.max_n, "exponent": n}, args.json)
     return EXIT_OK if n is not None else EXIT_INCONCLUSIVE
 
 
-def cmd_geometry(args, budgets: Budgets) -> int:
-    f = _parse_poly(args.f, args.nvars)
+def cmd_geometry(args) -> int:
     checks = args.check or ["dim", "lattice"]
-    result: dict = {"f": serialize(f), "nvars": f.nvars}
     point = None
-    if args.point:
+    if args.point is not None:
+        if not {"jf", "hess"} & set(checks):
+            raise ValueError("--point is read only by --check jf and --check hess")
         point = [Fraction(v) for v in args.point.split(",")]
+    f = _parse_poly(args.f, args.nvars)
+    result: dict = {"f": serialize(f), "nvars": f.nvars}
     if "dim" in checks:
         result["newton_affine_dim"] = newton_affine_dim(f)
     if "lattice" in checks:
@@ -196,7 +200,7 @@ def cmd_geometry(args, budgets: Budgets) -> int:
     return EXIT_OK
 
 
-def cmd_beta(args, budgets: Budgets) -> int:
+def cmd_beta(args) -> int:
     with open(args.matrix) as fh:
         mat = PolyMatrix.from_json(fh.read())
     p = _parse_poly(args.p, mat.nvars)
@@ -213,7 +217,8 @@ def cmd_beta(args, budgets: Budgets) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def cmd_sweep(args, budgets: Budgets) -> int:
+def cmd_sweep(args) -> int:
+    budgets = load_budgets(args)
     if args.family != "dv":
         raise ValueError(f"unknown family {args.family!r}")
     k = args.k
@@ -256,23 +261,12 @@ def cmd_sweep(args, budgets: Budgets) -> int:
 
 def _check_entry(entry, budgets: Budgets, seed: int) -> dict:
     p = entry.p
-    observed: dict[str, str] = {}
-    mismatches: list[str] = []
-    if "pos1" in entry.expected:
-        observed["pos1"] = check_pos1(p).verdict.value
-    if "pos2" in entry.expected:
-        observed["pos2"] = check_pos2(p, polya_budget=budgets.polya_budget,
-                                      sample_grid=budgets.sample_grid).verdict.value
-    if "pos3" in entry.expected:
-        rep = check_pos3(p, budgets.pos3_options(entry.pos3_mode, seed))
-        if entry.expected["pos3"] == "NoCounterexample":
-            observed["pos3"] = ("NoCounterexample"
-                                if rep.verdict is not Verdict.FAILS else "Fails")
-        else:
-            observed["pos3"] = rep.verdict.value
-    for cond, want in entry.expected.items():
-        if observed.get(cond) != want:
-            mismatches.append(f"{cond}: expected {want}, observed {observed.get(cond)}")
+    _, result = run_check(p, budgets, entry.pos3_mode, seed)
+    verdicts = {r["condition"].lower(): r["verdict"] for r in result["reports"]}
+    observed = {c: v for c, v in verdicts.items() if c in entry.expected}
+    mismatches = [f"{cond}: expected {want}, observed {observed.get(cond)}"
+                  for cond, want in entry.expected.items()
+                  if observed.get(cond) != want]
     onset_observed = None
     if entry.scan_m_max:
         pattern = power_scan(p, entry.q, entry.scan_m_max)
@@ -289,7 +283,8 @@ def _check_entry(entry, budgets: Budgets, seed: int) -> dict:
             "mismatches": mismatches, "notes": entry.notes}
 
 
-def cmd_examples(args, budgets: Budgets) -> int:
+def cmd_examples(args) -> int:
+    budgets = load_budgets(args)
     entries = corpus_mod.load_corpus()
     names = sorted(entries) if args.name == "all" else [args.name]
     results = []
@@ -311,16 +306,21 @@ def cmd_examples(args, budgets: Budgets) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: it depends on no call, and
     `parse_args` leaves it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget-profile", choices=sorted(PROFILES),
-                        default="default")
-    common.add_argument("--config", metavar="FILE",
-                        help="INI file with a [budgets] section")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", metavar="PATH", help="write the JSON report here")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[output])
+    seeded.add_argument("--seed", type=int, default=0)
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    budgeted.add_argument("--budget-profile", choices=sorted(PROFILES),
+                          default="default")
+    budgeted.add_argument("--config", metavar="FILE",
+                          help="INI file with a [budgets] section")
     for key, conv in _BUDGET_FIELDS.items():
-        common.add_argument(f"--{key.replace('_', '-')}", dest=key, type=conv,
-                            default=None, help=argparse.SUPPRESS)
+        per_profile = ", ".join(f"{name} {getattr(PROFILES[name], key)}"
+                                for name in sorted(PROFILES))
+        budgeted.add_argument(f"--{key.replace('_', '-')}", dest=key, type=conv,
+                              metavar=conv.__name__.upper(),
+                              help=f"per profile: {per_profile}")
 
     parser = argparse.ArgumentParser(
         prog="powerpos",
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "polynomials and scan powers for all-positive coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", parents=[common],
+    p_check = sub.add_parser("check", parents=[budgeted],
                              help="run the three condition checks")
     p_check.add_argument("expr", help="polynomial expression or file")
     p_check.add_argument("--nvars", type=int)
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="certify")
     p_check.set_defaults(func=cmd_check)
 
-    p_scan = sub.add_parser("power-scan", parents=[common],
+    p_scan = sub.add_parser("power-scan", parents=[output],
                             help="scan p^m * q for all-positive coefficients")
     p_scan.add_argument("--p", required=True)
     p_scan.add_argument("--q", default="1")
@@ -345,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--csv", metavar="PATH")
     p_scan.set_defaults(func=cmd_power_scan)
 
-    p_polya = sub.add_parser("polya", parents=[common],
+    p_polya = sub.add_parser("polya", parents=[output],
                              help="least simplex-multiplier exponent")
     p_polya.add_argument("--g", required=True)
     p_polya.add_argument("--max-n", type=int, required=True)
     p_polya.add_argument("--nvars", type=int)
     p_polya.set_defaults(func=cmd_polya)
 
-    p_geom = sub.add_parser("geometry", parents=[common],
+    p_geom = sub.add_parser("geometry", parents=[output],
                             help="support, lattice, and log-Hessian probes")
     p_geom.add_argument("--f", required=True)
     p_geom.add_argument("--nvars", type=int)
@@ -361,17 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["dim", "lattice", "jf", "hess"])
     p_geom.set_defaults(func=cmd_geometry)
 
-    p_beta = sub.add_parser("beta", parents=[common],
-                            help="spectral radius function verification")
+    p_beta = sub.add_parser("beta", help="spectral radius function verification")
     beta_sub = p_beta.add_subparsers(dest="beta_command", required=True)
-    p_verify = beta_sub.add_parser("verify", parents=[common])
+    p_verify = beta_sub.add_parser("verify", parents=[seeded])
     p_verify.add_argument("--matrix", required=True, help="matrix JSON file")
     p_verify.add_argument("--p", required=True)
     p_verify.add_argument("--samples", type=int, default=20)
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.set_defaults(func=cmd_beta)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[budgeted],
                              help="verdicts and onsets across a family")
     p_sweep.add_argument("--family", default="dv")
     p_sweep.add_argument("--k", type=int, required=True)
@@ -383,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--csv", metavar="PATH")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_ex = sub.add_parser("examples", parents=[common],
+    p_ex = sub.add_parser("examples", parents=[budgeted],
                           help="run corpus entries and diff against expectations")
     p_ex.add_argument("name", help="entry name or 'all'")
     p_ex.set_defaults(func=cmd_examples)
@@ -400,9 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # documented codes: 0 for --help, 1 for a usage error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        overrides = {key: getattr(args, key, None) for key in _BUDGET_FIELDS}
-        budgets = load_budgets(args.budget_profile, args.config, overrides)
-        return args.func(args, budgets)
+        return args.func(args)
     except (ParseError,) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_ERROR

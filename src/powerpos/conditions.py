@@ -152,6 +152,10 @@ def check_pos2(p: Polynomial, polya_budget: int = 50,
     coefficients, all exactly.  Fails when a facet derivative vanishes
     identically or an exact grid point on the facet gives a value <= 0.
     """
+    if polya_budget < 0:
+        raise ValueError("polya_budget must be at least 0")
+    if sample_grid < 1:
+        raise ValueError("sample_grid must be at least 1")
     _require_nonconstant_homogeneous(p)
     n = p.nvars
     if n == 1:
@@ -226,8 +230,12 @@ class Pos3Options:
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = Pos3Mode(self.mode.capitalize())
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        for name, least in (("grid", 1), ("max_samples", 1), ("max_depth", 0),
+                            ("max_boxes", 0), ("refine_candidates", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
 
 
 #: i^q for q = 0, 1, 2, 3, as (real, imaginary) pairs

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON/CSV output, config precedence, determinism."""
 
+import argparse
 import csv
 import inspect
 import json
@@ -9,7 +10,7 @@ import mpmath
 import pytest
 
 from powerpos import Pos3Options, check_pos2, parse
-from powerpos.cli import Budgets, main
+from powerpos.cli import Budgets, build_parser, main
 
 from helpers import modulus_gap
 
@@ -94,10 +95,60 @@ def test_usage_error_exit_one(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+BUDGETED = {"--json", "--seed", "--budget-profile", "--config", "--grid", "--max-depth",
+            "--tolerance", "--max-samples", "--polya-budget", "--sample-grid"}
+
+
+def _flags(path):
+    parser = build_parser()
+    for name in path:
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = action.choices[name]
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+BETA = ["beta", "verify", "--matrix", "m.json", "--p", "x1+x2"]
+
+
+# Each subcommand's flags, and one flag it does not read, which is a usage
+# error.  Of the shared flags, check, sweep and examples take all 10, beta
+# verify takes --json and --seed, the others --json and beta none: 35.
+
+
+@pytest.mark.parametrize("path, flags, argv, unread", [
+    (["check"], BUDGETED | {"--nvars", "--pos3-mode"},
+     ["check", "x1+x2"], ["--csv", "t.csv"]),
+    (["sweep"], BUDGETED | {"--family", "--k", "--lambdas", "--max-m", "--pos3-mode", "--csv"},
+     ["sweep", "--k", "2", "--lambdas", "7", "--max-m", "8"], ["--nvars", "2"]),
+    (["examples"], BUDGETED, ["examples", "linear2"], ["--pos3-mode", "falsify"]),
+    (["beta", "verify"], {"--json", "--seed", "--matrix", "--p", "--samples", "--tol"},
+     BETA, ["--budget-profile", "fast"]),
+    (["beta"], set(), BETA, ["--json", "b.json"]),
+    (["power-scan"], {"--json", "--p", "--q", "--max-m", "--nvars", "--csv"},
+     ["power-scan", "--p", "x1+x2", "--max-m", "3"], ["--seed", "1"]),
+    (["polya"], {"--json", "--g", "--max-n", "--nvars"},
+     ["polya", "--g", "x1^2-x1*x2+x2^2", "--max-n", "10"], ["--grid", "5"]),
+    (["geometry"], {"--json", "--f", "--nvars", "--point", "--check"},
+     ["geometry", "--f", "s1+s2+1"], ["--budget-profile", "fast"]),
+], ids=["check", "sweep", "examples", "beta verify", "beta", "power-scan", "polya",
+        "geometry"])
+def test_each_subcommand_takes_only_the_flags_it_reads(path, flags, argv, unread, capsys,
+                                                       tmp_path, monkeypatch):
+    assert _flags(path) == flags
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps({"dim": 1, "nvars": 2, "entries": [["x1+x2"]]}))
+    assert run(argv) == 0
+    assert run(argv[:len(path)] + unread + argv[len(path):]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["m.json"]
+
+
 def test_help_exit_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["check", "--help"]) == 0
-    assert "usage:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "usage:" in out
+    assert "--max-samples INT" in out and "100000" in out  # the thorough profile's
 
 
 def test_check_determinism(tmp_path):
@@ -165,6 +216,7 @@ def test_power_scan_json_and_csv(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["window_onset"] == 3
+    assert "metadata" not in report
     assert report["flags"] == [False, False, False, True, True, True, True]
     with open(table) as fh:
         rows = list(csv.DictReader(fh))
@@ -211,6 +263,15 @@ def test_geometry_jf_check(tmp_path):
     report = json.loads(out.read_text())
     assert report["jf"]["matrix"] == [["1/4"]]
     assert report["jf"]["positive_definite"] is True
+
+
+def test_geometry_point_needs_a_check_that_reads_it(tmp_path, capsys):
+    assert run(["geometry", "--f", "s1+1", "--point", "1"]) == 1
+    assert "--point" in capsys.readouterr().err
+    out = tmp_path / "geom.json"
+    assert run(["geometry", "--f", "s1+1", "--point", "1/2", "--check", "hess",
+                "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["hessian_logf_fd"]["t"] == [0.5]
 
 
 def test_beta_verify_verified_and_refuted(tmp_path):
@@ -280,6 +341,15 @@ def test_examples_single_entry(tmp_path):
     assert entry["observed"]["pos3"] == "Fails"
 
 
+@pytest.mark.parametrize("name", ["eq1_3", "eq1_4"])
+def test_examples_eq1_nonnegative_entries_hold_pos3(name, tmp_path):
+    # no negative coefficient, and every pair face has gcd 1
+    out = tmp_path / "ex.json"
+    assert run(["examples", name, "--json", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["results"]
+    assert entry["observed"]["pos3"] == "Holds" and entry["mismatches"] == []
+
+
 def test_examples_unknown_name(capsys):
     assert run(["examples", "no_such_entry"]) == 1
 
@@ -328,6 +398,28 @@ def test_unknown_config_key_errors(line, capsys, tmp_path):
 
 def test_missing_config_errors(capsys, tmp_path):
     assert run(["check", "x1+x2", "--config", str(tmp_path / "nope.ini")]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--sample-grid", "0"), ("--polya-budget", "-1"),
+                                         ("--max-samples", "-5"), ("--grid", "-3"),
+                                         ("--grid", "0"), ("--max-depth", "-1"),
+                                         ("--tolerance", "nan"), ("--tolerance", "inf"),
+                                         ("--tolerance", "0")])
+@pytest.mark.parametrize("mode", ["certify", "falsify"])
+def test_invalid_budget_value_is_one_error_line(flag, value, mode, capsys):
+    assert run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--pos3-mode", mode,
+                flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag[2:].replace("-", "_") in captured.err
+
+
+def test_invalid_config_value_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "budgets.ini"
+    cfg.write_text("[budgets]\ngrid = 0\n")
+    assert run(["examples", "linear2", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: grid must be at least 1\n"
 
 
 def test_budget_profiles_accepted(tmp_path):

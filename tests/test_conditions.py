@@ -129,6 +129,14 @@ def test_pos2_vacuous_single_variable():
     assert rep.verdict is Verdict.HOLDS
 
 
+def test_pos2_validates_its_budgets():
+    assert check_pos2(P7, polya_budget=0, sample_grid=1).verdict is Verdict.HOLDS
+    with pytest.raises(ValueError, match="polya_budget"):
+        check_pos2(P7, polya_budget=-1)
+    with pytest.raises(ValueError, match="sample_grid"):
+        check_pos2(P7, sample_grid=0)
+
+
 # ---------------------------------------------------------------------
 # Pos3
 # ---------------------------------------------------------------------
@@ -878,9 +886,14 @@ def test_pos3_falsify_never_lists_the_radius_grid(monkeypatch):
 
 
 def test_pos3_options_validate():
-    for tolerance in (0.0, -1e-12):
+    for tolerance in (0.0, -1e-12, math.nan, math.inf):
         with pytest.raises(ValueError):
             Pos3Options(tolerance=tolerance)
+    for name, least in (("grid", 1), ("max_samples", 1), ("max_depth", 0),
+                        ("max_boxes", 0), ("refine_candidates", 0)):
+        Pos3Options(**{name: least})
+        with pytest.raises(ValueError, match=name):
+            Pos3Options(**{name: least - 1})
     with pytest.raises(TypeError):
         Pos3Options(delta=1e-3)
     assert Pos3Options(mode="certify").mode is Pos3Mode.CERTIFY
