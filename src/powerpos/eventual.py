@@ -1,10 +1,22 @@
-"""Power scans for eventual coefficient positivity.
+"""Power scans and Pólya exponents for eventual coefficient positivity.
 
 The scanner walks p^m * q for m = 0..M_max with exact arithmetic and
 records, for each m, whether every monomial of the full degree basis
 carries a strictly positive coefficient.  The least m from which the
 flags stay true through the end of the window is the "window-onset":
 a finite proxy for the true onset, never an inference beyond the window.
+
+The Pólya search never forms (x1+...+xn)^N * g.  For g of degree d with
+integer coefficients c_b, the coefficient of x^a (|a| = N + d) in the
+product is sum_b c_b N!/(a-b)!, so times the positive factor a!/N! it is
+
+    G_N(a) = sum_b c_b prod_i a_i (a_i - 1) ... (a_i - b_i + 1),
+
+a falling-factorial form that vanishes by itself when some b_i > a_i
+(Powers-Reznick, J. Pure Appl. Algebra 164, 2001).  The product is
+all-positive iff G_N > 0 on every a.  All-positivity is monotone in N:
+each coefficient of (x1+...+xn) * f is a sum of at least one coefficient
+of f, so a search can double N and then bisect.
 """
 
 from __future__ import annotations
@@ -119,23 +131,70 @@ def power_scan(p: Polynomial, q: Polynomial, m_max: int,
 
 
 def polya_exponent(g: Polynomial, n_max: int) -> Optional[int]:
-    """Least N <= n_max with (x1+...+xl)^N * g all-positive, else None."""
+    """Least N <= n_max with (x1+...+xn)^N * g all-positive, else None.
+
+    Each candidate N is one evaluation of the falling-factorial form G_N
+    of the module docstring on the degree-(N + d) basis, checked by
+    all_coeffs_positive; the product itself is never built.  Since the
+    property is monotone in N, the search tests N = 0, then doubles N
+    up to n_max, then bisects between the last failing and the first
+    passing N: about 2*log2(N) evaluations, and ceil(log2(n_max)) + 2
+    when no N <= n_max works.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be at least 0")
     if not g.is_homogeneous():
         raise ValueError("polya_exponent requires a homogeneous polynomial")
     if g.is_zero() or g.nvars < 1:
         return None
     g_terms, _ = _integer_terms(g)
-    # x1 + ... + xl at xl = 1: one unit shift per other variable, plus 1
-    simplex = [(a, 1) for a in np.eye(g.nvars, g.nvars - 1, dtype=np.int64)]
-    deg = g.degree()
-    current = _times(_ONE, 0, g_terms, deg)
-    for n in range(n_max + 1):
-        if n > 0:
-            current = _times(current, deg, simplex, 1)
-            deg += 1
-        if all_coeffs_positive(current):
-            return n
-    return None
+    d = g.degree()
+
+    def works(n: int) -> bool:
+        return all_coeffs_positive(_falling_factorial_form(g_terms, d, n + d))
+
+    if works(0):
+        return 0
+    # works(lo) is False; hi is the next candidate
+    lo, hi = 0, 1
+    while hi < n_max and not works(hi):
+        lo, hi = hi, 2 * hi
+    if hi >= n_max:
+        hi = n_max
+        if hi == lo or not works(hi):
+            return None
+    # works(hi) is True: the least N lies in (lo, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if works(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _falling_factorial_form(terms: IntTerms, deg: int, total: int) -> np.ndarray:
+    """G at every degree-total monomial a, one slot each, as Python ints.
+
+    terms are those of a degree-deg g in the integer kernel's form.  The
+    monomials are the columns of the kernel's layout of a_1..a_{n-1},
+    with a_n = total - (a_1 + ... + a_{n-1}).
+    """
+    head = _lex_exponents(len(terms[0][0]), total)
+    a = np.vstack([head, total - head.sum(axis=0)])
+    # falling[k, v] = v (v-1) ... (v-k+1), which is 0 for v < k
+    v = np.arange(total + 1, dtype=object)
+    falling = np.ones((deg + 1, total + 1), dtype=object)
+    for k in range(1, deg + 1):
+        falling[k] = falling[k - 1] * (v - (k - 1))
+    out = np.zeros(a.shape[1], dtype=object)
+    for e, c in terms:
+        b = np.append(e, deg - e.sum())
+        term = c
+        for i in np.flatnonzero(b):
+            term = term * falling[b[i], a[i]]
+        out += term
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -178,9 +237,12 @@ def _times(current: np.ndarray, deg: int, factor: IntTerms,
     free = len(factor[0][0])
     out_deg = deg + factor_deg
     layout = _lex_exponents(free, deg)
+    shifts = np.array([a for a, _ in factor], dtype=np.int64)
+    # one rank pass for every term: row t of ranks places layout + a_t
+    moved = layout[:, None, :] + shifts.T[:, :, None]
+    ranks = _lex_rank(moved.reshape(free, len(factor) * layout.shape[1]), out_deg)
     out = np.zeros(dense_monomial_count(free + 1, out_deg), dtype=object)
-    for a, c in factor:
-        idx = _lex_rank(layout + a[:, None], out_deg)
+    for (_, c), idx in zip(factor, ranks.reshape(len(factor), -1)):
         out[idx] += current if c == 1 else c * current
     return out
 

@@ -17,6 +17,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
@@ -24,6 +25,11 @@ MultiIndex = tuple[int, ...]
 #: Degree of the zero polynomial.  A sentinel, deliberately not an int,
 #: so arithmetic on it fails loudly instead of producing nonsense.
 MINUS_INFINITY = object()
+
+#: The parser refuses a power base^m that may expand to more terms than
+#: this.  Expansion costs about the square of the term count: the largest
+#: admitted binary power, (x1+x2)^999, takes about 3 s on a 2-vCPU VM.
+MAX_POWER_TERMS = 1_000
 
 
 def grlex_key(exp: MultiIndex) -> tuple:
@@ -326,7 +332,6 @@ def monomials_of_degree(nvars: int, d: int) -> Iterator[MultiIndex]:
 
 def dense_monomial_count(nvars: int, d: int) -> int:
     """C(d + nvars - 1, nvars - 1): size of the degree-d monomial basis."""
-    from math import comb
     return comb(d + nvars - 1, nvars - 1)
 
 
@@ -414,6 +419,16 @@ class _Parser:
                     raise ParseError("exponent must be a nonnegative integer", self.tok_pos)
                 raise ParseError("expected nonnegative integer exponent", caret_pos)
             m = int(self.tok)
+            if not base.is_zero():
+                # base^m has at most one term per multiset of m of base's T
+                # terms, and no more than the monomials of degree deg*m
+                # (of every degree up to deg*m when base is not homogeneous)
+                count = min(comb(len(base.terms) + m - 1, m),
+                            dense_monomial_count(self.nvars + (not base.is_homogeneous()),
+                                                 base.degree() * m))
+                if count > MAX_POWER_TERMS:
+                    raise ParseError(f"power may expand to {count} terms, over the limit of "
+                                     f"{MAX_POWER_TERMS}", caret_pos)
             self._advance()
             base = base ** m
         return base

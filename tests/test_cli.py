@@ -241,6 +241,13 @@ def test_polya_exit_codes(tmp_path):
                 "--json", str(tmp_path / "b.json")]) == 3
 
 
+def test_polya_negative_budget_is_one_error_line(capsys):
+    assert run(["polya", "--g", "x1+x2", "--max-n", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_max must be at least 0\n"
+
+
 # ---------------------------------------------------------------------
 # geometry / beta
 # ---------------------------------------------------------------------

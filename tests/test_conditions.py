@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
                       Verdict, assoc_bihom_eval, check_pos1, check_pos2,
                       check_pos3, check_sgcs, eval_complex, eval_rational,
-                      facet_derivative, max_squared_norm_diag, parse, power_scan)
+                      facet_derivative, max_squared_norm_diag, parse, polya_exponent,
+                      power_scan)
 from powerpos import conditions
 from powerpos.conditions import (_DENOMINATORS, _bernstein_g, _eval_d_grid,
                                  _grid_samples, _halves, _pair_arrays,
@@ -135,6 +136,22 @@ def test_pos2_validates_its_budgets():
         check_pos2(P7, polya_budget=-1)
     with pytest.raises(ValueError, match="sample_grid"):
         check_pos2(P7, sample_grid=0)
+
+
+@pytest.mark.parametrize("expr, nvars, exponents, budget", [
+    ("(x1+x2+x3)^5 - 5*x3*(x1+x2)^4 + x3*((x1-x2)^2*(x1+x2)^2 + 1/1000*x1^2*x2^2)", 3,
+     [1, 1, None], {"samples": 17, "uncertified_facets": [3]}),
+    ("(x1+x2+x3+x4)^3 - 3*x4*(x1+x2+x3)^2 + x4*((x1-x2)^2+(x2-x3)^2+1/500*x1*x3)", 4,
+     [1, 1, 1, None], {"samples": 153, "uncertified_facets": [4]}),
+], ids=["n3", "n4"])
+def test_pos2_reports_on_pos2_hard_inputs(expr, nvars, exponents, budget):
+    # The thorough profile's budgets; the reports the stepwise Polya search gave.
+    p = parse(expr, nvars)
+    assert [polya_exponent(facet_derivative(p, k), 120) for k in range(nvars)] == exponents
+    rep = check_pos2(p, polya_budget=120, sample_grid=16)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.certificate is None and rep.witness is None
+    assert rep.budget == {"polya_budget": 120, **budget}
 
 
 # ---------------------------------------------------------------------

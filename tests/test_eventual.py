@@ -1,6 +1,7 @@
 """Power scans, all-positive checks, and simplex-multiplier exponents."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ import pytest
 
 from powerpos import (Polynomial, all_coeffs_positive, parse, polya_exponent,
                       power_scan)
-from powerpos.eventual import _lex_exponents, _lex_rank
+from powerpos.eventual import (_falling_factorial_form, _integer_terms, _lex_exponents,
+                               _lex_rank)
 from powerpos.poly import dense_monomial_count
 
 from helpers import dense_grid_pow_2d, rand_homogeneous
@@ -235,6 +237,102 @@ def test_polya_exponent_is_least_on_random_rationals():
         assert _polya_works(g, exponent)
         assert exponent == 0 or not _polya_works(g, exponent - 1)
     assert max(found) > 1
+
+
+def _polya_flags(g, n_top):
+    """Whether (x1+...+xn)^N * g is all-positive, N = 0..n_top, by exact products."""
+    s = Polynomial.sum_of_variables(g.nvars)
+    f, flags = g, []
+    for _ in range(n_top + 1):
+        flags.append(all_coeffs_positive(f))
+        f = s * f
+    return flags
+
+
+def _rand_polya_input(rng, n):
+    """A homogeneous g of degree 0..3; a flipped non-vertex coefficient often
+    gives a Polya exponent > 0, and sometimes none."""
+    d = rng.randint(0, 3)
+    g = rand_homogeneous(rng, n, d, all_positive=True)
+    inner = [e for e in g.terms if max(e) < d]
+    if inner and rng.random() < 0.8:
+        e = rng.choice(inner)
+        g = g - Polynomial(n, {e: g.terms[e] * rng.randint(2, 5)})
+    return g
+
+
+def test_polya_exponent_matches_the_product_oracle_at_every_budget():
+    rng = random.Random(47)
+    n_top = 10
+    seen = {n: set() for n in range(1, 5)}
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        g = _rand_polya_input(rng, n)
+        flags = _polya_flags(g, n_top)
+        least = next((k for k, ok in enumerate(flags) if ok), None)
+        seen[n].add(least)
+        assert polya_exponent(g, n_top) == least
+        assert polya_exponent(g, 0) == (0 if least == 0 else None)
+        if least is not None:
+            assert polya_exponent(g, least) == least
+            if least > 0:
+                assert polya_exponent(g, least - 1) is None
+    # every n reaches exponent 0; n = 2..4 also a later exponent and none
+    assert all(0 in found for found in seen.values())
+    for n in (2, 3, 4):
+        assert None in seen[n] and seen[n] - {None, 0}
+
+
+def test_polya_exponent_of_constants():
+    for n in (1, 3):
+        assert polya_exponent(Polynomial.constant(n, Fraction(2, 3)), 0) == 0
+        assert polya_exponent(Polynomial.constant(n, -1), 7) is None
+
+
+def test_polya_exponent_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="n_max"):
+        polya_exponent(parse("x1 + x2", 2), -1)
+
+
+def test_polya_positivity_is_monotone_in_n():
+    # The bisection's premise: once (x1+...+xn)^N * g is all-positive, so is
+    # every higher N, since each coefficient of (x1+...+xn) * f sums at least
+    # one coefficient of f.
+    rng = random.Random(53)
+    for _ in range(60):
+        g = _rand_polya_input(rng, rng.randint(1, 4))
+        flags = _polya_flags(g, 8)
+        first = next((k for k, ok in enumerate(flags) if ok), len(flags))
+        assert flags == [False] * first + [True] * (len(flags) - first)
+
+
+def test_falling_factorial_form_is_the_scaled_product():
+    # G_N(a) = a!/N! * [x^a] (x1+...+xn)^N * g, slot by slot in the lex layout
+    rng = random.Random(59)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        g = rand_homogeneous(rng, n, rng.randint(0, 3), density=0.7)
+        terms, scale = _integer_terms(g)
+        big_n = rng.randint(0, 4)
+        total = big_n + g.degree()
+        product = Polynomial.sum_of_variables(n) ** big_n * g.scale(scale)
+        head = _lex_exponents(n - 1, total)
+        expected = []
+        for col in head.T:
+            a = tuple(int(v) for v in col) + (total - int(col.sum()),)
+            weight = Fraction(math.prod(math.factorial(v) for v in a), math.factorial(big_n))
+            expected.append(product.coefficient(a) * weight)
+        assert list(_falling_factorial_form(terms, g.degree(), total)) == expected
+
+
+def test_polya_exponent_beyond_int64():
+    # Integer coefficients near 10^13 at degree 7: G_N leaves int64 far behind.
+    g = parse("(x1^2 - 19/10*x1*x2 + x2^2)^3 * (x1 + 12345678901*x2)", 2)
+    exponent = polya_exponent(g, 400)
+    flags = _polya_flags(g, exponent)
+    assert exponent > 1 and flags[-1] and not flags[-2]
+    form = _falling_factorial_form(_integer_terms(g)[0], 7, exponent + 7)
+    assert max(abs(v) for v in form) > 2 ** 63
 
 
 def test_polya_exponent_against_dense_convolution():

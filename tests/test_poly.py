@@ -1,7 +1,10 @@
 """Polynomial core: grammar, arithmetic, evaluation, dehomogenization."""
 
+import importlib
 import random
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,9 @@ from powerpos import (MINUS_INFINITY, Interval, ParseError, Polynomial,
                       eval_interval, eval_rational,
                       from_json, infer_nvars, monomials_of_degree, parse,
                       serialize, to_json)
+from powerpos.cli import main
 from powerpos.corpus import load_corpus
+from powerpos.poly import MAX_POWER_TERMS
 
 from helpers import rand_homogeneous, sympy_coeff_dict, to_sympy
 
@@ -229,6 +234,42 @@ def test_serialize_parse_fixed_point_on_corpus():
             text = serialize(poly)
             assert parse(text, poly.nvars) == poly
             assert serialize(parse(text, poly.nvars)) == text
+
+
+def test_oversized_power_fails_fast():
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match=f"200001 terms.*limit of {MAX_POWER_TERMS}"):
+        parse("(x1+x2)^200000", 2)
+    assert main(["check", "(x1+x2)^200000"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_power_guard_counts_terms_not_the_basis(monkeypatch):
+    monkeypatch.setattr("powerpos.poly.MAX_POWER_TERMS", 10)
+    # one term stays one term, whatever the degree-m basis holds
+    assert parse("x1^100000", 4) == Polynomial.variable(4, 0) ** 100000
+    # (x1+x2)^m has m + 1 terms, in any number of variables
+    assert len(parse("(x1+x2)^9", 3).terms) == 10
+    with pytest.raises(ParseError, match="11 terms"):
+        parse("(x1+x2)^10", 3)
+    # (x1^2 + x1*x2 + x2^2)^m has at most the 2m + 1 degree-2m monomials
+    assert len(parse("(x1^2 + x1*x2 + x2^2)^4", 2).terms) == 9
+    with pytest.raises(ParseError, match="11 terms"):
+        parse("(x1^2 + x1*x2 + x2^2)^5", 2)
+    # a non-homogeneous base fills degrees 0..deg*m, not one degree
+    assert len(parse("(x1 + 1)^9", 1).terms) == 10
+    with pytest.raises(ParseError, match="11 terms"):
+        parse("(x1 + 1)^10", 1)
+
+
+def test_bench_expressions_pass_the_power_guard(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        for seed in range(1, 11):
+            for case in workloads.generate(name, seed):
+                for text in (case["expr"], case.get("q", "1")):
+                    parse(text, case["nvars"])
 
 
 def test_json_round_trip():
