@@ -4,7 +4,7 @@ Pos1: strict positivity at the coordinate unit vectors (exact).
 Pos2: strict positivity of each facet derivative on its facet minus the
       origin, certified by a simplex-multiplier exponent per facet and
       falsified by exact grid sampling; Inconclusive is a first-class
-      outcome.
+      outcome, and keeps the exponents of the facets that certify.
 Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       set of points whose nonzero coordinates share one argument (the
       "aligned" set).  Both modes first decide a p with no negative
@@ -12,22 +12,26 @@ Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       Holds when every pair face x_i, x_j carries exponents whose
       differences have gcd 1, Fails with an exact equality witness at
       e_i - e_j when some gcd is even (0 for a face with one term or
-      none); an odd gcd >= 3 goes on to the mode's search.  Falsify
-      mode samples the normalized domain, re-validates candidates
-      exactly when their phases are multiples of pi/2, and else refines
-      the best ones by Nelder-Mead and checks rational points next to
-      each refined point exactly.  Every Fails carries an exact
-      Gaussian-rational witness.  Certify mode decides the rest for
-      n = 2 only: it proves
-      G = D / (4 r1 r2 sin^2(t/2)) > 0, where D = p(r)^2 - |p(r e^{it})|^2
-      and G is a sum of Fejer kernels (see `_fejer_terms`).  G is a
-      polynomial in (r1, cos t), so exact Bernstein coefficients on
-      [0, 1] x [-1, 1], split by de Casteljau, decide its sign with no
-      rounding at all.  Dividing out the removable zeros of D on the
-      aligned set leaves nothing to fence off.  When the search stops
-      at a corner where G < 0 inside the segment, rational points next
-      to it are checked exactly for a Fails witness; failing that,
-      quarter-turn points are.
+      none); an odd gcd >= 3 goes on to the mode's search.
+      `_pair_face_probe` tests the quarter-turn points of the grid on
+      every pair face in integers, and a point where |p(z)| >= p(|z|) is
+      an exact Fails.  Falsify mode runs it before any sampling, on the
+      quarter turns its phase grid holds, so such a Fails draws no
+      sample.  Only on a miss does it sample the normalized domain,
+      re-validate candidates exactly when their phases are multiples of
+      pi/2, and else refine the best ones by Nelder-Mead and check
+      rational points next to each refined point exactly.  Every Fails
+      carries an exact Gaussian-rational witness.  Certify mode runs the
+      probe alone for n >= 3 (a miss is Inconclusive).  For n = 2 it
+      proves G = D / (4 r1 r2 sin^2(t/2)) > 0, where
+      D = p(r)^2 - |p(r e^{it})|^2 and G is a sum of Fejer kernels (see
+      `_fejer_terms`).  G is a polynomial in (r1, cos t), so exact
+      Bernstein coefficients on [0, 1] x [-1, 1], split by de Casteljau,
+      decide its sign with no rounding at all.  Dividing out the
+      removable zeros of D on the aligned set leaves nothing to fence
+      off.  When the search stops at a corner where G < 0 inside the
+      segment, rational points next to it are checked exactly for a
+      Fails witness; failing that, the probe runs.
 
 Also here: the associated Hermitian bihomogeneous form
 P(z, conj(w)) = p(z_1 conj(w_1), ..., z_n conj(w_n)), its strict
@@ -203,8 +207,8 @@ def check_pos2(p: Polynomial, polya_budget: int = 50,
         Condition.POS2, Verdict.INCONCLUSIVE,
         certificate=None,
         witness=None,
-        budget={"polya_budget": polya_budget, "samples": samples,
-                "uncertified_facets": [k + 1 for k in uncertified]})
+        budget={"polya_budget": polya_budget, "polya_exponents": exponents,
+                "samples": samples, "uncertified_facets": [k + 1 for k in uncertified]})
 
 
 # ---------------------------------------------------------------------
@@ -265,6 +269,48 @@ def _exact_witness(p: Polynomial, radii: Sequence[Fraction],
             "p_abs_z_squared": str(rhs),
             "equality": lhs == rhs,
             "validation": "exact"}
+
+
+def _pair_face_probe(p: Polynomial, grid: int, quarters: Sequence[int]) -> tuple:
+    """The first quarter-turn point on a pair face where |p(z)| >= p(|z|),
+    as an exact Fails witness or None, and the number of points tested.
+
+    For each pair i < j in turn, k = 1, ..., grid - 1 and q in `quarters`,
+    the point is z_i = k/grid, z_j = i^q (grid - k)/grid and z_m = 0
+    otherwise.  There p(z) and p(|z|) are the face terms c x_i^a x_j^b
+    alone; times grid^d and the lcm of their denominators they are the
+    Gaussian integer Z = sum c k^a (grid - k)^b i^(q b) and the integer
+    P = sum c k^a (grid - k)^b, so |Z|^2 >= P^2 is tested on Python ints.
+    `_exact_witness` builds the witness at the first such point and must
+    agree.
+    """
+    n, d = p.nvars, p.degree()
+    points = 0
+    for i, j in combinations(range(n), 2):
+        face = [(c, e[i], e[j]) for e, c in p.terms.items() if e[i] + e[j] == d]
+        scale = math.lcm(*(c.denominator for c, _, _ in face))
+        coefs = [c.numerator * (scale // c.denominator) for c, _, _ in face]
+        # the power of the imaginary unit each term picks up at each quarter
+        turns = {q: [q * b % 4 for _, _, b in face] for q in quarters}
+        for k in range(1, grid):
+            values = [c * k ** a * (grid - k) ** b for c, (_, a, b) in zip(coefs, face)]
+            total = sum(values)
+            for q in quarters:
+                points += 1
+                parts = [0, 0, 0, 0]
+                for v, t in zip(values, turns[q]):
+                    parts[t] += v
+                re, im = parts[0] - parts[2], parts[1] - parts[3]
+                if re * re + im * im >= total * total:
+                    radii = [Fraction(0)] * n
+                    radii[i], radii[j] = Fraction(k, grid), Fraction(grid - k, grid)
+                    units = [_QUARTER_UNITS[q if m == j else 0] for m in range(n)]
+                    witness = _exact_witness(p, radii, units)
+                    if witness is None:
+                        raise RuntimeError(f"the integer and the exact quarter-turn tests "
+                                           f"disagree at {radii}, quarter {q}")
+                    return witness, points
+    return None, points
 
 
 #: Denominator bounds of the rational points next to a float point at
@@ -537,13 +583,21 @@ def _grid_samples(n: int, opts: Pos3Options) -> tuple:
 
 def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     n, g = p.nvars, opts.grid
+    # the pair-face points of the grid at a quarter-turn phase difference:
+    # pi when g is even, and pi/2 as well when 4 | g (3 pi/2 mirrors pi/2,
+    # since |p(conj z)| = |p(z)|)
+    witness, points = _pair_face_probe(p, g, [q for q in (1, 2) if q * g % 4 == 0])
+    if witness is not None:
+        return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
+                               budget={"quarter_turn_points": points})
     arrays = _pair_arrays(p)
     radii, row, phases, R, TH = _grid_samples(n, opts)
     D, p_r = _eval_d_grid(p, arrays, g, radii, row, phases)
     low = np.flatnonzero(D <= opts.tolerance * np.maximum(p_r ** 2, 1e-30))
     candidate_idx = low[_misalignment(R[low], TH[low]) > _MISALIGNMENT_FLOOR]
     candidate_idx = candidate_idx[np.argsort(D[candidate_idx], kind="stable")]
-    budget = {"samples": len(row), "candidates": int(len(candidate_idx))}
+    budget = {"quarter_turn_points": points, "samples": len(row),
+              "candidates": int(len(candidate_idx))}
 
     # pass 1: exact re-validation for quarter-turn phases
     for idx in candidate_idx[:200]:
@@ -703,28 +757,23 @@ def _corner_probe(p: Polynomial, r1: Fraction, c: Fraction) -> tuple:
 
 
 def _quarter_turn_probe(p: Polynomial, grid: int, budget: dict) -> ConditionReport:
-    """Fails with an exact witness at the first r = (j/grid, 1 - j/grid),
-    phase difference pi/2 or pi, where |p(z)| >= p(|z|); else
-    Inconclusive.  `budget` is the search's, reported either way."""
-    points = 0
-    for j in range(1, grid):
-        radii = (Fraction(j, grid), 1 - Fraction(j, grid))
-        for quarter in (1, 2):
-            points += 1
-            witness = _exact_witness(p, radii, (_QUARTER_UNITS[0], _QUARTER_UNITS[quarter]))
-            if witness is not None:
-                return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
-                                       budget={**budget, "quarter_turn_points": points})
-    return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE,
-                           budget={**budget, "quarter_turn_points": points})
+    """Fails with an exact witness at the first pair-face point with phase
+    difference pi/2 or pi where |p(z)| >= p(|z|) (`_pair_face_probe`);
+    else Inconclusive.  `budget` is the search's, reported either way."""
+    witness, points = _pair_face_probe(p, grid, (1, 2))
+    budget = {**budget, "quarter_turn_points": points}
+    if witness is not None:
+        return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness, budget=budget)
+    return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE, budget=budget)
 
 
 def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     if p.nvars > 2:
-        return ConditionReport(
-            Condition.POS3, Verdict.INCONCLUSIVE,
-            budget={"note": "certify decides n >= 3 only from the support, when "
-                            "no coefficient is negative"})
+        rep = _quarter_turn_probe(p, opts.grid, {})
+        if rep.verdict is Verdict.INCONCLUSIVE:
+            rep.budget["note"] = ("certify decides n >= 3 only from the support, when no "
+                                  "coefficient is negative, and the pair-face quarter turns")
+        return rep
     # G > 0 makes p nonzero on the open segment r1 + r2 = 1, so p keeps
     # one sign there; this makes the sign positive
     half = Fraction(1, 2)

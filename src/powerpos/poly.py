@@ -26,10 +26,16 @@ MultiIndex = tuple[int, ...]
 #: so arithmetic on it fails loudly instead of producing nonsense.
 MINUS_INFINITY = object()
 
-#: The parser refuses a power base^m that may expand to more terms than
-#: this.  Expansion costs about the square of the term count: the largest
-#: admitted binary power, (x1+x2)^999, takes about 3 s on a 2-vCPU VM.
+#: The parser refuses a power base^m, or a product, that may expand to
+#: more terms than this.  Expansion costs about the square of the term
+#: count: the largest admitted binary power, (x1+x2)^999, takes about 3 s
+#: on a 2-vCPU VM.
 MAX_POWER_TERMS = 1_000
+
+#: The parser refuses a power base^m whose coefficients may take more
+#: bits than this, numerator and denominator together: 3^1000000000 would
+#: take minutes and 200 MB to form.
+MAX_POWER_BITS = 100_000
 
 
 def grlex_key(exp: MultiIndex) -> tuple:
@@ -403,35 +409,65 @@ class _Parser:
         return result
 
     def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
+        # every factor is bounded before any power is expanded, so an
+        # oversized product fails before the work starts
+        factors = [self.parse_factor()]
+        terms = factors[0][2]
         while self.tok == "*":
+            star = self.tok_pos
             self._advance()
-            result = result * self.parse_factor()
+            factors.append(self.parse_factor())
+            terms *= factors[-1][2]
+            if terms:
+                # no factor is zero, so the product has the summed degree
+                powers = [(base, m) for base, m, _ in factors if m]
+                terms = min(terms, self._monomials(sum(base.degree() * m for base, m in powers),
+                                                   all(base.is_homogeneous() for base, _ in powers)))
+                self._refuse_over("product", terms, star)
+        powers = [base if m == 1 else base ** m for base, m, _ in factors]
+        result = powers[0]
+        for power in powers[1:]:
+            result = result * power
         return result
 
-    def parse_factor(self) -> Polynomial:
+    def _monomials(self, degree: int, homogeneous: bool) -> int:
+        """The monomials of this degree, or of every degree up to it when
+        the polynomial is not homogeneous."""
+        return dense_monomial_count(self.nvars + (not homogeneous), degree)
+
+    def _refuse_over(self, what: str, terms: int, offset: int) -> None:
+        if terms > MAX_POWER_TERMS:
+            raise ParseError(f"{what} may expand to {terms} terms, over the limit of "
+                             f"{MAX_POWER_TERMS}", offset)
+
+    def parse_factor(self) -> tuple:
+        """A factor base^m, not yet expanded, as (base, m, terms): base^m
+        has at most `terms` terms."""
         base = self.parse_base()
-        if self.tok == "^":
-            caret_pos = self.tok_pos
-            self._advance()
-            if self.tok is None or not self.tok.isdigit():
-                if self.tok == "-":
-                    raise ParseError("exponent must be a nonnegative integer", self.tok_pos)
-                raise ParseError("expected nonnegative integer exponent", caret_pos)
-            m = int(self.tok)
-            if not base.is_zero():
-                # base^m has at most one term per multiset of m of base's T
-                # terms, and no more than the monomials of degree deg*m
-                # (of every degree up to deg*m when base is not homogeneous)
-                count = min(comb(len(base.terms) + m - 1, m),
-                            dense_monomial_count(self.nvars + (not base.is_homogeneous()),
-                                                 base.degree() * m))
-                if count > MAX_POWER_TERMS:
-                    raise ParseError(f"power may expand to {count} terms, over the limit of "
-                                     f"{MAX_POWER_TERMS}", caret_pos)
-            self._advance()
-            base = base ** m
-        return base
+        if self.tok != "^":
+            return base, 1, len(base.terms)
+        caret_pos = self.tok_pos
+        self._advance()
+        if self.tok is None or not self.tok.isdigit():
+            if self.tok == "-":
+                raise ParseError("exponent must be a nonnegative integer", self.tok_pos)
+            raise ParseError("expected nonnegative integer exponent", caret_pos)
+        m = int(self.tok)
+        self._advance()
+        if m == 0 or base.is_zero():
+            return base, m, int(m == 0)
+        # base^m has at most one term per multiset of m of base's T terms,
+        # and no more than the monomials of degree deg*m
+        terms = min(comb(len(base.terms) + m - 1, m),
+                    self._monomials(base.degree() * m, base.is_homogeneous()))
+        self._refuse_over("power", terms, caret_pos)
+        # |a/b|^m takes about m log2(|a| b) bits
+        bits = m * max((abs(c.numerator) * c.denominator - 1).bit_length()
+                       for c in base.terms.values())
+        if bits > MAX_POWER_BITS:
+            raise ParseError(f"power may have coefficients of {bits} bits, over the limit "
+                             f"of {MAX_POWER_BITS}", caret_pos)
+        return base, m, terms
 
     def parse_base(self) -> Polynomial:
         tok = self.tok

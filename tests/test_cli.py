@@ -2,9 +2,11 @@
 
 import argparse
 import csv
+import importlib
 import inspect
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -184,6 +186,26 @@ def test_nelder_mead_witness_is_exact(expr, nvars, tmp_path):
         z = [mpmath.mpc(mp(re), mp(im)) for re, im in witness["z"]]
         gap = modulus_gap(parse(expr, nvars), [abs(v) for v in z], [mpmath.arg(v) for v in z])
         assert gap < -mpmath.mpf(10) ** -6
+
+
+def test_bench_pos3_witnesses_are_exact_on_the_quarter_turn_axes(monkeypatch, tmp_path):
+    # bench/oracles.py re-checks an exact z only on the quarter-turn axes
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    oracles = importlib.import_module("oracles")
+    out = tmp_path / "r.json"
+    fails = 0
+    for name in ("certify", "falsify"):
+        for seed in range(1, 11):
+            for case in workloads.generate(name, seed):
+                run(case["argv"] + ["--json", str(out)])
+                pos3 = json.loads(out.read_text())["reports"][2]
+                if pos3["verdict"] == "Fails":
+                    fails += 1
+                    assert pos3["witness"]["validation"] == "exact"
+                    p = oracles.parse(case["expr"], case["nvars"])
+                    assert oracles.check_pos3_witness(p, pos3["witness"]) == []
+    assert fails >= 40
 
 
 def test_main_gives_the_same_report_on_every_call(tmp_path):

@@ -1,6 +1,7 @@
 """Condition deciders: unit-vector, facet-derivative, and modulus checks."""
 
 import cmath
+import itertools
 import math
 import random
 import time
@@ -140,12 +141,15 @@ def test_pos2_validates_its_budgets():
 
 @pytest.mark.parametrize("expr, nvars, exponents, budget", [
     ("(x1+x2+x3)^5 - 5*x3*(x1+x2)^4 + x3*((x1-x2)^2*(x1+x2)^2 + 1/1000*x1^2*x2^2)", 3,
-     [1, 1, None], {"samples": 17, "uncertified_facets": [3]}),
+     [1, 1, None], {"polya_exponents": {"1": 1, "2": 1}, "samples": 17,
+                    "uncertified_facets": [3]}),
     ("(x1+x2+x3+x4)^3 - 3*x4*(x1+x2+x3)^2 + x4*((x1-x2)^2+(x2-x3)^2+1/500*x1*x3)", 4,
-     [1, 1, 1, None], {"samples": 153, "uncertified_facets": [4]}),
+     [1, 1, 1, None], {"polya_exponents": {"1": 1, "2": 1, "3": 1}, "samples": 153,
+                       "uncertified_facets": [4]}),
 ], ids=["n3", "n4"])
 def test_pos2_reports_on_pos2_hard_inputs(expr, nvars, exponents, budget):
-    # The thorough profile's budgets; the reports the stepwise Polya search gave.
+    # The thorough profile's budgets; the reports the stepwise Polya search
+    # gave, and the exponents of the facets that certify.
     p = parse(expr, nvars)
     assert [polya_exponent(facet_derivative(p, k), 120) for k in range(nvars)] == exponents
     rep = check_pos2(p, polya_budget=120, sample_grid=16)
@@ -452,6 +456,13 @@ def _rational_modulus(re, im):
     return F(num, den)
 
 
+def _witness_holds(p, witness):
+    """|p(z)|^2 >= p(|z|)^2, exactly, at a Gaussian-rational witness."""
+    z = [(F(re), F(im)) for re, im in witness["z"]]
+    vre, vim = eval_complex_exact(p, z)
+    return vre * vre + vim * vim >= eval_rational(p, [_rational_modulus(*v) for v in z]) ** 2
+
+
 def test_pos3_falsify_fails_exactly_only_where_certify_does_not_hold():
     # positive coefficients with one set below zero, so that certify both
     # holds and fails; odd grids hold no quarter-turn phase, so every
@@ -501,12 +512,16 @@ def test_pos3_certify_verdict_survives_swapping_the_variables(expr):
     ("(x1+x2+x3)^2", Verdict.HOLDS),
     ("(x1+x2+x3)^4 - 3*x1^2*x2^2", Verdict.HOLDS),
     ("x1^2 + x2^2 + x3^2 + x1*x2", Verdict.FAILS),
-    ("(x1+x2+x3)^4 - 9*x1^2*x2^2", Verdict.INCONCLUSIVE),
+    # the x3 = 0 face is the dv quartic with lam = 9 > 8
+    ("(x1+x2+x3)^4 - 9*x1^2*x2^2", Verdict.FAILS),
 ])
 def test_pos3_certify_three_variables(expr, verdict):
-    rep = check_pos3(parse(expr, 3), Pos3Options(mode=Pos3Mode.CERTIFY))
+    p = parse(expr, 3)
+    rep = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY))
     assert rep.verdict is verdict
     assert "boxes_processed" not in rep.budget
+    if verdict is Verdict.FAILS:
+        assert rep.witness["validation"] == "exact" and _witness_holds(p, rep.witness)
 
 
 # ---------------------------------------------------------------------
@@ -550,8 +565,8 @@ def test_support_rule_leaves_an_odd_face_gcd_to_the_search():
     assert conditions._nonnegative_support(p) is None
     falsify = check_pos3(p)
     assert falsify.verdict is Verdict.INCONCLUSIVE
-    assert falsify.budget == {"samples": 1056, "candidates": 0, "refined": 0,
-                              "note": "no counterexample found"}
+    assert falsify.budget == {"quarter_turn_points": 62, "samples": 1056, "candidates": 0,
+                              "refined": 0, "note": "no counterexample found"}
     certify = check_pos3(p, CERTIFY)
     assert certify.verdict is Verdict.INCONCLUSIVE
     assert certify.budget == {"boxes_processed": 1, "boxes_closed": 0, "max_depth_used": 0,
@@ -595,6 +610,104 @@ def test_support_rule_agrees_with_both_searches(p, data):
                                  for exp, c in p.terms.items()})
     moved_rule = conditions._nonnegative_support(moved)
     assert (rule and rule.verdict) == (moved_rule and moved_rule.verdict)
+
+
+# ---------------------------------------------------------------------
+# Pos3 pair-face quarter-turn probe
+# ---------------------------------------------------------------------
+
+def _pushed_negative(rng, n, d):
+    """Positive coefficients on the monomials of degree d >= 2, one off the
+    vertices pushed below zero by a share of at most 1/4 of their sum."""
+    monomials = list(monomials_of_degree(n, d))
+    terms = {exp: F(rng.randint(1, 9), rng.randint(1, 3)) for exp in monomials}
+    inner = [exp for exp in monomials if max(exp) < d]
+    terms[rng.choice(inner)] = -F(rng.randint(1, 16), 64) * sum(terms.values())
+    return Polynomial(n, terms)
+
+
+def _probe_by_fractions(p, grid, quarters):
+    """`_pair_face_probe` as a plain loop of `_exact_witness` over the same
+    points, in the same order."""
+    n, points = p.nvars, 0
+    for i, j in itertools.combinations(range(n), 2):
+        for k in range(1, grid):
+            for q in quarters:
+                points += 1
+                radii = [F(0)] * n
+                radii[i], radii[j] = F(k, grid), F(grid - k, grid)
+                units = [conditions._QUARTER_UNITS[q if m == j else 0] for m in range(n)]
+                witness = conditions._exact_witness(p, radii, units)
+                if witness is not None:
+                    return witness, points
+    return None, points
+
+
+def test_pair_face_probe_matches_a_loop_of_exact_checks():
+    rng = random.Random(12)
+    hits = misses = 0
+    for _ in range(30):
+        p = _pushed_negative(rng, rng.randint(2, 4), rng.randint(2, 5))
+        for grid, quarters in ((8, (1, 2)), (6, (2,))):
+            found = conditions._pair_face_probe(p, grid, quarters)
+            assert found == _probe_by_fractions(p, grid, quarters)
+            hits += found[0] is not None
+            misses += found[0] is None
+    assert hits >= 15 and misses >= 10
+
+
+def test_pair_face_probe_counts_every_point_of_a_miss():
+    p = parse("(x1+x2+x3+x4)^2", 4)
+    assert conditions._pair_face_probe(p, 32, (1, 2)) == (None, 6 * 31 * 2)
+    assert conditions._pair_face_probe(p, 6, (2,)) == (None, 6 * 5)
+    assert conditions._pair_face_probe(p, 7, ()) == (None, 0)
+
+
+def test_pair_face_probe_raises_when_the_exact_check_disagrees(monkeypatch):
+    monkeypatch.setattr(conditions, "_exact_witness", lambda p, radii, units: None)
+    with pytest.raises(RuntimeError, match="disagree"):
+        conditions._pair_face_probe(P_EQUALITY_QUARTIC, 32, (1, 2))
+
+
+def test_pair_face_probe_fails_only_where_certify_does_not_hold():
+    rng = random.Random(13)
+    hits = holds = 0
+    for _ in range(60):
+        p = _pushed_negative(rng, 2, rng.randint(2, 6))
+        witness, _ = conditions._pair_face_probe(p, 32, (1, 2))
+        certified = check_pos3(p, CERTIFY).verdict
+        assert witness is None or certified is not Verdict.HOLDS
+        hits += witness is not None
+        holds += certified is Verdict.HOLDS
+    assert hits >= 10 and holds >= 5
+
+
+def test_pair_face_probe_verdict_survives_permuting_the_variables():
+    rng = random.Random(14)
+    hits = misses = 0
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        p = _pushed_negative(rng, n, rng.randint(2, 4))
+        perm = rng.sample(range(n), n)
+        moved = Polynomial(n, {tuple(exp[k] for k in perm): c for exp, c in p.terms.items()})
+        for grid, quarters in ((32, (1, 2)), (6, (2,))):
+            found = conditions._pair_face_probe(p, grid, quarters)[0] is not None
+            assert found == (conditions._pair_face_probe(moved, grid, quarters)[0] is not None)
+            hits += found
+            misses += not found
+        if n >= 3:
+            assert check_pos3(p, CERTIFY).verdict is check_pos3(moved, CERTIFY).verdict
+    assert hits >= 10 and misses >= 2
+
+
+def test_falsify_probes_only_the_quarter_turns_on_its_grid():
+    # on its pair face p fails at phase difference pi/2 and not at pi:
+    # grid 4 holds both phases, grid 6 holds pi alone, the odd grid 7 neither
+    p = parse("7/2*x1^4 - 55/48*x1^2*x2^2 + 3/2*x1*x2^3 + 2/3*x2^4", 2)
+    assert check_pos3(p, Pos3Options(grid=4)).budget == {"quarter_turn_points": 3}
+    for grid, points in ((6, 5), (7, 0)):
+        rep = check_pos3(p, Pos3Options(grid=grid))
+        assert rep.budget["quarter_turn_points"] == points and "samples" in rep.budget
 
 
 def _g_at(p, r1, t):
@@ -853,31 +966,38 @@ def test_misalignment_is_the_distance_to_the_mean_direction():
     assert np.all(np.abs(aligned) <= 1e-15)
 
 
-@pytest.mark.parametrize("lam, candidates, abs_p_z_squared, p_abs_z_squared", [
-    ("29/2", 1779, "841/1024", "9/1024"),
-    ("9", 117, "81/256", "49/256"),
-    ("25/2", 1106, "625/1024", "49/1024"),
-])
-def test_pos3_falsify_lift_reports(lam, candidates, abs_p_z_squared, p_abs_z_squared):
-    # the x3 = 0 face is the dv quartic with the same lam > 8: a
-    # quarter-turn witness at z = (1, -1, 0)
-    rep = check_pos3(parse(f"(x1 + x2 + x3)^4 - {lam}*x1^2*x2^2", 3))
+@pytest.mark.parametrize("lam, points, z, abs_p_z_squared, p_abs_z_squared", [
+    ("29/2", 9, [["5/27", "0"], ["0", "1"], ["0", "0"]],
+     "2465844340249/4398046511104", "2460590665129/4398046511104"),
+    ("9", 26, [["13/19", "0"], ["-1", "0"], ["0", "0"]],
+     "300068406225/1099511627776", "249495255025/1099511627776"),
+    ("25/2", 13, [["7/25", "0"], ["0", "1"], ["0", "0"]],
+     "2052556127329/4398046511104", "1772964151729/4398046511104"),
+], ids=["29/2", "9", "25/2"])
+def test_pos3_falsify_lift_reports(lam, points, z, abs_p_z_squared, p_abs_z_squared):
+    # the x3 = 0 face is the dv quartic with the same lam > 8: the pair-face
+    # probe fails it at a quarter turn, at r = (k/32, 1 - k/32), with no
+    # sample drawn
+    p = parse(f"(x1 + x2 + x3)^4 - {lam}*x1^2*x2^2", 3)
+    rep = check_pos3(p)
     assert rep.verdict is Verdict.FAILS
-    assert rep.budget == {"samples": 20000, "candidates": candidates}
-    assert rep.witness == {"z": [["1", "0"], ["-1", "0"], ["0", "0"]],
-                           "abs_p_z_squared": abs_p_z_squared,
+    assert rep.budget == {"quarter_turn_points": points}
+    assert rep.witness == {"z": z, "abs_p_z_squared": abs_p_z_squared,
                            "p_abs_z_squared": p_abs_z_squared,
                            "equality": False, "validation": "exact"}
+    assert _witness_holds(p, rep.witness)
+    # at grid 32 certify runs the same probe on the same points
+    assert check_pos3(p, CERTIFY).to_json_dict() == rep.to_json_dict()
 
 
 def test_pos3_falsify_quarter_turn_witness_off_the_real_axis():
-    # p(1, i) = 3 against p(1, 1) = 1; at phase pi |p| = p(|z|) only, so
-    # the most negative D, and the witness, sit at phase pi/2
+    # p(1, i) = 3 against p(1, 1) = 1: phase pi/2 fails at every r, and the
+    # probe tries it first, at r = (1/32, 31/32)
     rep = check_pos3(parse("x1^4 + x2^4 - x1^2*x2^2", 2))
-    assert rep.budget == {"samples": 1056, "candidates": 857}
-    assert rep.witness == {"z": [["1", "0"], ["0", "1/3"]],
-                           "abs_p_z_squared": "8281/65536",
-                           "p_abs_z_squared": "5329/65536",
+    assert rep.budget == {"quarter_turn_points": 1}
+    assert rep.witness == {"z": [["1/31", "0"], ["0", "1"]],
+                           "abs_p_z_squared": "854668817289/1099511627776",
+                           "p_abs_z_squared": "851118798721/1099511627776",
                            "equality": False, "validation": "exact"}
 
 
@@ -890,15 +1010,18 @@ def test_pos3_falsify_single_term_has_equality_witness():
 
 
 def test_pos3_falsify_never_lists_the_radius_grid(monkeypatch):
-    # 8 variables at grid 32 have 15,380,937 radii
+    # 8 variables at grid 32 have 15,380,937 radii.  The negative
+    # coefficient lies on no pair face and every face is (x_i + x_j)^3, so
+    # the pair-face probe misses and the sampler runs.
     def listed(*args):
         raise AssertionError("the radius grid was listed")
     monkeypatch.setattr(conditions, "monomials_of_degree", listed)
-    p = parse("(x1+x2+x3+x4+x5+x6+x7+x8)^2 - 3*x1*x2", 8)
+    p = parse("(x1+x2+x3+x4+x5+x6+x7+x8)^3 - 7*x1*x2*x3", 8)
     start = time.perf_counter()
     rep = check_pos3(p, Pos3Options(max_samples=2000))
     assert time.perf_counter() - start < 10
     assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.budget["quarter_turn_points"] == 28 * 62
     assert rep.budget["samples"] == 2000
 
 

@@ -17,7 +17,7 @@ from powerpos import (MINUS_INFINITY, Interval, ParseError, Polynomial,
                       serialize, to_json)
 from powerpos.cli import main
 from powerpos.corpus import load_corpus
-from powerpos.poly import MAX_POWER_TERMS
+from powerpos.poly import MAX_POWER_BITS, MAX_POWER_TERMS
 
 from helpers import rand_homogeneous, sympy_coeff_dict, to_sympy
 
@@ -260,6 +260,51 @@ def test_power_guard_counts_terms_not_the_basis(monkeypatch):
     assert len(parse("(x1 + 1)^9", 1).terms) == 10
     with pytest.raises(ParseError, match="11 terms"):
         parse("(x1 + 1)^10", 1)
+
+
+@pytest.mark.parametrize("text, nvars, message", [
+    ("(x1+x2)^999*(x1+x2)^999", 2, f"product may expand to 1999 terms.*limit of {MAX_POWER_TERMS}"),
+    ("3^1000000000", 1, f"2000000000 bits.*limit of {MAX_POWER_BITS}"),
+    ("(3*x1)^1000000000", 1, f"2000000000 bits.*limit of {MAX_POWER_BITS}"),
+])
+def test_oversized_product_or_coefficient_fails_fast(capsys, text, nvars, message):
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match=message):
+        parse(text, nvars)
+    capsys.readouterr()
+    assert main(["check", text]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "error:" in err
+
+
+def test_product_guard_bounds_terms_by_factors_and_monomials(monkeypatch):
+    monkeypatch.setattr("powerpos.poly.MAX_POWER_TERMS", 10)
+    # 5 * 6 term pairs, but only the 10 monomials of degree 9
+    assert len(parse("(x1+x2)^4*(x1+x2)^5", 2).terms) == 10
+    with pytest.raises(ParseError, match="product may expand to 11 terms"):
+        parse("(x1+x2)^5*(x1+x2)^5", 2)
+    # 3 * 4 term pairs, fewer than the 28 monomials of degree 2
+    with pytest.raises(ParseError, match="product may expand to 12 terms"):
+        parse("(x1+x2+x3)*(x4+x5+x6+x7)", 7)
+    # a non-homogeneous product fills degrees 0..9
+    assert len(parse("(x1+1)^4*(x1+1)^5", 1).terms) == 10
+    with pytest.raises(ParseError, match="product may expand to 11 terms"):
+        parse("(x1+1)^5*(x1+1)^5", 1)
+    # a zero factor makes the product zero; a power to 0 is one term
+    assert parse("0*(x1+x2)^9*(x1+x2)^9", 2).is_zero()
+    assert parse("(x1+x2+x3)^0*(x1+x2)^9", 3) == parse("(x1+x2)^9", 3)
+
+
+def test_coefficient_guard_counts_bits_not_the_exponent():
+    assert parse("x1^200000", 1) == Polynomial.variable(1, 0) ** 200000
+    assert parse("(1/2)^100000*x1", 1) == parse("x1", 1).scale(F(1, 2 ** 100000))
+    with pytest.raises(ParseError, match="100001 bits"):
+        parse("2^100001", 1)
+    # |-3/2| takes ceil(log2(3 * 2)) = 3 bits per power
+    assert len(parse("(-3/2*x1)^33333", 1).terms) == 1
+    with pytest.raises(ParseError, match="100002 bits"):
+        parse("(-3/2*x1)^33334", 1)
 
 
 def test_bench_expressions_pass_the_power_guard(monkeypatch):
