@@ -11,8 +11,8 @@ from .conditions import (Condition, ConditionReport, Pos3Mode, Pos3Options,
                          SgcsResult, Verdict, assoc_bihom_eval, check_pos1,
                          check_pos2, check_pos3, check_sgcs, facet_derivative,
                          max_squared_norm_diag)
-from .eventual import (PositivityPattern, all_coeffs_positive, polya_exponent,
-                       power_scan)
+from .eventual import (OnsetProof, PositivityPattern, ScanRow, all_coeffs_positive,
+                       polya_exponent, power_scan, scan_rows)
 from .geometry import (amgm_check, difference_lattice_is_full, hessian_logf_fd,
                        is_positive_definite, jf_matrix, log_support,
                        newton_affine_dim, smith_invariant_factors)
@@ -31,7 +31,8 @@ __all__ = [
     "Condition", "ConditionReport", "Pos3Mode", "Pos3Options", "SgcsResult",
     "Verdict", "assoc_bihom_eval", "check_pos1", "check_pos2", "check_pos3",
     "check_sgcs", "facet_derivative", "max_squared_norm_diag",
-    "PositivityPattern", "all_coeffs_positive", "polya_exponent", "power_scan",
+    "OnsetProof", "PositivityPattern", "ScanRow", "all_coeffs_positive",
+    "polya_exponent", "power_scan", "scan_rows",
     "amgm_check", "difference_lattice_is_full", "hessian_logf_fd",
     "is_positive_definite", "jf_matrix", "log_support", "newton_affine_dim",
     "smith_invariant_factors", "Interval", "MINUS_INFINITY", "MultiIndex",

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import corpus as corpus_mod
 from .conditions import (Pos3Options, Verdict, check_pos1, check_pos2,
                          check_pos3)
-from .eventual import power_scan, polya_exponent
+from .eventual import power_scan, polya_exponent, scan_rows
 from .geometry import (difference_lattice_generators, hessian_logf_fd,
                        is_positive_definite, jf_matrix, newton_affine_dim,
                        smith_invariant_factors, difference_lattice_is_full)
@@ -157,9 +157,8 @@ def cmd_power_scan(args) -> int:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["m", "all_positive", "num_terms", "min_coef"])
-            for m in range(args.max_m + 1):
-                writer.writerow([m, pattern.flags[m], pattern.num_terms[m],
-                                 str(pattern.min_coefs[m])])
+            for row in scan_rows(p, q, args.max_m):
+                writer.writerow([row.m, row.all_positive, row.num_terms, str(row.min_coef)])
     return EXIT_OK
 
 
@@ -240,7 +239,8 @@ def cmd_sweep(args) -> int:
         rows.append({"lambda": str(lam),
                      "pos1": verdicts["Pos1"], "pos2": verdicts["Pos2"],
                      "pos3": verdicts["Pos3"],
-                     "window_onset": pattern.onset})
+                     "window_onset": pattern.onset,
+                     "onset_proved": pattern.onset_proved})
     out = args.csv or "-"
     fh = sys.stdout if out == "-" else open(out, "w", newline="")
     try:
@@ -268,9 +268,10 @@ def _check_entry(entry, budgets: Budgets, seed: int) -> dict:
                   for cond, want in entry.expected.items()
                   if observed.get(cond) != want]
     onset_observed = None
+    onset_proved = False
     if entry.scan_m_max:
         pattern = power_scan(p, entry.q, entry.scan_m_max)
-        onset_observed = pattern.onset
+        onset_observed, onset_proved = pattern.onset, pattern.onset_proved
         want = entry.expect_onset
         if want == "finite" and onset_observed is None:
             mismatches.append("onset: expected finite, observed none")
@@ -280,6 +281,7 @@ def _check_entry(entry, budgets: Budgets, seed: int) -> dict:
             mismatches.append(f"onset: expected {want}, observed {onset_observed}")
     return {"name": entry.name, "expected": entry.expected,
             "observed": observed, "window_onset": onset_observed,
+            "onset_proved": onset_proved,
             "mismatches": mismatches, "notes": entry.notes}
 
 

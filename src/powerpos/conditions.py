@@ -249,7 +249,8 @@ _QUARTER_UNITS = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
 
 def _exact_witness(p: Polynomial, radii: Sequence[Fraction],
                    units: Sequence[tuple]) -> Optional[dict]:
-    """Exact check of |p(z)|^2 >= p(r)^2 at z_k = r_k u_k.
+    """Exact check of |p(z)| >= p(r) at z_k = r_k u_k: p(r) <= 0 outright,
+    else |p(z)|^2 >= p(r)^2.
 
     Each u_k is a rational unit vector, a (real, imaginary) pair of
     Fractions, so |z_k| = r_k exactly.  Returns the Fails witness, scaled
@@ -260,12 +261,14 @@ def _exact_witness(p: Polynomial, radii: Sequence[Fraction],
         return None     # aligned
     re, im = eval_complex_exact(p, [(r * u, r * v) for r, (u, v) in zip(radii, units)])
     lhs = re * re + im * im
-    rhs = eval_rational(p, list(radii)) ** 2
-    if lhs < rhs:
+    p_r = eval_rational(p, list(radii))
+    rhs = p_r ** 2
+    if p_r > 0 and lhs < rhs:
         return None
     top = max(radii)
     return {"z": [[str(u * r / top), str(v * r / top)] for r, (u, v) in zip(radii, units)],
             "abs_p_z_squared": str(lhs),
+            "p_abs_z": str(p_r),
             "p_abs_z_squared": str(rhs),
             "equality": lhs == rhs,
             "validation": "exact"}
@@ -375,6 +378,21 @@ def _misalignment(R: np.ndarray, TH: np.ndarray) -> np.ndarray:
     that mean, which is how it is computed.
     """
     return R.sum(axis=1) - np.abs((R * np.exp(1j * TH)).sum(axis=1))
+
+
+#: `_float_scaled` leaves p alone while its largest coefficient is below
+#: 2^_FLOAT_BITS, so 2 c_I c_J stays below about 2^513.
+_FLOAT_BITS = 256
+
+
+def _float_scaled(p: Polynomial) -> Polynomial:
+    """p times 2^-s for the least s >= 0 that brings its largest coefficient
+    below about 2^_FLOAT_BITS.  Every float test of the falsify layer is
+    invariant under positive scaling, and a power of two scales its floats
+    exactly, barring underflow; inputs below the bound are left alone."""
+    top = max(abs(c) for c in p.terms.values())
+    shift = top.numerator.bit_length() - top.denominator.bit_length() - _FLOAT_BITS
+    return p.scale(Fraction(1, 2 ** shift)) if shift > 0 else p
 
 
 def _pair_arrays(p: Polynomial) -> tuple:
@@ -590,9 +608,13 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     if witness is not None:
         return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
                                budget={"quarter_turn_points": points})
-    arrays = _pair_arrays(p)
+    # the float layer sees p times a power of two that keeps 2 c_I c_J and
+    # p(r)^2 in float range; every float test below is scale-free, and the
+    # exact checks use p itself
+    pf = _float_scaled(p)
+    arrays = _pair_arrays(pf)
     radii, row, phases, R, TH = _grid_samples(n, opts)
-    D, p_r = _eval_d_grid(p, arrays, g, radii, row, phases)
+    D, p_r = _eval_d_grid(pf, arrays, g, radii, row, phases)
     low = np.flatnonzero(D <= opts.tolerance * np.maximum(p_r ** 2, 1e-30))
     candidate_idx = low[_misalignment(R[low], TH[low]) > _MISALIGNMENT_FLOOR]
     candidate_idx = candidate_idx[np.argsort(D[candidate_idx], kind="stable")]
@@ -614,7 +636,7 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
 
     C, E, K = arrays[0], arrays[1].astype(float), arrays[2].astype(float)
     terms = [(float(c), [(j, e) for j, e in enumerate(exp) if e])
-             for exp, c in p.terms.items()]
+             for exp, c in pf.terms.items()]
 
     def objective(x):
         rfree = np.clip(x[:n - 1], 0.0, 1.0)
@@ -775,10 +797,12 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
                                   "coefficient is negative, and the pair-face quarter turns")
         return rep
     # G > 0 makes p nonzero on the open segment r1 + r2 = 1, so p keeps
-    # one sign there; this makes the sign positive
+    # one sign there; this makes the sign positive.  Otherwise z = (1/2,
+    # -1/2) is not aligned and |p(z)| >= 0 >= p(|z|): an exact Fails.
     half = Fraction(1, 2)
     if eval_rational(p, [half, half]) <= 0:
-        return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE,
+        witness = _exact_witness(p, (half, half), (_QUARTER_UNITS[0], _QUARTER_UNITS[2]))
+        return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
                                budget={"note": "p(1/2, 1/2) <= 0"})
     # prove G > 0 on [0, 1] x [-1, 1]; a search that stops hands over to
     # the exact corner and quarter-turn probes, so a Holds never pays for

@@ -1,10 +1,19 @@
 """Power scans and Pólya exponents for eventual coefficient positivity.
 
-The scanner walks p^m * q for m = 0..M_max with exact arithmetic and
+The scanner walks p^m * q for m = 0, 1, ... with exact arithmetic and
 records, for each m, whether every monomial of the full degree basis
-carries a strictly positive coefficient.  The least m from which the
-flags stay true through the end of the window is the "window-onset":
-a finite proxy for the true onset, never an inference beyond the window.
+carries a strictly positive coefficient.  It stops as soon as the flags
+so far prove every later one.  The set S = {m >= 1 : p^m all-positive}
+is closed under addition: a monomial of p^(a+b) splits into monomials of
+p^a and p^b, so every term of its coefficient in p^a * p^b is positive.
+Hence if p^m is all-positive on a run [a, 2a-1], it is for every
+m >= a, since each such m is a sum of members of the run.  Once that is
+proved, a run of a true flags of p^m * q on [m0, m0+a-1] proves every
+m >= m0: p^m * q = p^j * p^(m-j) * q with m - j in the run and j >= a.
+The flags past the stop are then true by proof, and the start of the
+trailing true run, the "window-onset", is the exact onset.  Without a
+proof the window-onset is only the start of the true run that reaches
+m_max.
 
 The Pólya search never forms (x1+...+xn)^N * g.  For g of degree d with
 integer coefficients c_b, the coefficient of x^a (|a| = N + d) in the
@@ -24,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -54,22 +63,41 @@ def all_coeffs_positive(f: Polynomial | np.ndarray) -> bool:
     return all(c > 0 for c in f.terms.values())
 
 
+@dataclass(frozen=True)
+class OnsetProof:
+    """The two runs that prove every flag of a scan past them.
+
+    p_run = [a, 2a-1]: p^m is all-positive there, hence for every m >= a.
+    q_run = [m0, m0+a-1]: p^m * q is all-positive there, hence for every
+    m >= m0.  With flag m0-1 false (or m0 = 0), m0 is the exact onset.
+    """
+
+    p_run: tuple[int, int]
+    q_run: tuple[int, int]
+
+    def to_json_dict(self) -> dict:
+        return {"p_run": list(self.p_run), "q_run": list(self.q_run)}
+
+
 @dataclass
 class PositivityPattern:
     """Per-power positivity flags for p^m * q, m = 0..m_max.
 
-    num_terms[m] and min_coefs[m] are the number of nonzero coefficients
-    of p^m * q and the least of them, exactly.
+    When `proof` is set, the flags past the point where it closed are true
+    by proof, not computed, and `onset` is the exact onset.
     """
 
     p_id: str
     q_id: str
     m_max: int
     flags: list[bool] = field(default_factory=list)
-    num_terms: list[int] = field(default_factory=list)
-    min_coefs: list[Fraction] = field(default_factory=list)
     first_true: Optional[int] = None
     onset: Optional[int] = None  # window-onset: flags true from here to m_max
+    proof: Optional[OnsetProof] = None
+
+    @property
+    def onset_proved(self) -> bool:
+        return self.proof is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -79,17 +107,102 @@ class PositivityPattern:
             "flags": self.flags,
             "first_true": self.first_true,
             "window_onset": self.onset,
+            "proof": None if self.proof is None else self.proof.to_json_dict(),
         }
+
+
+@dataclass(frozen=True)
+class ScanRow:
+    """p^m * q's flag, its number of nonzero coefficients and the least
+    of them, exactly."""
+
+    m: int
+    all_positive: bool
+    num_terms: int
+    min_coef: Fraction
 
 
 def power_scan(p: Polynomial, q: Polynomial, m_max: int,
                dense_cap: int = DEFAULT_DENSE_CAP) -> PositivityPattern:
-    """Scan p^m * q for all-positive coefficients, m = 0..m_max.
+    """Scan p^m * q for all-positive coefficients, m = 0..m_max, and stop
+    once the flags so far prove the rest (the module docstring's runs).
 
-    Incremental: keeps the running product and multiplies by p at each
-    step, since every intermediate power is inspected anyway.  Refuses
-    scans whose final dense coefficient count exceeds dense_cap.
+    The running product is multiplied by p once per step.  p's own flags
+    are stepped beside it only as far as the true run of L flags that
+    ends at the current m needs, index min(2L - 1, m_max): p's run closes
+    at 2a - 1, and q's needs L >= a.  So a scan whose flags never turn
+    true forms no power of p alone.  When q is a positive constant, p's
+    flags are the scan's own and nothing is formed twice.  Once both runs
+    close, the remaining flags are set true and `proof` records the runs;
+    first_true, the window-onset and every flag are those of the full
+    scan.  Refuses windows whose final dense coefficient count exceeds
+    dense_cap, whether or not the scan would stop early.
     """
+    _check_window(p, q, m_max, dense_cap)
+    pattern = PositivityPattern(p_id=serialize(p), q_id=serialize(q), m_max=m_max)
+    flags = pattern.flags
+    scan = _kernel_powers(p, q)
+    # own[k]: p^k is all-positive; own[0] is p^0 = 1
+    if q.degree() == 0 and q.coefficient((0,) * q.nvars) > 0:
+        own, own_scan = flags, None
+    else:
+        own, own_scan = [], _kernel_powers(p)
+    start = 1       # where p's current true run began
+    checked = 0     # own[1..checked] have been read into that run
+    a = None        # p's proved onset, once its run closes
+    run = 0         # length of the true run of flags that ends at m
+    for m in range(m_max + 1):
+        flags.append(all_coeffs_positive(next(scan)))
+        run = run + 1 if flags[m] else 0
+        reach = min(2 * run - 1, m if own_scan is None else m_max)
+        while a is None and checked < reach:
+            checked += 1
+            while len(own) <= checked:
+                own.append(all_coeffs_positive(next(own_scan)))
+            if not own[checked]:
+                start = checked + 1
+            elif checked >= 2 * start - 1:
+                a = start
+        if a is not None and run >= a:
+            m0 = m - run + 1
+            pattern.proof = OnsetProof((a, 2 * a - 1), (m0, m0 + a - 1))
+            flags += [True] * (m_max - m)
+            break
+
+    for m, flag in enumerate(flags):
+        if flag:
+            pattern.first_true = m
+            break
+    # window-onset: the start of the trailing all-true run, if any
+    if flags[-1]:
+        onset = m_max
+        while onset > 0 and flags[onset - 1]:
+            onset -= 1
+        pattern.onset = onset
+    return pattern
+
+
+def scan_rows(p: Polynomial, q: Polynomial, m_max: int,
+              dense_cap: int = DEFAULT_DENSE_CAP) -> Iterator[ScanRow]:
+    """Every row of the window, m = 0..m_max, computed, with no early stop.
+
+    Reads the same powers as power_scan, one product per row, as the
+    rows are iterated.  Refuses the window as power_scan does, at once.
+    """
+    _check_window(p, q, m_max, dense_cap)
+    p_scale, q_scale = _integer_terms(p)[1], _integer_terms(q)[1]
+    # range first: zip stops before it asks for a power past m_max
+    powers = zip(range(m_max + 1), _kernel_powers(p, q))
+    return (_row(m, f, p_scale ** m * q_scale) for m, f in powers)
+
+
+def _row(m: int, f: np.ndarray, scale: int) -> ScanRow:
+    """The row of a kernel array f that holds `scale` times p^m * q."""
+    nonzero = f[f != 0]
+    return ScanRow(m, all_coeffs_positive(f), len(nonzero), Fraction(nonzero.min(), scale))
+
+
+def _check_window(p: Polynomial, q: Polynomial, m_max: int, dense_cap: int) -> None:
     if p.nvars != q.nvars:
         raise ValueError("p and q must share nvars")
     if not p.is_homogeneous() or p.is_zero() or p.degree() == 0:
@@ -102,32 +215,6 @@ def power_scan(p: Polynomial, q: Polynomial, m_max: int,
     if final_count > dense_cap:
         raise ValueError(
             f"scan refused: dense coefficient count {final_count} exceeds cap {dense_cap}")
-
-    pattern = PositivityPattern(p_id=serialize(p), q_id=serialize(q), m_max=m_max)
-    p_terms, p_scale = _integer_terms(p)
-    q_terms, q_scale = _integer_terms(q)
-    d, deg = p.degree(), q.degree()
-    current = _times(_ONE, 0, q_terms, deg)
-    for m in range(m_max + 1):
-        if m > 0:
-            current = _times(current, deg, p_terms, d)
-            deg += d
-        nonzero = current[current != 0]
-        pattern.flags.append(all_coeffs_positive(current))
-        pattern.num_terms.append(len(nonzero))
-        pattern.min_coefs.append(Fraction(nonzero.min(), p_scale ** m * q_scale))
-
-    for m, flag in enumerate(pattern.flags):
-        if flag:
-            pattern.first_true = m
-            break
-    # window-onset: the start of the trailing all-true run, if any
-    if pattern.flags[-1]:
-        onset = m_max
-        while onset > 0 and pattern.flags[onset - 1]:
-            onset -= 1
-        pattern.onset = onset
-    return pattern
 
 
 def polya_exponent(g: Polynomial, n_max: int) -> Optional[int]:
@@ -223,6 +310,21 @@ def _integer_terms(f: Polynomial) -> tuple[IntTerms, int]:
     scale = math.lcm(*(c.denominator for c in f.terms.values()))
     return [(np.array(e[:-1], dtype=np.int64), int(c * scale))
             for e, c in f.terms.items()], scale
+
+
+def _kernel_powers(p: Polynomial, q: Optional[Polynomial] = None) -> Iterator[np.ndarray]:
+    """p^m * q for m = 0, 1, 2, ..., each times a positive constant; q = None
+    stands for 1.  Each product is formed only when it is asked for."""
+    p_terms, _ = _integer_terms(p)
+    if q is None:
+        current, deg = _ONE, 0
+    else:
+        deg = q.degree()
+        current = _times(_ONE, 0, _integer_terms(q)[0], deg)
+    while True:
+        yield current
+        current = _times(current, deg, p_terms, p.degree())
+        deg += p.degree()
 
 
 def _times(current: np.ndarray, deg: int, factor: IntTerms,

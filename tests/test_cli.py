@@ -28,6 +28,14 @@ def run(argv):
 # check
 # ---------------------------------------------------------------------
 
+def test_falsify_takes_coefficients_beyond_float_range(capsys):
+    # 10^400 is past float range; falsify's float layer sees p scaled by a
+    # power of two, and a verdict still rests on exact checks
+    code = run(["check", "(x1+x2+x3)^3 - 8*x1*x2*x3 + 10^400*x1^3", "--pos3-mode", "falsify"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_check_all_holds_exit_zero(tmp_path):
     out = tmp_path / "report.json"
     code = run(["check", "x1+x2", "--json", str(out)])
@@ -238,6 +246,7 @@ def test_power_scan_json_and_csv(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["window_onset"] == 3
+    assert report["proof"] == {"p_run": [1, 1], "q_run": [3, 3]}
     assert "metadata" not in report
     assert report["flags"] == [False, False, False, True, True, True, True]
     with open(table) as fh:
@@ -350,6 +359,22 @@ def test_sweep_family(tmp_path, capsys):
     assert rows["6"]["pos1"] == "Holds"
 
 
+def test_sweep_json_rows_say_whether_the_onset_is_proved(tmp_path):
+    out = tmp_path / "sweep.json"
+    table = tmp_path / "sweep.csv"
+    assert run(["sweep", "--family", "dv", "--k", "2", "--lambdas", "8,7,15/2",
+                "--max-m", "10", "--pos3-mode", "falsify", "--csv", str(table),
+                "--json", str(out)]) == 0
+    rows = {r["lambda"]: r for r in json.loads(out.read_text())["rows"]}
+    # lam = 7 closes its run [4, 7]; 15/2 starts one at 8 that m_max 10
+    # cannot close; 8 never turns positive
+    assert (rows["7"]["window_onset"], rows["7"]["onset_proved"]) == (4, True)
+    assert (rows["15/2"]["window_onset"], rows["15/2"]["onset_proved"]) == (8, False)
+    assert (rows["8"]["window_onset"], rows["8"]["onset_proved"]) == (None, False)
+    # the CSV keeps its columns
+    assert table.read_text().splitlines()[0] == "lambda,pos1,pos2,pos3,window_onset"
+
+
 def test_sweep_warns_outside_range(tmp_path, capsys):
     code = run(["sweep", "--family", "dv", "--k", "2", "--lambdas", "9",
                 "--max-m", "4", "--pos3-mode", "falsify",
@@ -388,6 +413,7 @@ def test_examples_polya_classic_onset(tmp_path):
     assert run(["examples", "polya_classic", "--json", str(out)]) == 0
     (entry,) = json.loads(out.read_text())["results"]
     assert entry["window_onset"] == 3
+    assert entry["onset_proved"] is True
 
 
 # ---------------------------------------------------------------------

@@ -966,15 +966,16 @@ def test_misalignment_is_the_distance_to_the_mean_direction():
     assert np.all(np.abs(aligned) <= 1e-15)
 
 
-@pytest.mark.parametrize("lam, points, z, abs_p_z_squared, p_abs_z_squared", [
+@pytest.mark.parametrize("lam, points, z, abs_p_z_squared, p_abs_z, p_abs_z_squared", [
     ("29/2", 9, [["5/27", "0"], ["0", "1"], ["0", "0"]],
-     "2465844340249/4398046511104", "2460590665129/4398046511104"),
+     "2465844340249/4398046511104", "1568627/2097152", "2460590665129/4398046511104"),
     ("9", 26, [["13/19", "0"], ["-1", "0"], ["0", "0"]],
-     "300068406225/1099511627776", "249495255025/1099511627776"),
+     "300068406225/1099511627776", "499495/1048576", "249495255025/1099511627776"),
     ("25/2", 13, [["7/25", "0"], ["0", "1"], ["0", "0"]],
-     "2052556127329/4398046511104", "1772964151729/4398046511104"),
+     "2052556127329/4398046511104", "1331527/2097152", "1772964151729/4398046511104"),
 ], ids=["29/2", "9", "25/2"])
-def test_pos3_falsify_lift_reports(lam, points, z, abs_p_z_squared, p_abs_z_squared):
+def test_pos3_falsify_lift_reports(lam, points, z, abs_p_z_squared, p_abs_z,
+                                   p_abs_z_squared):
     # the x3 = 0 face is the dv quartic with the same lam > 8: the pair-face
     # probe fails it at a quarter turn, at r = (k/32, 1 - k/32), with no
     # sample drawn
@@ -983,7 +984,7 @@ def test_pos3_falsify_lift_reports(lam, points, z, abs_p_z_squared, p_abs_z_squa
     assert rep.verdict is Verdict.FAILS
     assert rep.budget == {"quarter_turn_points": points}
     assert rep.witness == {"z": z, "abs_p_z_squared": abs_p_z_squared,
-                           "p_abs_z_squared": p_abs_z_squared,
+                           "p_abs_z": p_abs_z, "p_abs_z_squared": p_abs_z_squared,
                            "equality": False, "validation": "exact"}
     assert _witness_holds(p, rep.witness)
     # at grid 32 certify runs the same probe on the same points
@@ -997,8 +998,35 @@ def test_pos3_falsify_quarter_turn_witness_off_the_real_axis():
     assert rep.budget == {"quarter_turn_points": 1}
     assert rep.witness == {"z": [["1/31", "0"], ["0", "1"]],
                            "abs_p_z_squared": "854668817289/1099511627776",
+                           "p_abs_z": "922561/1048576",
                            "p_abs_z_squared": "851118798721/1099511627776",
                            "equality": False, "validation": "exact"}
+
+
+def test_pos3_certify_sign_rule_fails_where_p_is_not_positive():
+    # p(1/2, 1/2) = -1: at z = (1/2, -1/2), |p(z)| = 0 >= p(|z|), though
+    # |p(z)|^2 < p(|z|)^2, so the witness rests on the sign of p(|z|)
+    p = parse("-(x1 + x2)^2", 2)
+    rep = check_pos3(p, CERTIFY)
+    assert rep.verdict is Verdict.FAILS
+    assert rep.witness == {"z": [["1", "0"], ["-1", "0"]], "abs_p_z_squared": "0",
+                           "p_abs_z": "-1", "p_abs_z_squared": "1",
+                           "equality": False, "validation": "exact"}
+    # p(1/2, 1/2) = 0 is a Fails too
+    rep = check_pos3(parse("(x1 - x2)^2*(x1 + x2)", 2), CERTIFY)
+    assert rep.verdict is Verdict.FAILS and rep.budget == {"note": "p(1/2, 1/2) <= 0"}
+    assert rep.witness["p_abs_z"] == "0"
+
+
+def test_falsify_float_layer_is_scale_free():
+    # 2^600 times p: the float layer sees it scaled back by a power of two,
+    # so the search runs as on p, and the witness search as well
+    p = parse("(x1 + x2 + x3)^3 - 8*x1*x2*x3", 3)
+    big = p.scale(2 ** 600)
+    assert conditions._float_scaled(p) is p
+    rep, big_rep = check_pos3(p), check_pos3(big)
+    assert big_rep.verdict is rep.verdict
+    assert big_rep.budget == rep.budget
 
 
 def test_pos3_falsify_single_term_has_equality_witness():

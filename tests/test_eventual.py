@@ -8,10 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from powerpos import (Polynomial, all_coeffs_positive, parse, polya_exponent,
-                      power_scan)
-from powerpos.eventual import (_falling_factorial_form, _integer_terms, _lex_exponents,
-                               _lex_rank)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from powerpos import (Polynomial, all_coeffs_positive, corpus, eventual, parse,
+                      polya_exponent, power_scan, scan_rows, serialize)
+from powerpos.cli import PROFILES, run_check
+from powerpos.eventual import (OnsetProof, _falling_factorial_form, _integer_terms,
+                               _lex_exponents, _lex_rank)
 from powerpos.poly import dense_monomial_count
 
 from helpers import dense_grid_pow_2d, rand_homogeneous
@@ -135,6 +139,127 @@ def test_pattern_json_uses_window_onset_label():
     assert d["window_onset"] == pattern.onset
 
 
+def _count_products(monkeypatch):
+    """A list whose length counts the kernel products formed from now on."""
+    calls = []
+    times = eventual._times
+
+    def counted(*args):
+        calls.append(None)
+        return times(*args)
+
+    monkeypatch.setattr(eventual, "_times", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lam, onset", [("25/4", 2), ("27/4", 2), ("29/4", 6), ("31/4", 20)])
+def test_scan_stops_where_the_run_closes(monkeypatch, lam, onset):
+    p = parse(f"(x1+x2)^4 - {lam}*x1^2*x2^2", 2)
+    one = Polynomial.constant(2, 1)
+    full = [r.all_positive for r in scan_rows(p, one, 150)]
+    calls = _count_products(monkeypatch)
+    pattern = power_scan(p, one, 150)
+    # q = 1: p's flags are the scan's, so the scan forms q and p^1..p^(2a-1)
+    assert len(calls) == 2 * onset
+    assert pattern.proof.p_run == pattern.proof.q_run == (onset, 2 * onset - 1)
+    assert pattern.flags == full
+    assert pattern.onset == onset and not full[onset - 1]
+    assert pattern.to_json_dict()["proof"] == {"p_run": [onset, 2 * onset - 1],
+                                               "q_run": [onset, 2 * onset - 1]}
+
+
+def test_scan_polya_classic_proof_and_products(monkeypatch):
+    entry = corpus.load_corpus()["polya_classic"]
+    calls = _count_products(monkeypatch)
+    pattern = power_scan(entry.p, entry.q, entry.scan_m_max)
+    # q, then p^m * q for m = 1..3 and p^1 alone; the full window would form 11
+    assert len(calls) == 5
+    assert pattern.proof == OnsetProof(p_run=(1, 1), q_run=(3, 3))
+    assert pattern.onset_proved and pattern.onset == 3
+    assert pattern.flags == [False] * 3 + [True] * 8
+
+
+def test_scan_that_never_turns_true_forms_no_extra_product(monkeypatch):
+    # nonconstant q whose flags stay false: p alone is never stepped, so
+    # the scan forms q and the 100 products of the full window, no more
+    p = parse("(x1+x2)^4 - 9*x1^2*x2^2", 2)
+    calls = _count_products(monkeypatch)
+    pattern = power_scan(p, parse("x1", 2), 100)
+    assert len(calls) == 101
+    assert pattern.proof is None and pattern.onset is None
+    assert pattern.flags == [False] * 101
+
+
+def test_scan_with_a_positive_constant_q_proves_from_m_zero():
+    pattern = power_scan(parse("x1 + 2*x2", 2), Polynomial.constant(2, 3), 9)
+    assert pattern.proof == OnsetProof(p_run=(1, 1), q_run=(0, 0))
+    assert pattern.flags == [True] * 10 and pattern.onset == 0
+
+
+def test_scan_rows_refuse_at_once():
+    with pytest.raises(ValueError, match="cap"):
+        scan_rows(parse("(x1+x2+x3+x4)^4", 4), Polynomial.constant(4, 1), 2000,
+                  dense_cap=1000)
+
+
+def _scan_q(rng, n):
+    kind = rng.randrange(7)
+    if kind < 3:
+        return Polynomial.constant(n, (1, 3, -2)[kind])
+    if kind == 3:
+        return Polynomial.variable(n, 0)
+    if kind == 6:
+        # a negative mixed term, which a positive p absorbs after a few powers
+        cross = Polynomial.variable(n, 0) * Polynomial.variable(n, n - 1)
+        return Polynomial.sum_of_variables(n) ** 2 - cross.scale(3 if n > 1 else 0)
+    return rand_homogeneous(rng, n, rng.randint(1, 2), all_positive=kind == 4,
+                            density=0.8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3))
+def test_proof_stopped_scan_equals_the_full_rows_scan(seed, n):
+    rng = random.Random(seed)
+    if n > 1 and rng.random() < 0.4:
+        # a quartic whose onset grows as lam nears 8
+        lam = Fraction(rng.randint(24, 31), 4)
+        p = Polynomial.sum_of_variables(n) ** 4 - Polynomial(n, {(2, 2) + (0,) * (n - 2): lam})
+    else:
+        p = _rand_scan_base(rng, n)
+    q = _scan_q(rng, n)
+    m_max = rng.randint(1, 12 if n < 3 else 6)
+    flags = [r.all_positive for r in scan_rows(p, q, m_max)]
+    pattern = power_scan(p, q, m_max)
+    assert pattern.flags == flags
+    assert pattern.first_true == next((m for m, f in enumerate(flags) if f), None)
+    assert pattern.onset == min((m for m in range(m_max + 1) if all(flags[m:])), default=None)
+    if pattern.proof is not None:
+        (a, b), (m0, m1) = pattern.proof.p_run, pattern.proof.q_run
+        assert b == 2 * a - 1 <= m_max and m1 - m0 + 1 == a
+        assert all(all_coeffs_positive(p ** k) for k in range(a, b + 1))
+        assert a == 1 or not all_coeffs_positive(p ** (a - 1))
+        assert all(flags[m0:m1 + 1]) and (m0 == 0 or not flags[m0 - 1])
+        assert pattern.onset == m0
+
+
+@pytest.mark.parametrize("mode", ["falsify", "certify"])
+def test_proved_onset_never_meets_a_failing_condition(mode):
+    # by the paper's theorem, all-positive large powers need all three
+    # conditions, so a proved onset rules out every Fails
+    rng = random.Random(53)
+    proved = 0
+    for _ in range(25):
+        n = rng.randint(2, 3)
+        p = _rand_scan_base(rng, n)
+        pattern = power_scan(p, Polynomial.constant(n, 1), 8)
+        if not pattern.onset_proved:
+            continue
+        proved += 1
+        _, result = run_check(p, PROFILES["fast"], mode, 0)
+        assert all(r["verdict"] != "Fails" for r in result["reports"]), serialize(p)
+    assert proved >= 5
+
+
 # ---------------------------------------------------------------------
 # polya_exponent
 # ---------------------------------------------------------------------
@@ -198,8 +323,11 @@ def test_scan_matches_fraction_path_on_random_rationals():
         rows = _fraction_scan(p, q, m_max)
         flags = [r[0] for r in rows]
         assert pattern.flags == flags
-        assert pattern.num_terms == [r[1] for r in rows]
-        assert pattern.min_coefs == [r[2] for r in rows]
+        scanned = list(scan_rows(p, q, m_max))
+        assert [r.m for r in scanned] == list(range(m_max + 1))
+        assert [r.all_positive for r in scanned] == flags
+        assert [r.num_terms for r in scanned] == [r[1] for r in rows]
+        assert [r.min_coef for r in scanned] == [r[2] for r in rows]
         assert pattern.first_true == next((m for m, f in enumerate(flags) if f), None)
         onset = min((m for m in range(m_max + 1) if all(flags[m:])), default=None)
         assert pattern.onset == onset
@@ -209,10 +337,13 @@ def test_scan_matches_fraction_path_on_random_rationals():
 
 
 def test_scan_stats_of_single_variable():
-    pattern = power_scan(parse("-2*x1^3", 1), parse("3/4*x1", 1), 3)
+    p, q = parse("-2*x1^3", 1), parse("3/4*x1", 1)
+    pattern = power_scan(p, q, 3)
     assert pattern.flags == [True, False, True, False]
-    assert pattern.num_terms == [1] * 4
-    assert pattern.min_coefs == [Fraction(3, 4) * (-2) ** m for m in range(4)]
+    rows = list(scan_rows(p, q, 3))
+    assert [r.all_positive for r in rows] == pattern.flags
+    assert [r.num_terms for r in rows] == [1] * 4
+    assert [r.min_coef for r in rows] == [Fraction(3, 4) * (-2) ** m for m in range(4)]
 
 
 def _polya_works(g, n):
