@@ -12,18 +12,20 @@ Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       Holds when every pair face x_i, x_j carries exponents whose
       differences have gcd 1, Fails with an exact equality witness at
       e_i - e_j when some gcd is even (0 for a face with one term or
-      none); an odd gcd >= 3 goes on to the mode's search.
-      `_pair_face_probe` tests the quarter-turn points of the grid on
-      every pair face in integers, and a point where |p(z)| >= p(|z|) is
-      an exact Fails.  Falsify mode runs it before any sampling, on the
-      quarter turns its phase grid holds, so such a Fails draws no
-      sample.  Only on a miss does it sample the normalized domain,
-      re-validate candidates exactly when their phases are multiples of
-      pi/2, and else refine the best ones by Nelder-Mead and check
-      rational points next to each refined point exactly.  Every Fails
-      carries an exact Gaussian-rational witness.  Certify mode runs the
-      probe alone for n >= 3 (a miss is Inconclusive).  For n = 2 it
-      proves G = D / (4 r1 r2 sin^2(t/2)) > 0, where
+      none); an odd gcd >= 3 goes on to the mode's search.  Next, a
+      coefficient sum <= 0 is an exact Fails at z = (1, ..., 1, -1)/n
+      (`_sign_rule`).  `_pair_face_probe` tests the quarter-turn points
+      of the grid on every pair face in integers, and a point where
+      |p(z)| >= p(|z|) is an exact Fails.  Falsify mode runs it before
+      any sampling, on the quarter turns its phase grid holds, so such a
+      Fails draws no sample.  Only on a miss does it sample the
+      normalized domain from a seeded numpy Generator, re-validate
+      candidates exactly when their phases are multiples of pi/2, and
+      else refine the best ones by Nelder-Mead and check rational points
+      next to each refined point exactly.  Every Fails carries an exact
+      Gaussian-rational witness.  Certify mode runs the probe alone for
+      n >= 3 (a miss is Inconclusive).  For n = 2 it proves
+      G = D / (4 r1 r2 sin^2(t/2)) > 0, where
       D = p(r)^2 - |p(r e^{it})|^2 and G is a sum of Fejer kernels (see
       `_fejer_terms`).  G is a polynomial in (r1, cos t), so exact
       Bernstein coefficients on [0, 1] x [-1, 1], split by de Casteljau,
@@ -41,7 +43,6 @@ Cauchy-Schwarz probe, and the diagonal maximal-squared-norm test.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -227,20 +228,24 @@ class Pos3Options:
     max_depth: int = 24         # certify: halvings of one box before the search stops
     tolerance: float = 1e-12
     max_samples: int = 20000
-    max_boxes: int = 2_000_000  # certify: boxes processed before the search stops
-    refine_candidates: int = 12
     seed: int = 0
 
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = Pos3Mode(self.mode.capitalize())
         for name, least in (("grid", 1), ("max_samples", 1), ("max_depth", 0),
-                            ("max_boxes", 0), ("refine_candidates", 0)):
+                            ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be finite and positive")
 
+
+#: Certify processes at most this many boxes before its search stops.
+_MAX_BOXES = 2_000_000
+
+#: Falsify refines at most this many of its best candidates by Nelder-Mead.
+_REFINE_CANDIDATES = 12
 
 #: i^q for q = 0, 1, 2, 3, as (real, imaginary) pairs
 _QUARTER_UNITS = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
@@ -283,9 +288,9 @@ def _pair_face_probe(p: Polynomial, grid: int, quarters: Sequence[int]) -> tuple
     otherwise.  There p(z) and p(|z|) are the face terms c x_i^a x_j^b
     alone; times grid^d and the lcm of their denominators they are the
     Gaussian integer Z = sum c k^a (grid - k)^b i^(q b) and the integer
-    P = sum c k^a (grid - k)^b, so |Z|^2 >= P^2 is tested on Python ints.
-    `_exact_witness` builds the witness at the first such point and must
-    agree.
+    P = sum c k^a (grid - k)^b, so P <= 0 or |Z|^2 >= P^2 is tested on
+    Python ints.  `_exact_witness` builds the witness at the first such
+    point and must agree.
     """
     n, d = p.nvars, p.degree()
     points = 0
@@ -304,7 +309,7 @@ def _pair_face_probe(p: Polynomial, grid: int, quarters: Sequence[int]) -> tuple
                 for v, t in zip(values, turns[q]):
                     parts[t] += v
                 re, im = parts[0] - parts[2], parts[1] - parts[3]
-                if re * re + im * im >= total * total:
+                if total <= 0 or re * re + im * im >= total * total:
                     radii = [Fraction(0)] * n
                     radii[i], radii[j] = Fraction(k, grid), Fraction(grid - k, grid)
                     units = [_QUARTER_UNITS[q if m == j else 0] for m in range(n)]
@@ -490,90 +495,15 @@ def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
     return D, p_r
 
 
-def _word_estimate(sizes: Sequence[int], count: int) -> int:
-    """Stream words that `count` rounds of draws from `sizes` use, with
-    eight standard deviations to spare.  An attempt at a size s of k bits
-    takes w = 1 or 2 words and succeeds with probability q = s / 2^k >= 1/2,
-    so a draw takes w/q words on average, with variance w^2 (1 - q)/q^2."""
-    mean = var = 0.0
-    for s in sizes:
-        k = s.bit_length()
-        w, q = (1 if k <= 32 else 2), s / 2 ** k
-        mean += w / q
-        var += w * w * (1 - q) / (q * q)
-    return math.ceil(count * mean + 8 * math.sqrt(count * var)) + 64
-
-
-def _replay_choices(seed: int, sizes: Sequence[int], count: int) -> np.ndarray:
-    """The indices `rng.choice(range(s))` draws for s in `sizes`, `count`
-    times over, with rng = random.Random(seed): a (count, len(sizes)) array.
-
-    The stream is replayed in numpy, with no loop per draw.  Random's
-    state is copied into numpy's MT19937 (its 624 words and position), so
-    `random_raw` gives the 32-bit words that `getrandbits` reads.  A draw
-    below s of k = s.bit_length() bits repeats attempts until one is < s;
-    an attempt is word >> (32 - k), or for k > 32 two words, the low one
-    first.  For each size, the next accepted attempt at or after every
-    word is tabulated; one round of draws composed from these tables maps
-    its first word to the word after it, and the chain of round starts
-    from word 0 is walked by pointer doubling.  When the chain runs past
-    the buffer of words, the stream is read again with twice as many.
-    """
-    state = random.Random(seed).getstate()[1]
-    bits = np.random.MT19937()
-    n_words = _word_estimate(sizes, count)
-    while True:
-        bits.state = {"bit_generator": "MT19937",
-                      "state": {"key": np.array(state[:624], dtype=np.uint32),
-                                "pos": state[624]}}
-        words = bits.random_raw(n_words)
-        # positions 0..n_words; `over` marks a draw that leaves the buffer
-        over = n_words + 1
-        tables = {}
-        for s in set(sizes):
-            k = s.bit_length()
-            width = 1 if k <= 32 else 2
-            if width == 1:
-                attempt = words >> np.uint64(32 - k)
-            else:
-                attempt = words[:-1] | (words[1:] >> np.uint64(64 - k)) << np.uint64(32)
-            nxt = np.full(n_words + 2, over)
-            for q in range(width):
-                # attempts start at q, q + width, ...; hits index that list
-                hits = np.flatnonzero(attempt[q::width] < s)
-                ahead = q + width * np.repeat(hits, np.diff(hits, prepend=-1))
-                nxt[q:q + width * len(ahead):width] = ahead
-            tables[s] = (attempt, nxt, np.where(nxt < over, nxt + width, over))
-        jump = np.arange(n_words + 2)
-        for s in sizes:
-            jump = tables[s][2][jump]
-        # starts[k] is where round k begins; each doubling step appends the
-        # next len(starts) of them
-        starts = np.zeros(1, dtype=np.int64)
-        while len(starts) <= count:
-            starts = np.concatenate([starts, jump[starts]])
-            jump = jump[jump]
-        if starts[count] != over:
-            break
-        n_words *= 2
-    out = np.empty((count, len(sizes)), dtype=np.int64)
-    at = starts[:count]
-    for j, s in enumerate(sizes):
-        attempt, nxt, after = tables[s]
-        out[:, j] = attempt[nxt[at]]
-        at = after[at]
-    return out
-
-
 def _grid_samples(n: int, opts: Pos3Options) -> tuple:
     """The falsify sample points, held as integers.
 
     Radii are e/g for the compositions e of g, phases 2 pi j/g with the
     first phase 0.  When the whole grid fits in `max_samples` it is taken
-    in order, radius outer and phases lexicographic; else each sample
-    draws a radius rank in `monomials_of_degree(n, g)` order and then
-    n - 1 phases from `random.Random(seed)`, replayed exactly by
-    `_replay_choices`.  Returns (radii, row,
+    in order, radius outer and phases lexicographic; else
+    `np.random.default_rng(seed)` draws `max_samples` radius ranks in
+    `monomials_of_degree(n, g)` order, then the n - 1 free phases of each
+    sample, so the listed grid is never built.  Returns (radii, row,
     phases, R, TH): the distinct compositions drawn, the composition row
     of each sample, the (samples, n) phase numerators j, and the float
     radii and phases.
@@ -587,13 +517,11 @@ def _grid_samples(n: int, opts: Pos3Options) -> tuple:
         row = np.repeat(ranks, g ** (n - 1))
         free = np.tile(np.indices((g,) * (n - 1)).reshape(n - 1, -1).T, (n_radii, 1))
     else:
-        # `choice` reads only the length of its sequence and the item at
-        # the index it draws, so choosing indices draws the points that
-        # choosing from the listed radii and phases would
-        draws = _replay_choices(opts.seed, (n_radii,) + (g,) * (n - 1), opts.max_samples)
-        ranks, row = np.unique(draws[:, 0], return_inverse=True)
+        rng = np.random.default_rng(opts.seed)
+        ranks, row = np.unique(rng.integers(n_radii, size=opts.max_samples),
+                               return_inverse=True)
         row = row.reshape(-1)
-        free = draws[:, 1:]
+        free = rng.integers(g, size=(opts.max_samples, n - 1))
     radii = _unrank_compositions(n, g, ranks)
     phases = np.hstack([np.zeros((len(row), 1), dtype=np.int64), free])
     return radii, row, phases, (radii / g)[row], (2 * phases) / g * math.pi
@@ -655,7 +583,7 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
         return dd / max(float(p_rr) ** 2, 1e-30)
 
     refined = 0
-    for idx in candidate_idx[:opts.refine_candidates]:
+    for idx in candidate_idx[:_REFINE_CANDIDATES]:
         x0 = np.concatenate([R[idx, :n - 1], TH[idx, 1:]])
         res = minimize(objective, x0, method="Nelder-Mead",
                        options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14})
@@ -794,19 +722,13 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
         rep = _quarter_turn_probe(p, opts.grid, {})
         if rep.verdict is Verdict.INCONCLUSIVE:
             rep.budget["note"] = ("certify decides n >= 3 only from the support, when no "
-                                  "coefficient is negative, and the pair-face quarter turns")
+                                  "coefficient is negative, the coefficient sum and the "
+                                  "pair-face quarter turns")
         return rep
     # G > 0 makes p nonzero on the open segment r1 + r2 = 1, so p keeps
-    # one sign there; this makes the sign positive.  Otherwise z = (1/2,
-    # -1/2) is not aligned and |p(z)| >= 0 >= p(|z|): an exact Fails.
-    half = Fraction(1, 2)
-    if eval_rational(p, [half, half]) <= 0:
-        witness = _exact_witness(p, (half, half), (_QUARTER_UNITS[0], _QUARTER_UNITS[2]))
-        return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
-                               budget={"note": "p(1/2, 1/2) <= 0"})
-    # prove G > 0 on [0, 1] x [-1, 1]; a search that stops hands over to
-    # the exact corner and quarter-turn probes, so a Holds never pays for
-    # them
+    # the sign of p(1/2, 1/2) > 0 there (`_sign_rule`).  Prove G > 0 on
+    # [0, 1] x [-1, 1]; a search that stops hands over to the exact
+    # corner and quarter-turn probes, so a Holds never pays for them
     root, scale = _bernstein_g(p)
     degrees = (root.shape[0] - 1, root.shape[1] - 1)
     # A box at depth k has been halved k times, along r1 at even depths
@@ -818,7 +740,7 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     processed = closed = max_depth_used = 0
     stop = corner = None
     while stack and stop is None:
-        if processed == opts.max_boxes:
+        if processed == _MAX_BOXES:
             stop = {"reason": "box budget"}
             break
         b, depth, i, j = stack.pop()
@@ -915,11 +837,28 @@ def _nonnegative_support(p: Polynomial) -> Optional[ConditionReport]:
     return None
 
 
+def _sign_rule(p: Polynomial) -> Optional[ConditionReport]:
+    """Fails when p(1/n, ..., 1/n) <= 0, else None.
+
+    p is homogeneous, so p(1/n, ..., 1/n) has the sign of p(1, ..., 1),
+    the sum of the coefficients.  When it is <= 0, z = (1/n, ..., 1/n,
+    -1/n) is not aligned and |p(z)| >= 0 >= p(|z|): an exact Fails.
+    """
+    if sum(p.terms.values()) > 0:
+        return None
+    n = p.nvars
+    units = [_QUARTER_UNITS[0]] * (n - 1) + [_QUARTER_UNITS[2]]
+    return ConditionReport(Condition.POS3, Verdict.FAILS,
+                           witness=_exact_witness(p, [Fraction(1, n)] * n, units),
+                           budget={"note": f"p({', '.join([f'1/{n}'] * n)}) <= 0"})
+
+
 def check_pos3(p: Polynomial, opts: Pos3Options | None = None) -> ConditionReport:
     """Decide the strict modulus inequality at the configured resolution.
 
-    Both modes first try `_nonnegative_support`.  Budget exhaustion is
-    always reported as Inconclusive, never as a verdict.
+    Both modes first try `_nonnegative_support`, then `_sign_rule`.
+    Budget exhaustion is always reported as Inconclusive, never as a
+    verdict.
     """
     _require_nonconstant_homogeneous(p)
     if opts is None:
@@ -928,7 +867,7 @@ def check_pos3(p: Polynomial, opts: Pos3Options | None = None) -> ConditionRepor
         # every nonzero complex point is a rotated positive-orthant point
         return ConditionReport(Condition.POS3, Verdict.HOLDS,
                                certificate={"note": "vacuous for one variable"})
-    decided = _nonnegative_support(p)
+    decided = _nonnegative_support(p) or _sign_rule(p)
     if decided is not None:
         return decided
     if opts.mode is Pos3Mode.FALSIFY:

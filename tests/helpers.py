@@ -125,26 +125,15 @@ def rand_complex_point(rng: random.Random, n: int, scale: float = 2.0) -> list[c
             for _ in range(n)]
 
 
-def fraction_grid_samples(n: int, g: int, max_samples: int, seed: int):
-    """Falsify's sample points built the direct way, as float (R, TH) arrays.
-
-    Lists every radius (Fractions e/g in `monomials_of_degree` order) and
-    every phase (Fractions 2j/g, in units of pi), then takes the whole
-    grid when it fits in max_samples, else draws each point from the
-    lists with `random.Random(seed).choice`; the first phase is 0.
-    """
+def fraction_grid_samples(n: int, g: int):
+    """Falsify's whole sample grid built the direct way, as float (R, TH)
+    arrays: every radius (Fractions e/g in `monomials_of_degree` order)
+    with every phase tuple (Fractions 2j/g, in units of pi, the first 0)
+    in lexicographic order."""
     r_points = [tuple(Fraction(e, g) for e in exp) for exp in monomials_of_degree(n, g)]
     theta_fracs = [Fraction(2 * j, g) for j in range(g)]
-    if len(r_points) * g ** (n - 1) <= max_samples:
-        samples = [(r, (Fraction(0),) + th)
-                   for r in r_points for th in product(theta_fracs, repeat=n - 1)]
-    else:
-        rng = random.Random(seed)
-        samples = []
-        for _ in range(max_samples):
-            r = rng.choice(r_points)
-            samples.append((r, (Fraction(0),) + tuple(rng.choice(theta_fracs)
-                                                      for _ in range(n - 1))))
+    samples = [(r, (Fraction(0),) + th)
+               for r in r_points for th in product(theta_fracs, repeat=n - 1)]
     R = np.array([[float(v) for v in r] for r, _ in samples])
     TH = np.array([[float(t) * math.pi for t in th] for _, th in samples])
     return R, TH

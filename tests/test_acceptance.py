@@ -170,8 +170,7 @@ def test_criterion_5_identity_suites():
 
     # (d) all-positive random p pass all three checks (n <= 4, d <= 5)
     allpos_fail = 0
-    opts = Pos3Options(mode=Pos3Mode.FALSIFY, grid=6, max_samples=600,
-                       refine_candidates=2)
+    opts = Pos3Options(mode=Pos3Mode.FALSIFY, grid=6, max_samples=600)
     for _ in range(1000):
         n = rng.randint(2, 4)
         d = rng.randint(1, 5)

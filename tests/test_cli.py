@@ -162,11 +162,13 @@ def test_help_exit_zero(capsys):
 
 
 def test_check_determinism(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for path in (a, b):
-        run(["check", EQUALITY_QUARTIC, "--pos3-mode", "falsify", "--seed", "7",
-             "--json", str(path)])
-    assert a.read_bytes() == b.read_bytes()
+    # the cubic misses the pair-face probe, so falsify draws its samples
+    for expr in (EQUALITY_QUARTIC, "(x1+x2+x3)^3 - 8*x1*x2*x3"):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path in (a, b):
+            run(["check", expr, "--pos3-mode", "falsify", "--seed", "7", "--json", str(path)])
+        assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["reports"][2]["budget"]["samples"] == 20000
 
 
 @pytest.mark.parametrize("expr, nvars", [("(x1+x2)^4 - 9*x1^2*x2^2", 2),
@@ -459,7 +461,7 @@ def test_missing_config_errors(capsys, tmp_path):
                                          ("--max-samples", "-5"), ("--grid", "-3"),
                                          ("--grid", "0"), ("--max-depth", "-1"),
                                          ("--tolerance", "nan"), ("--tolerance", "inf"),
-                                         ("--tolerance", "0")])
+                                         ("--tolerance", "0"), ("--seed", "-1")])
 @pytest.mark.parametrize("mode", ["certify", "falsify"])
 def test_invalid_budget_value_is_one_error_line(flag, value, mode, capsys):
     assert run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--pos3-mode", mode,

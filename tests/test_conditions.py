@@ -21,8 +21,7 @@ from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
 from powerpos import conditions
 from powerpos.conditions import (_DENOMINATORS, _bernstein_g, _eval_d_grid,
                                  _grid_samples, _halves, _pair_arrays,
-                                 _rational_unit, _replay_choices,
-                                 _unrank_compositions)
+                                 _rational_unit, _unrank_compositions)
 from powerpos.poly import eval_complex_exact, monomials_of_degree
 
 from helpers import (fraction_grid_samples, modulus_gap, rand_complex_point,
@@ -224,15 +223,17 @@ def test_pos3_certify_asymmetric_septic():
     assert rep.budget == {"boxes_processed": 23, "boxes_closed": 12, "max_depth_used": 7}
 
 
-def test_pos3_budget_exhaustion_is_inconclusive():
-    rep = check_pos3(P_ASYM, Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=10))
+def test_pos3_budget_exhaustion_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(conditions, "_MAX_BOXES", 10)
+    rep = check_pos3(P_ASYM, CERTIFY)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.budget["stop"] == {"reason": "box budget"}
 
 
 @pytest.mark.parametrize("max_boxes", [0, 1, 10, 20, 511, 513, 1000])
-def test_pos3_box_budget_is_never_exceeded(max_boxes):
-    rep = check_pos3(P_ASYM, Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=max_boxes))
+def test_pos3_box_budget_is_never_exceeded(monkeypatch, max_boxes):
+    monkeypatch.setattr(conditions, "_MAX_BOXES", max_boxes)
+    rep = check_pos3(P_ASYM, CERTIFY)
     if max_boxes < 23:
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert rep.budget["boxes_processed"] == max_boxes
@@ -242,11 +243,11 @@ def test_pos3_box_budget_is_never_exceeded(max_boxes):
         assert rep.verdict is Verdict.HOLDS and rep.budget["boxes_processed"] == 23
 
 
-def test_pos3_box_budget_that_just_suffices_still_holds():
-    enough = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=23)
-    assert check_pos3(P_ASYM, enough).verdict is Verdict.HOLDS
-    short = Pos3Options(mode=Pos3Mode.CERTIFY, max_boxes=22)
-    rep = check_pos3(P_ASYM, short)
+def test_pos3_box_budget_that_just_suffices_still_holds(monkeypatch):
+    monkeypatch.setattr(conditions, "_MAX_BOXES", 23)
+    assert check_pos3(P_ASYM, CERTIFY).verdict is Verdict.HOLDS
+    monkeypatch.setattr(conditions, "_MAX_BOXES", 22)
+    rep = check_pos3(P_ASYM, CERTIFY)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.budget["boxes_processed"] == 22
 
@@ -646,8 +647,10 @@ def _probe_by_fractions(p, grid, quarters):
 def test_pair_face_probe_matches_a_loop_of_exact_checks():
     rng = random.Random(12)
     hits = misses = 0
-    for _ in range(30):
-        p = _pushed_negative(rng, rng.randint(2, 4), rng.randint(2, 5))
+    # negative on a face, where p(|z|) < 0 makes a hit though |p(z)| < |p(|z|)|
+    fixed = [parse("-(x1 + x2)^2", 2), parse("x3^2 - (x1 + x2)^2", 3)]
+    for p in fixed + [_pushed_negative(rng, rng.randint(2, 4), rng.randint(2, 5))
+                      for _ in range(30)]:
         for grid, quarters in ((8, (1, 2)), (6, (2,))):
             found = conditions._pair_face_probe(p, grid, quarters)
             assert found == _probe_by_fractions(p, grid, quarters)
@@ -824,15 +827,43 @@ def test_unranked_compositions_follow_monomials_of_degree():
     assert [tuple(row) for row in got.tolist()] == [listed[k] for k in ranks]
 
 
-@pytest.mark.parametrize("n, g, seed", [(3, 32, 0), (3, 32, 7), (4, 6, 3), (2, 7, 0),
-                                        (3, 64, 1)])
+@pytest.mark.parametrize("n, g, seed", [(4, 6, 3), (2, 7, 0)])
 def test_grid_samples_equal_the_fraction_lists(n, g, seed):
-    # (4, 6) and (2, 7) fit whole in 20,000 samples; the others are drawn
+    # both grids fit whole in 20,000 samples, so the seed is not read
     opts = Pos3Options(grid=g, seed=seed)
     _, _, _, R, TH = _grid_samples(n, opts)
-    ref_R, ref_TH = fraction_grid_samples(n, g, opts.max_samples, seed)
+    ref_R, ref_TH = fraction_grid_samples(n, g)
+    assert len(R) < opts.max_samples
     assert np.array_equal(R, ref_R)
     assert np.array_equal(TH, ref_TH)
+
+
+@pytest.mark.parametrize("n, g, seed", [(3, 32, 0), (3, 32, 7), (3, 64, 1), (8, 32, 2)])
+def test_drawn_grid_samples_are_grid_points_set_by_the_seed(n, g, seed):
+    # none of these grids fits in 20,000 samples
+    max_samples = Pos3Options.max_samples
+
+    def draw(seed):
+        return _grid_samples(n, Pos3Options(grid=g, seed=seed))
+
+    radii, row, phases, R, TH = draw(seed)
+    assert len(row) == len(phases) == len(R) == len(TH) == max_samples
+    # every row is a grid point: radii a composition of g, phases in
+    # 0..g-1 with the first 0
+    comps = radii[row]
+    assert comps.shape == (max_samples, n)
+    assert comps.min() >= 0 and np.all(comps.sum(axis=1) == g)
+    assert phases.shape == (max_samples, n)
+    assert np.all(phases[:, 0] == 0) and phases.min() >= 0 and phases.max() < g
+    assert np.array_equal(R, comps / g) and np.array_equal(TH, 2 * phases / g * math.pi)
+    # the distinct radii drawn, each once
+    assert len({tuple(r) for r in radii.tolist()}) == len(radii) == len(np.unique(row))
+    # the seed alone sets the draws
+    again, other = draw(seed), draw(seed + 1)
+    for a, b in zip(again, (radii, row, phases, R, TH)):
+        assert np.array_equal(a, b)
+    assert not (np.array_equal(other[0][other[1]], comps)
+                and np.array_equal(other[2], phases))
 
 
 def test_grid_d_matches_high_precision_values():
@@ -859,52 +890,6 @@ def test_grid_d_matches_high_precision_values():
                 assert abs(D[s] - value) <= 1e-12 * size ** 2
                 assert abs(p_r[s] - mpmath.mpf(exact_p_r.numerator) / exact_p_r.denominator) \
                     <= 1e-12 * size
-
-
-def _choices(seed, sizes, count):
-    rng = random.Random(seed)
-    return [[rng.choice(range(s)) for s in sizes] for _ in range(count)]
-
-
-# 2^32 and 2^40 + 3 take two words per attempt; 1, 2, 32 and 2^32 accept
-# half the attempts, the worst case
-@pytest.mark.parametrize("sizes", [(1,), (2,), (31,), (32,), (33,), (2 ** 32 - 1,), (2 ** 32,),
-                                   (2 ** 40 + 3,), (561, 32, 32), (2 ** 40 + 3, 1, 33),
-                                   (7, 2 ** 32, 2 ** 32 - 1, 2)])
-def test_replay_draws_what_random_choice_draws(sizes):
-    for seed in (0, 1, 7, 2024):
-        for count in (0, 1, 2, 3, 500):
-            got = _replay_choices(seed, sizes, count)
-            assert got.shape == (count, len(sizes)) and got.dtype == np.int64
-            assert got.tolist() == _choices(seed, sizes, count)
-
-
-@pytest.mark.parametrize("estimate", [1, 2, 37])
-def test_replay_reads_more_words_when_the_estimate_falls_short(monkeypatch, estimate):
-    # 300 rounds need hundreds of words, so the buffer has to grow
-    monkeypatch.setattr(conditions, "_word_estimate", lambda sizes, count: estimate)
-    for sizes in [(561, 32, 32), (2 ** 40 + 3, 5), (1,)]:
-        assert _replay_choices(3, sizes, 300).tolist() == _choices(3, sizes, 300)
-
-
-class _CountingRandom(random.Random):
-    """random.Random that counts the 32-bit words its draws read."""
-    words = 0
-
-    def getrandbits(self, k):
-        self.words += (k + 31) // 32
-        return super().getrandbits(k)
-
-
-def test_word_estimate_covers_the_draws_with_little_to_spare():
-    for sizes in [(561, 32, 32), (2 ** 40 + 3, 1), (15_380_937, 32, 32, 32, 32, 32, 32, 32)]:
-        estimate = conditions._word_estimate(sizes, 2000)
-        for seed in range(5):
-            rng = _CountingRandom(seed)
-            for _ in range(2000):
-                for s in sizes:
-                    rng.choice(range(s))
-            assert rng.words < estimate < 1.1 * rng.words + 1000
 
 
 def _random_grid_points(rng, g, n, count):
@@ -1004,18 +989,50 @@ def test_pos3_falsify_quarter_turn_witness_off_the_real_axis():
 
 
 def test_pos3_certify_sign_rule_fails_where_p_is_not_positive():
-    # p(1/2, 1/2) = -1: at z = (1/2, -1/2), |p(z)| = 0 >= p(|z|), though
-    # |p(z)|^2 < p(|z|)^2, so the witness rests on the sign of p(|z|)
-    p = parse("-(x1 + x2)^2", 2)
-    rep = check_pos3(p, CERTIFY)
-    assert rep.verdict is Verdict.FAILS
-    assert rep.witness == {"z": [["1", "0"], ["-1", "0"]], "abs_p_z_squared": "0",
-                           "p_abs_z": "-1", "p_abs_z_squared": "1",
-                           "equality": False, "validation": "exact"}
-    # p(1/2, 1/2) = 0 is a Fails too
-    rep = check_pos3(parse("(x1 - x2)^2*(x1 + x2)", 2), CERTIFY)
-    assert rep.verdict is Verdict.FAILS and rep.budget == {"note": "p(1/2, 1/2) <= 0"}
-    assert rep.witness["p_abs_z"] == "0"
+    # both modes apply the rule before their searches, for any n
+    for mode in Pos3Mode:
+        opts = Pos3Options(mode=mode)
+        # p(1/2, 1/2) = -1: at z = (1/2, -1/2), |p(z)| = 0 >= p(|z|), though
+        # |p(z)|^2 < p(|z|)^2, so the witness rests on the sign of p(|z|)
+        rep = check_pos3(parse("-(x1 + x2)^2", 2), opts)
+        assert rep.verdict is Verdict.FAILS and rep.budget == {"note": "p(1/2, 1/2) <= 0"}
+        assert rep.witness == {"z": [["1", "0"], ["-1", "0"]], "abs_p_z_squared": "0",
+                               "p_abs_z": "-1", "p_abs_z_squared": "1",
+                               "equality": False, "validation": "exact"}
+        # p(1/2, 1/2) = 0 is a Fails too
+        rep = check_pos3(parse("(x1 - x2)^2*(x1 + x2)", 2), opts)
+        assert rep.verdict is Verdict.FAILS and rep.budget == {"note": "p(1/2, 1/2) <= 0"}
+        assert rep.witness["p_abs_z"] == "0"
+        # at z = (1/3, 1/3, -1/3), |p(z)| = 1/9 >= 0 >= p(|z|) = -1
+        rep = check_pos3(parse("-(x1 + x2 + x3)^2", 3), opts)
+        assert rep.verdict is Verdict.FAILS
+        assert rep.budget == {"note": "p(1/3, 1/3, 1/3) <= 0"}
+        assert rep.witness == {"z": [["1", "0"], ["1", "0"], ["-1", "0"]],
+                               "abs_p_z_squared": "1/81", "p_abs_z": "-1",
+                               "p_abs_z_squared": "1", "equality": False,
+                               "validation": "exact"}
+
+
+def test_sign_rule_fails_exactly_wherever_the_coefficient_sum_is_not_positive():
+    rng = random.Random(81)
+    fails = 0
+    for _ in range(80):
+        n, d = rng.randint(2, 4), rng.randint(1, 4)
+        p = rand_homogeneous(rng, n, d, density=0.6)
+        total = sum(p.terms.values())
+        # p at (1, ..., 1, -1), straight from the terms
+        flipped = sum(c * (-1) ** exp[-1] for exp, c in p.terms.items())
+        for mode in Pos3Mode:
+            rep = check_pos3(p, Pos3Options(mode=mode, grid=6, max_samples=200))
+            if total > 0:
+                assert "note" not in rep.budget or "<= 0" not in rep.budget["note"]
+                continue
+            fails += 1
+            assert rep.verdict is Verdict.FAILS
+            assert rep.witness["z"] == [["1", "0"]] * (n - 1) + [["-1", "0"]]
+            assert F(rep.witness["p_abs_z"]) == total / n ** d
+            assert F(rep.witness["abs_p_z_squared"]) == (flipped / n ** d) ** 2
+    assert fails >= 40
 
 
 def test_falsify_float_layer_is_scale_free():
@@ -1058,7 +1075,7 @@ def test_pos3_options_validate():
         with pytest.raises(ValueError):
             Pos3Options(tolerance=tolerance)
     for name, least in (("grid", 1), ("max_samples", 1), ("max_depth", 0),
-                        ("max_boxes", 0), ("refine_candidates", 0)):
+                        ("seed", 0)):
         Pos3Options(**{name: least})
         with pytest.raises(ValueError, match=name):
             Pos3Options(**{name: least - 1})
