@@ -29,8 +29,7 @@ from .conditions import (Pos3Options, Verdict, check_pos1, check_pos2,
                          check_pos3)
 from .eventual import power_scan, polya_exponent, scan_rows
 from .geometry import (difference_lattice_generators, hessian_logf_fd,
-                       is_positive_definite, jf_matrix, newton_affine_dim,
-                       smith_invariant_factors, difference_lattice_is_full)
+                       is_positive_definite, jf_matrix, smith_invariant_factors)
 from .poly import ParseError, Polynomial, infer_nvars, parse, serialize
 from .spectral import BetaVerdict, PolyMatrix, verify_beta
 
@@ -178,12 +177,14 @@ def cmd_geometry(args) -> int:
         point = [Fraction(v) for v in args.point.split(",")]
     f = _parse_poly(args.f, args.nvars)
     result: dict = {"f": serialize(f), "nvars": f.nvars}
+    # newton_affine_dim and difference_lattice_is_full, from one Smith form
+    if {"dim", "lattice"} & set(checks):
+        factors = smith_invariant_factors(difference_lattice_generators(f))
     if "dim" in checks:
-        result["newton_affine_dim"] = newton_affine_dim(f)
+        result["newton_affine_dim"] = len(factors)
     if "lattice" in checks:
-        gens = difference_lattice_generators(f)
-        result["snf_invariant_factors"] = smith_invariant_factors(gens)
-        result["difference_lattice_full"] = difference_lattice_is_full(f)
+        result["snf_invariant_factors"] = factors
+        result["difference_lattice_full"] = factors == [1] * f.nvars
     if "jf" in checks:
         if point is None:
             point = [Fraction(1)] * f.nvars

@@ -19,10 +19,12 @@ Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       |p(z)| >= p(|z|) is an exact Fails.  Falsify mode runs it before
       any sampling, on the quarter turns its phase grid holds, so such a
       Fails draws no sample.  Only on a miss does it sample the
-      normalized domain from a seeded numpy Generator, re-validate
-      candidates exactly when their phases are multiples of pi/2, and
-      else refine the best ones by Nelder-Mead and check rational points
-      next to each refined point exactly.  Every Fails carries an exact
+      normalized domain from a seeded numpy Generator, where D =
+      p(|z|)^2 - |p(z)|^2, computed in floats from the terms of p,
+      picks the candidates.  It re-validates candidates exactly when
+      their phases are multiples of pi/2, and else refines the best ones
+      by Nelder-Mead on the same formula and checks rational points next
+      to each refined point exactly.  Every Fails carries an exact
       Gaussian-rational witness.  Certify mode runs the probe alone for
       n >= 3 (a miss is Inconclusive).  For n = 2 it proves
       G = D / (4 r1 r2 sin^2(t/2)) > 0, where
@@ -221,6 +223,15 @@ class Pos3Mode(str, Enum):
     CERTIFY = "Certify"
 
 
+#: The largest grid and max_samples accepted.  Both searches probe
+#: O(grid) points per pair face in exact arithmetic, and falsify's tables
+#: and sample arrays grow with grid and max_samples, so larger values
+#: would run for hours or exhaust memory; the thorough profile uses 64
+#: and 100,000.
+_MAX_GRID = 4096
+_MAX_SAMPLES = 10 ** 6
+
+
 @dataclass
 class Pos3Options:
     mode: Pos3Mode = Pos3Mode.FALSIFY
@@ -237,6 +248,9 @@ class Pos3Options:
                             ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        for name, most in (("grid", _MAX_GRID), ("max_samples", _MAX_SAMPLES)):
+            if getattr(self, name) > most:
+                raise ValueError(f"{name} must be at most {most}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be finite and positive")
 
@@ -348,9 +362,10 @@ def _rational_unit(theta: float, bound: Optional[int]) -> tuple:
 #: the aligned set D vanishes, and float noise there is no counterexample.
 _MISALIGNMENT_FLOOR = 1e-3
 
-#: Falsify evaluates D on the grid about this many (sample, pair) entries
-#: at a time, which bounds its memory.
-_GRID_CHUNK = 1 << 19
+#: Falsify evaluates D on the grid about this many (sample, term) entries
+#: at a time: each chunk of samples holds its terms c_I r^I and their
+#: phase indices <I, phases> mod g, which bounds the memory.
+_GRID_CHUNK = 1 << 16
 
 
 def _unrank_compositions(n: int, g: int, ranks) -> np.ndarray:
@@ -386,7 +401,8 @@ def _misalignment(R: np.ndarray, TH: np.ndarray) -> np.ndarray:
 
 
 #: `_float_scaled` leaves p alone while its largest coefficient is below
-#: 2^_FLOAT_BITS, so 2 c_I c_J stays below about 2^513.
+#: 2^_FLOAT_BITS, so p(r)^2 stays below about T^2 2^512 for T terms and
+#: radii at most 1, far inside float range.
 _FLOAT_BITS = 256
 
 
@@ -400,98 +416,44 @@ def _float_scaled(p: Polynomial) -> Polynomial:
     return p.scale(Fraction(1, 2 ** shift)) if shift > 0 else p
 
 
-def _pair_arrays(p: Polynomial) -> tuple:
-    """Cross terms of D(r, theta) = p(r)^2 - |p(r e^{i theta})|^2.
+def _eval_d_grid(p: Polynomial, g: int, radii: np.ndarray, row: np.ndarray,
+                 phases: np.ndarray) -> tuple:
+    """D = p(r)^2 - |p(r e^{i theta})|^2 and p(r) at the grid points
+    r = radii[row] / g, theta = 2 pi phases / g.
 
-    D = sum over unordered pairs I != J of
-        2 c_I c_J r^{I+J} (1 - cos(<I - J, theta>));
-    the diagonal cancels.  Returns (2 c_I c_J as floats, I + J, I - J)
-    as arrays, one row per pair.  Each float is one division of Python
-    ints, correctly rounded like float() of the exact product, which is
-    never formed.
+    With w_I = c_I r^I, p(r) = sum w_I and p(z) = sum w_I e^{i <I, theta>}.
+    On the grid r^I comes from a table of (e/g)^k, and e^{i <I, theta>}
+    from a table of e^{2 pi i m/g} at m = <I, phases> mod g.  That table
+    is made exactly conjugate-symmetric in m <-> g - m, with sin 0 at
+    m = g/2, so mirror phases give the same D bit for bit.  The samples
+    go in chunks of about `_GRID_CHUNK` (sample, term) entries, and the
+    w of each distinct radius of a chunk are built once.  Each value is a
+    sum over its own sample's terms alone, so it does not depend on the
+    chunks.  Returns (D, p(r)) with one entry per point.
     """
-    pairs = list(combinations(p.sorted_terms(), 2))
-    return (np.array([2 * ci.numerator * cj.numerator / (ci.denominator * cj.denominator)
-                      for (_, ci), (_, cj) in pairs]),
-            np.array([[a + b for a, b in zip(ei, ej)] for (ei, _), (ej, _) in pairs],
-                     dtype=np.int64).reshape(-1, p.nvars),
-            np.array([[a - b for a, b in zip(ei, ej)] for (ei, _), (ej, _) in pairs],
-                     dtype=np.int64).reshape(-1, p.nvars))
-
-
-def _eval_d_grid(p: Polynomial, arrays: tuple, g: int, radii: np.ndarray,
-                 row: np.ndarray, phases: np.ndarray) -> tuple:
-    """D and p(r) at the grid points r = radii[row] / g, theta = 2 pi phases / g.
-
-    On the grid r^(I+J) depends on the radius alone, and the phase factor
-    1 - cos(<I - J, theta>) on the phases alone, through
-    <I - J, phases> mod g.  The versine table 1 - cos(2 pi m/g) is made
-    exactly even, so the pairs with the same +-(I - J) share one phase
-    factor: their 2 c_I c_J r^(I+J) are summed first, per radius, and
-    then weighted by that factor, one sum per group of pairs.  The
-    samples are walked in radius order, in chunks of about `_GRID_CHUNK`
-    (sample, pair) entries that end at a change of radius where they can,
-    so a radius's row of group sums is built once.  A phase tuple is
-    known by its mixed-radix code in g: one `np.unique` of the codes
-    numbers a chunk's tuples, and their phase-factor rows are built from
-    the decoded codes.  Each value is a sum over one radius's row and
-    one tuple's row alone (`np.add.reduceat` over the pairs sorted by
-    group), so it does not depend on the chunks.  Returns (D, p(r)) with
-    one entry per point.
-    """
-    C, E, K = arrays
-    T = np.array(list(p.terms))
-    t_coef = np.array([float(c) for c in p.terms.values()])
-    powers = (np.arange(g + 1) / g)[:, None] ** np.arange(2 * p.degree() + 1, dtype=float)
-    # m and g - m are mirror phases, so the table is made exactly even
+    T = np.array(list(p.terms), dtype=np.int64)
+    coef = np.array([float(c) for c in p.terms.values()])
+    powers = (np.arange(g + 1) / g)[:, None] ** np.arange(p.degree() + 1, dtype=float)
     m = np.arange(g)
-    versin = 1.0 - np.cos((2 * np.minimum(m, g - m)) / g * math.pi)
-    # a group's key is +-(I - J) with its first nonzero entry > 0; the
-    # pairs are sorted by group
-    first = K[np.arange(len(K)), np.argmax(K != 0, axis=1)]
-    keys, group = np.unique(K * np.sign(first)[:, None], axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    by_group = np.argsort(group, kind="stable")
-    C, E = C[by_group], E[by_group]
-    group_starts = np.flatnonzero(np.diff(group[by_group], prepend=-1))
-
-    # a phase tuple's mixed-radix code in g; the first phase is 0, and the
-    # codes are Python ints once g^(n-1) leaves int64
-    n = phases.shape[1]
-    wide = object if g ** (n - 1) > np.iinfo(np.int64).max else np.int64
-    radix = np.array([g ** k for k in range(n - 1)], dtype=wide)
-    code = phases[:, 1:].astype(wide) @ radix
-
-    def monomials(comps: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        out = np.ones((len(comps), len(exps)))
-        for j in range(comps.shape[1]):
-            out *= powers[comps[:, j][:, None], exps[:, j]]
-        return out
+    angle = (2 * np.minimum(m, g - m)) / g * math.pi
+    cos = np.cos(angle)
+    sin = np.sign(g - 2 * m) * np.sin(angle)
 
     D = np.empty(len(row))
     p_r = np.empty(len(row))
-    # the narrowest integer type lets numpy's stable sort run as a radix sort
-    order = np.argsort(row.astype(np.min_scalar_type(len(radii))), kind="stable")
-    sorted_row = row[order]
-    step = max(1, _GRID_CHUNK // max(1, len(C)))
-    start = 0
-    while start < len(row):
-        end = min(start + step, len(row))
-        if end < len(row):
-            # back to the first sample of the radius the chunk would cut
-            cut = int(np.searchsorted(sorted_row, sorted_row[end]))
-            end = cut if cut > start else end
-        part = order[start:end]
-        rows, at_row = np.unique(sorted_row[start:end], return_inverse=True)
-        at_row = at_row.reshape(-1)
-        codes, at_tuple = np.unique(code[part], return_inverse=True)
-        tuples = (codes[:, None] // radix % g).astype(np.int64)
-        comps = radii[rows]
-        sums = np.add.reduceat(monomials(comps, E) * C, group_starts, axis=1)
-        D[part] = np.einsum("ij,ij->i", sums[at_row],
-                            versin[(tuples @ keys[:, 1:].T) % g][at_tuple.reshape(-1)])
-        p_r[part] = (monomials(comps, T) @ t_coef)[at_row]
-        start = end
+    step = max(1, _GRID_CHUNK // len(T))
+    for start in range(0, len(row), step):
+        part = slice(start, start + step)
+        rows, at_row = np.unique(row[part], return_inverse=True)
+        w = np.broadcast_to(coef, (len(rows), len(T))).copy()
+        for j in range(T.shape[1]):
+            w *= powers[radii[rows, j]][:, T[:, j]]
+        w = w[at_row.reshape(-1)]
+        at = (phases[part] @ T.T) % g
+        total = w.sum(axis=1)
+        re, im = (w * cos[at]).sum(axis=1), (w * sin[at]).sum(axis=1)
+        D[part] = total * total - (re * re + im * im)
+        p_r[part] = total
     return D, p_r
 
 
@@ -536,13 +498,12 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     if witness is not None:
         return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
                                budget={"quarter_turn_points": points})
-    # the float layer sees p times a power of two that keeps 2 c_I c_J and
-    # p(r)^2 in float range; every float test below is scale-free, and the
-    # exact checks use p itself
+    # the float layer sees p times a power of two that keeps p(r)^2 in
+    # float range; every float test below is scale-free, and the exact
+    # checks use p itself
     pf = _float_scaled(p)
-    arrays = _pair_arrays(pf)
     radii, row, phases, R, TH = _grid_samples(n, opts)
-    D, p_r = _eval_d_grid(pf, arrays, g, radii, row, phases)
+    D, p_r = _eval_d_grid(pf, g, radii, row, phases)
     low = np.flatnonzero(D <= opts.tolerance * np.maximum(p_r ** 2, 1e-30))
     candidate_idx = low[_misalignment(R[low], TH[low]) > _MISALIGNMENT_FLOOR]
     candidate_idx = candidate_idx[np.argsort(D[candidate_idx], kind="stable")]
@@ -560,27 +521,24 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
                                    budget=budget)
 
     # pass 2: local refinement of the best floating candidates
-    from scipy.optimize import minimize
+    if len(candidate_idx):
+        # scipy takes most of a second to import, so only a candidate pays
+        from scipy.optimize import minimize
 
-    C, E, K = arrays[0], arrays[1].astype(float), arrays[2].astype(float)
-    terms = [(float(c), [(j, e) for j, e in enumerate(exp) if e])
-             for exp, c in pf.terms.items()]
+    T = np.array(list(pf.terms), dtype=float)
+    coef = np.array([float(c) for c in pf.terms.values()])
 
     def objective(x):
         rfree = np.clip(x[:n - 1], 0.0, 1.0)
         rn = 1.0 - rfree.sum()
         if rn < 0:
             return 1e6 * (1 + rn ** 2)
-        rr = np.concatenate([rfree, [rn]])[None, :]
-        tt = np.concatenate([[0.0], x[n - 1:]])[None, :]
-        mono = np.prod(rr[:, None, :] ** E[None, :, :], axis=2)
-        dd = (mono * (1.0 - np.cos(tt @ K.T)) * C).sum(axis=1)[0]
-        p_rr = 0.0      # term by term, in p.terms order
-        for v, powers in terms:
-            for j, e in powers:
-                v *= rr[0, j] ** e
-            p_rr += v
-        return dd / max(float(p_rr) ** 2, 1e-30)
+        r = np.concatenate([rfree, [rn]])
+        theta = np.concatenate([[0.0], x[n - 1:]])
+        # D / p(r)^2 from the terms w = c_I r^I, as on the grid
+        w = coef * np.prod(r ** T, axis=1)
+        total, pz = w.sum(), w @ np.exp(1j * (T @ theta))
+        return (total * total - (pz.real ** 2 + pz.imag ** 2)) / max(total * total, 1e-30)
 
     refined = 0
     for idx in candidate_idx[:_REFINE_CANDIDATES]:

@@ -30,38 +30,6 @@ def log_support(f: Polynomial) -> frozenset:
     return frozenset(f.terms)
 
 
-def _rational_rank(rows: list[list[int]]) -> int:
-    """Exact rank over Q by fraction elimination."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / prow[col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], prow)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def newton_affine_dim(f: Polynomial) -> int:
-    """Affine dimension of the Newton polytope of f."""
-    support = sorted(log_support(f))
-    base = support[0]
-    rows = [[a - b for a, b in zip(exp, base)] for exp in support[1:]]
-    return _rational_rank(rows)
-
-
 def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
     """Nonzero invariant factors of an integer matrix (Smith normal form).
 
@@ -140,16 +108,20 @@ def difference_lattice_generators(f: Polynomial) -> list[list[int]]:
     return [[a - b for a, b in zip(exp, base)] for exp in support[1:]]
 
 
+def newton_affine_dim(f: Polynomial) -> int:
+    """Affine dimension of the Newton polytope of f: the rank of the
+    support differences, which is the number of nonzero invariant factors
+    of their Smith normal form."""
+    return len(smith_invariant_factors(difference_lattice_generators(f)))
+
+
 def difference_lattice_is_full(f: Polynomial) -> bool:
     """True iff the support-difference lattice equals Z^nvars.
 
     Decided by Smith normal form: full exactly when there are nvars
     invariant factors, all equal to 1.
     """
-    gens = difference_lattice_generators(f)
-    factors = smith_invariant_factors(gens)
-    ell = f.nvars
-    return len(factors) == ell and all(v == 1 for v in factors)
+    return smith_invariant_factors(difference_lattice_generators(f)) == [1] * f.nvars
 
 
 # ---------------------------------------------------------------------

@@ -5,6 +5,9 @@ import csv
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,8 +175,9 @@ def test_check_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("expr, nvars", [("(x1+x2)^4 - 9*x1^2*x2^2", 2),
-                                         ("(x1+x2+x3)^4 - 9*x1^2*x2^2", 3)],
-                         ids=["quartic", "lift"])
+                                         ("(x1+x2+x3)^4 - 9*x1^2*x2^2", 3),
+                                         ("(x1+x2+x3+x4)^4 - 17/2*x1^2*x2^2", 4)],
+                         ids=["quartic", "lift", "n4"])
 def test_nelder_mead_witness_is_exact(expr, nvars, tmp_path):
     # An odd grid holds no quarter-turn phase, so no exact witness exists
     # among the samples and the Nelder-Mead refinement supplies one.
@@ -196,6 +200,24 @@ def test_nelder_mead_witness_is_exact(expr, nvars, tmp_path):
         z = [mpmath.mpc(mp(re), mp(im)) for re, im in witness["z"]]
         gap = modulus_gap(parse(expr, nvars), [abs(v) for v in z], [mpmath.arg(v) for v in z])
         assert gap < -mpmath.mpf(10) ** -6
+
+
+def test_falsify_imports_scipy_only_to_refine(tmp_path):
+    # scipy.optimize takes most of a second to import; this cubic misses the
+    # pair-face probe and leaves no candidate, so nothing is refined
+    out = tmp_path / "r.json"
+    script = ("import sys\n"
+              "from powerpos.cli import main\n"
+              "code = main(['check', '(x1+x2+x3)^3 - 8*x1*x2*x3', '--pos3-mode', 'falsify',\n"
+              "             '--json', sys.argv[1]])\n"
+              "print(code, 'scipy.optimize' in sys.modules)\n")
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["3", "False"]
+    budget = json.loads(out.read_text())["reports"][2]["budget"]
+    assert budget["samples"] == 20000 and budget["candidates"] == 0 and budget["refined"] == 0
 
 
 def test_bench_pos3_witnesses_are_exact_on_the_quarter_turn_axes(monkeypatch, tmp_path):
@@ -461,7 +483,8 @@ def test_missing_config_errors(capsys, tmp_path):
                                          ("--max-samples", "-5"), ("--grid", "-3"),
                                          ("--grid", "0"), ("--max-depth", "-1"),
                                          ("--tolerance", "nan"), ("--tolerance", "inf"),
-                                         ("--tolerance", "0"), ("--seed", "-1")])
+                                         ("--tolerance", "0"), ("--seed", "-1"),
+                                         ("--grid", "4097"), ("--max-samples", "1000001")])
 @pytest.mark.parametrize("mode", ["certify", "falsify"])
 def test_invalid_budget_value_is_one_error_line(flag, value, mode, capsys):
     assert run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--pos3-mode", mode,

@@ -20,8 +20,8 @@ from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
                       power_scan)
 from powerpos import conditions
 from powerpos.conditions import (_DENOMINATORS, _bernstein_g, _eval_d_grid,
-                                 _grid_samples, _halves, _pair_arrays,
-                                 _rational_unit, _unrank_compositions)
+                                 _grid_samples, _halves, _rational_unit,
+                                 _unrank_compositions)
 from powerpos.poly import eval_complex_exact, monomials_of_degree
 
 from helpers import (fraction_grid_samples, modulus_gap, rand_complex_point,
@@ -802,19 +802,6 @@ def test_halves_are_the_restrictions_to_the_half_boxes():
                         2 ** n * _bernstein_value(b, point[0], 2 * point[1] - 1)
 
 
-def test_pair_floats_round_like_the_exact_products():
-    rng = random.Random(47)
-    for _ in range(20):
-        p = rand_homogeneous(rng, rng.randint(2, 4), rng.randint(1, 4), density=0.7)
-        C, E, K = _pair_arrays(p)
-        terms = p.sorted_terms()
-        exact = [2 * ci * cj for i, (_, ci) in enumerate(terms) for _, cj in terms[i + 1:]]
-        assert C.tolist() == [float(v) for v in exact]
-        pairs = [(ei, ej) for i, (ei, _) in enumerate(terms) for ej, _ in terms[i + 1:]]
-        assert E.tolist() == [[a + b for a, b in zip(ei, ej)] for ei, ej in pairs]
-        assert K.tolist() == [[a - b for a, b in zip(ei, ej)] for ei, ej in pairs]
-
-
 def test_unranked_compositions_follow_monomials_of_degree():
     for n in range(1, 5):
         for g in range(1, 9):
@@ -874,7 +861,7 @@ def test_grid_d_matches_high_precision_values():
         g = rng.choice([5, 8, 16, 32])
         radii, row, phases, _, _ = _grid_samples(n, Pos3Options(grid=g, max_samples=300,
                                                                 seed=rng.randint(0, 99)))
-        D, p_r = _eval_d_grid(p, _pair_arrays(p), g, radii, row, phases)
+        D, p_r = _eval_d_grid(p, g, radii, row, phases)
         for s in rng.sample(range(len(row)), 40):
             r = [F(int(e), g) for e in radii[row[s]]]
             theta = [2 * mpmath.pi * int(j) / g for j in phases[s]]
@@ -906,37 +893,18 @@ def test_grid_d_is_even_in_the_phases():
         p = rand_homogeneous(rng, n, rng.randint(1, 5), density=0.7)
         g = rng.choice([5, 7, 12, 32])
         radii, row, phases = _random_grid_points(rng, g, n, 500)
-        D, p_r = _eval_d_grid(p, _pair_arrays(p), g, radii, row, phases)
-        D_mirror, p_r_mirror = _eval_d_grid(p, _pair_arrays(p), g, radii, row, -phases % g)
+        D, p_r = _eval_d_grid(p, g, radii, row, phases)
+        D_mirror, p_r_mirror = _eval_d_grid(p, g, radii, row, -phases % g)
         assert np.array_equal(D, D_mirror) and np.array_equal(p_r, p_r_mirror)
-
-
-@pytest.mark.parametrize("g", [5, 7, 32])
-def test_grouped_d_equals_the_sum_over_pairs(g):
-    rng = random.Random(g)
-    m = np.arange(g)
-    versin = 1.0 - np.cos((2 * np.minimum(m, g - m)) / g * math.pi)
-    for _ in range(10):
-        n = rng.randint(2, 4)
-        p = rand_homogeneous(rng, n, rng.randint(1, 5), density=rng.choice([0.5, 1.0]))
-        C, E, K = _pair_arrays(p)
-        radii, row, phases = _random_grid_points(rng, g, n, 400)
-        D, _ = _eval_d_grid(p, (C, E, K), g, radii, row, phases)
-        r = radii[row] / g
-        per_pair = (np.prod(r[:, None, :] ** E[None], axis=2) * C
-                    * versin[(phases @ K.T) % g]).sum(axis=1)
-        size = np.prod(r[:, None, :] ** np.array(list(p.terms))[None], axis=2) \
-            @ np.array([abs(float(c)) for c in p.terms.values()])
-        assert np.all(np.abs(D - per_pair) <= 1e-13 * size ** 2)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 19])
 def test_grid_d_does_not_depend_on_the_chunks(monkeypatch, chunk):
     p = parse("(x1 + x2 + x3)^4 - 29/2*x1^2*x2^2 + x2*x3^3", 3)
     radii, row, phases, _, _ = _grid_samples(3, Pos3Options(max_samples=3000))
-    whole = _eval_d_grid(p, _pair_arrays(p), 32, radii, row, phases)
+    whole = _eval_d_grid(p, 32, radii, row, phases)
     monkeypatch.setattr(conditions, "_GRID_CHUNK", chunk)
-    parts = _eval_d_grid(p, _pair_arrays(p), 32, radii, row, phases)
+    parts = _eval_d_grid(p, 32, radii, row, phases)
     assert np.array_equal(whole[0], parts[0]) and np.array_equal(whole[1], parts[1])
 
 
@@ -1079,6 +1047,11 @@ def test_pos3_options_validate():
         Pos3Options(**{name: least})
         with pytest.raises(ValueError, match=name):
             Pos3Options(**{name: least - 1})
+    # an oversized grid or sample count is refused before any search runs
+    for name, most in (("grid", 4096), ("max_samples", 10 ** 6)):
+        Pos3Options(**{name: most})
+        with pytest.raises(ValueError, match=f"{name} must be at most {most}"):
+            Pos3Options(**{name: most + 1})
     with pytest.raises(TypeError):
         Pos3Options(delta=1e-3)
     assert Pos3Options(mode="certify").mode is Pos3Mode.CERTIFY

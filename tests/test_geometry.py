@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
 
 from powerpos import (amgm_check, check_pos1, check_pos2, dehomogenize,
                       difference_lattice_is_full, hessian_logf_fd,
@@ -46,6 +47,29 @@ def test_newton_affine_dim_examples():
     assert newton_affine_dim(parse("s1+s2+1", 2)) == 2
     assert newton_affine_dim(parse("x1^3*x2", 2)) == 0
     assert newton_affine_dim(parse("s1+1", 2)) == 1
+
+
+def test_newton_affine_dim_is_the_rank_of_the_support_differences():
+    # sympy's rank over Q, on random supports that often span less than
+    # their ambient space: points base + sum k_i u_i for 1-3 random u_i
+    rng = random.Random(59)
+    ranks = set()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        base = [rng.randint(0, 6) for _ in range(n)]
+        spans = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        support = set()
+        for _ in range(rng.randint(1, 8)):
+            steps = [rng.randint(0, 2) for _ in spans]
+            point = [b + sum(k * v[i] for k, v in zip(steps, spans)) for i, b in enumerate(base)]
+            support.add(tuple(max(0, e) for e in point))
+        f = Polynomial(n, {exp: 1 for exp in support})
+        exps = sorted(support)
+        rows = [[a - b for a, b in zip(exp, exps[0])] for exp in exps[1:]]
+        rank = sympy.Matrix(rows).rank() if rows else 0
+        assert newton_affine_dim(f) == rank
+        ranks.add((n, rank))
+    assert len(ranks) >= 12
 
 
 def test_smith_invariant_factors_known():
