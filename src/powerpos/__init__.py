@@ -9,8 +9,7 @@ nonnegative-integer-coefficient polynomials.
 
 from .conditions import (Condition, ConditionReport, Pos3Mode, Pos3Options,
                          SgcsResult, Verdict, assoc_bihom_eval, check_pos1,
-                         check_pos2, check_pos3, check_sgcs, facet_derivative,
-                         max_squared_norm_diag)
+                         check_pos2, check_pos3, check_sgcs, facet_derivative)
 from .eventual import (OnsetProof, PositivityPattern, ScanRow, all_coeffs_positive,
                        polya_exponent, power_scan, scan_rows)
 from .geometry import (amgm_check, difference_lattice_is_full, hessian_logf_fd,
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Condition", "ConditionReport", "Pos3Mode", "Pos3Options", "SgcsResult",
     "Verdict", "assoc_bihom_eval", "check_pos1", "check_pos2", "check_pos3",
-    "check_sgcs", "facet_derivative", "max_squared_norm_diag",
+    "check_sgcs", "facet_derivative",
     "OnsetProof", "PositivityPattern", "ScanRow", "all_coeffs_positive",
     "polya_exponent", "power_scan", "scan_rows",
     "amgm_check", "difference_lattice_is_full", "hessian_logf_fd",

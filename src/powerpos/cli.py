@@ -228,9 +228,6 @@ def cmd_sweep(args) -> int:
     upper = Fraction(2 ** (2 * k - 1))
     rows = []
     for lam in lambdas:
-        if not 0 < lam <= upper:
-            print(f"warning: lambda={lam} outside (0, {upper}]; exploring anyway",
-                  file=sys.stderr)
         base = parse("(x1 + x2)^%d" % (2 * k), 2)
         spike = Polynomial(2, {(k, k): lam})
         p = base - spike
@@ -242,6 +239,12 @@ def cmd_sweep(args) -> int:
                      "pos3": verdicts["Pos3"],
                      "window_onset": pattern.onset,
                      "onset_proved": pattern.onset_proved})
+    # warned only once every check has run, so that a refused budget is
+    # the one line on stderr
+    for lam in lambdas:
+        if not 0 < lam <= upper:
+            print(f"warning: lambda={lam} outside (0, {upper}]; exploring anyway",
+                  file=sys.stderr)
     out = args.csv or "-"
     fh = sys.stdout if out == "-" else open(out, "w", newline="")
     try:

@@ -28,18 +28,19 @@ Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       Gaussian-rational witness.  Certify mode runs the probe alone for
       n >= 3 (a miss is Inconclusive).  For n = 2 it proves
       G = D / (4 r1 r2 sin^2(t/2)) > 0, where
-      D = p(r)^2 - |p(r e^{it})|^2 and G is a sum of Fejer kernels (see
-      `_fejer_terms`).  G is a polynomial in (r1, cos t), so exact
-      Bernstein coefficients on [0, 1] x [-1, 1], split by de Casteljau,
-      decide its sign with no rounding at all.  Dividing out the
-      removable zeros of D on the aligned set leaves nothing to fence
-      off.  When the search stops at a corner where G < 0 inside the
-      segment, rational points next to it are checked exactly for a
-      Fails witness; failing that, the probe runs.
+      D = p(r)^2 - |p(r e^{it})|^2 and G is a sum of Fejer kernels.
+      G is a polynomial in (r1, cos t), so its Bernstein coefficients on
+      [0, 1] x [-1, 1], built as Python ints by integer matrix products
+      (`_bernstein_g`) and split by de Casteljau, decide its sign with no
+      rounding at all.  Dividing out the removable zeros of D on the
+      aligned set leaves nothing to fence off.  When the search stops at
+      a corner where G < 0 inside the segment, rational points next to it
+      are checked exactly for a Fails witness; failing that, the probe
+      runs.
 
 Also here: the associated Hermitian bihomogeneous form
-P(z, conj(w)) = p(z_1 conj(w_1), ..., z_n conj(w_n)), its strict
-Cauchy-Schwarz probe, and the diagonal maximal-squared-norm test.
+P(z, conj(w)) = p(z_1 conj(w_1), ..., z_n conj(w_n)) and its strict
+Cauchy-Schwarz probe.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eventual import all_coeffs_positive, polya_exponent
+from .eventual import polya_exponent
 from .poly import (Polynomial, eval_complex_exact, eval_rational,
                    monomials_of_degree)
 
@@ -489,6 +490,27 @@ def _grid_samples(n: int, opts: Pos3Options) -> tuple:
     return radii, row, phases, (radii / g)[row], (2 * phases) / g * math.pi
 
 
+def _nelder_mead_objective(x: np.ndarray, T: np.ndarray, coef: np.ndarray) -> float:
+    """D / p(r)^2 at z_k = r_k e^{i theta_k}, for p = sum of coef_I x^I over
+    the rows I of T, in floats.
+
+    x = (r_1, ..., r_(n-1), theta_2, ..., theta_n): the free radii, each
+    clipped to [0, 1], then r_n = 1 - their sum, and theta_1 = 0.  Past
+    the simplex, r_n < 0, it is the penalty 1e6 (1 + r_n^2).  D comes from
+    the terms w = coef_I r^I as on the grid (`_eval_d_grid`).
+    """
+    n = T.shape[1]
+    rfree = np.clip(x[:n - 1], 0.0, 1.0)
+    rn = 1.0 - rfree.sum()
+    if rn < 0:
+        return 1e6 * (1 + rn ** 2)
+    r = np.concatenate([rfree, [rn]])
+    theta = np.concatenate([[0.0], x[n - 1:]])
+    w = coef * np.prod(r ** T, axis=1)
+    total, pz = w.sum(), w @ np.exp(1j * (T @ theta))
+    return (total * total - (pz.real ** 2 + pz.imag ** 2)) / max(total * total, 1e-30)
+
+
 def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     n, g = p.nvars, opts.grid
     # the pair-face points of the grid at a quarter-turn phase difference:
@@ -527,23 +549,10 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
 
     T = np.array(list(pf.terms), dtype=float)
     coef = np.array([float(c) for c in pf.terms.values()])
-
-    def objective(x):
-        rfree = np.clip(x[:n - 1], 0.0, 1.0)
-        rn = 1.0 - rfree.sum()
-        if rn < 0:
-            return 1e6 * (1 + rn ** 2)
-        r = np.concatenate([rfree, [rn]])
-        theta = np.concatenate([[0.0], x[n - 1:]])
-        # D / p(r)^2 from the terms w = c_I r^I, as on the grid
-        w = coef * np.prod(r ** T, axis=1)
-        total, pz = w.sum(), w @ np.exp(1j * (T @ theta))
-        return (total * total - (pz.real ** 2 + pz.imag ** 2)) / max(total * total, 1e-30)
-
     refined = 0
     for idx in candidate_idx[:_REFINE_CANDIDATES]:
         x0 = np.concatenate([R[idx, :n - 1], TH[idx, 1:]])
-        res = minimize(objective, x0, method="Nelder-Mead",
+        res = minimize(_nelder_mead_objective, x0, args=(T, coef), method="Nelder-Mead",
                        options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14})
         refined += 1
         if res.fun < -1e-9:
@@ -570,10 +579,9 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
                                    "note": "no counterexample found"})
 
 
-def _fejer_terms(p: Polynomial) -> dict:
-    """G for n = 2 as {a: [h_0, ..., h_(d-1)]}, exact, where
-
-        G(r1, t) = sum over a of r1^a r2^(2d-2-a) sum_m h_m cos(mt).
+def _bernstein_g(p: Polynomial) -> tuple:
+    """G's Bernstein coefficients in (r1, c = cos t) on [0, 1] x [-1, 1],
+    built in integers.
 
     With c_i the coefficient of x1^i x2^(d - i), z = (r1 e^{it}, r2) and
     D = p(r)^2 - |p(z)|^2,
@@ -583,54 +591,49 @@ def _fejer_terms(p: Polynomial) -> dict:
 
     because 1 - cos(kt) = 2 sin^2(t/2) F_k(t) for the Fejer kernel
     F_k = k + 2 sum_{0<m<k} (k - m) cos(mt).  Both exponents are >= 0
-    because i < j <= d.  The kernels of the pairs with the same i + j
-    multiply the same power of r, so they are summed into one cosine
-    polynomial.
-    """
-    d = p.degree()
-    coefs = {exp[0]: c for exp, c in p.terms.items()}
-    sums: dict[int, list] = {}
-    for i, j in combinations(sorted(coefs), 2):
-        cc, k = coefs[i] * coefs[j], j - i
-        h = sums.setdefault(i + j - 1, [Fraction(0)] * d)
-        h[0] += k * cc
-        for m in range(1, k):
-            h[m] += 2 * (k - m) * cc
-    return sums
-
-
-def _bernstein_g(p: Polynomial) -> tuple:
-    """G's Bernstein coefficients in (r1, c = cos t) on [0, 1] x [-1, 1].
-
-    G has degree B = 2d - 2 in r1 and M = d - 1 in c, because
-    cos(mt) = T_m(c), the Chebyshev polynomial.  Returns (b, scale): a
-    (B + 1) x (M + 1) object array of Python ints and a Fraction > 0 with
+    because i < j <= d.  G has degree B = 2d - 2 in r1 and M = d - 1 in
+    c, because cos(mt) = T_m(c), the Chebyshev polynomial.  Returns
+    (b, scale): a (B + 1) x (M + 1) object array of Python ints and a
+    Fraction > 0 with
 
         G = scale sum b[a, k] C(B, a) r1^a r2^(B-a) C(M, k) u^k (1 - u)^(M-k)
 
-    for u = (1 + c)/2.  Along r1 a coefficient is the one of r1^a r2^(B-a)
-    over C(B, a); along c each cosine polynomial is written in powers of
-    u through T_m(2u - 1), then in the Bernstein basis.
+    for u = (1 + c)/2.  No Fraction is used: with p's denominators
+    cleared by their lcm L, three integer matrices give S = H Cheb Tb.
+    H[a, m] is L^2 times the cos(mt) coefficient of r1^a r2^(B-a), from
+    the pairs with i + j - 1 = a; Cheb[m, j] is the u^j coefficient of
+    T_m(2u - 1); and Tb[j, k] = C(M - j, k - j) takes u^j to the basis
+    C(M, k) u^k (1 - u)^(M-k), because u^j = sum_k C(k, j)/C(M, j) times
+    that basis and C(k, j)/C(M, j) = C(M - j, k - j)/C(M, k).  So b[a, k]
+    is S[a, k]/(C(B, a) C(M, k)) times the lcm of those products, over
+    the gcd of all of b.
     """
     d = p.degree()
     big_b, big_m = 2 * d - 2, d - 1
+    lcm_p = math.lcm(*(v.denominator for v in p.terms.values()))
+    coefs = {exp[0]: v.numerator * (lcm_p // v.denominator) for exp, v in p.terms.items()}
+    # row k holds F_k's cosine coefficients
+    fejer = np.array([[k] + [2 * (k - m) if m < k else 0 for m in range(1, d)]
+                      for k in range(d + 1)], dtype=object)
+    h = np.zeros((big_b + 1, big_m + 1), dtype=object)
+    for i, j in combinations(sorted(coefs), 2):
+        h[i + j - 1] += coefs[i] * coefs[j] * fejer[j - i]
     # T_m(2u - 1) in powers of u, by T_(m+1) = 2 (2u - 1) T_m - T_(m-1)
     cheb = [[1] + [0] * big_m, [-1, 2] + [0] * (big_m - 1)]
     while len(cheb) <= big_m:
         t1, t0 = cheb[-1], cheb[-2]
         cheb.append([4 * (t1[j - 1] if j else 0) - 2 * t1[j] - t0[j]
                      for j in range(big_m + 1)])
-    terms = _fejer_terms(p)
-    rows = []
-    for a in range(big_b + 1):
-        h = terms.get(a, ())
-        power = [sum(v * cheb[m][j] for m, v in enumerate(h)) for j in range(big_m + 1)]
-        rows.append([sum(Fraction(math.comb(k, j), math.comb(big_m, j)) * power[j]
-                         for j in range(k + 1)) / math.comb(big_b, a)
-                     for k in range(big_m + 1)])
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    return (np.array([[int(v * scale) for v in row] for row in rows], dtype=object),
-            Fraction(1, scale))
+    to_bernstein = np.array([[math.comb(big_m - j, k - j) if k >= j else 0
+                              for k in range(big_m + 1)] for j in range(big_m + 1)],
+                            dtype=object)
+    s = h.dot(np.array(cheb[:big_m + 1], dtype=object)).dot(to_bernstein)
+    binomials = np.array([[math.comb(big_b, a) * math.comb(big_m, k) for k in range(big_m + 1)]
+                          for a in range(big_b + 1)], dtype=object)
+    delta = math.lcm(*binomials.flat)
+    b = s * (delta // binomials)
+    common = math.gcd(*b.flat) or 1
+    return b // common, Fraction(common, delta * lcm_p ** 2)
 
 
 def _halves(b: np.ndarray, axis: int) -> tuple:
@@ -882,15 +885,3 @@ def check_sgcs(p: Polynomial, z: Sequence[complex], w: Sequence[complex],
     if lhs < rhs - tol * scale:
         return SgcsResult.STRICT_HOLDS
     return SgcsResult.VIOLATED
-
-
-def max_squared_norm_diag(p: Polynomial) -> bool:
-    """Diagonal positive-definiteness of the Hermitian form of p.
-
-    With respect to the monomial basis the form's matrix is
-    diag(c_I over the full degree-d basis), so it is positive definite
-    exactly when every basis monomial appears with coefficient > 0.
-    """
-    if not p.is_homogeneous():
-        raise ValueError("max_squared_norm_diag requires a homogeneous polynomial")
-    return all_coeffs_positive(p)

@@ -14,11 +14,10 @@ import numpy as np
 import sympy
 
 from powerpos import (BetaVerdict, PolyMatrix, Polynomial, Pos3Mode,
-                      Pos3Options, Verdict, all_coeffs_positive,
-                      assoc_bihom_eval, amgm_check, check_pos1, check_pos2,
-                      check_pos3, eval_complex, eval_rational, hessian_logf_fd,
-                      is_aperiodic, is_irreducible, jf_matrix,
-                      max_squared_norm_diag, parse, power_scan,
+                      Pos3Options, Verdict, assoc_bihom_eval, amgm_check,
+                      check_pos1, check_pos2, check_pos3, eval_complex,
+                      eval_rational, hessian_logf_fd, is_aperiodic,
+                      is_irreducible, jf_matrix, parse, power_scan,
                       smith_invariant_factors, verify_beta)
 
 from helpers import (dense_grid_pow_2d, lattice_units_reachable,
@@ -249,23 +248,3 @@ def test_criterion_7_spectral_verification_and_round_trip():
                 f"Verified/Refuted verdicts and 1x1 power certificate round "
                 f"trip reproduced ({elapsed:.2f}s)")
 
-
-def test_criterion_8_diagonal_equivalence_substitute():
-    """No effective onset bound and no general squared-norm decomposition
-    exist to reproduce; the checkable substitute is the diagonal
-    equivalence: max_squared_norm_diag(p) == all_coeffs_positive(p) on
-    500 random homogeneous polynomials, 100% agreement.  Window-onset
-    coverage itself is asserted by criteria 2-4."""
-    rng = random.Random(131)
-    agree = 0
-    for i in range(500):
-        n = rng.randint(1, 3)
-        d = rng.randint(1, 4)
-        # mix dense/sparse/all-positive so both truth values occur often
-        p = rand_homogeneous(rng, n, d, all_positive=(i % 3 == 0),
-                             density=rng.choice([0.4, 0.8, 1.0]))
-        if max_squared_norm_diag(p) == all_coeffs_positive(p):
-            agree += 1
-    ok = agree == 500
-    report_line(8, ok, f"diagonal-form equivalence: {agree}/500 agree "
-                       f"(existential onset bound documented as out of reach)")

@@ -407,6 +407,19 @@ def test_sweep_warns_outside_range(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid", "5000", "grid must be at most 4096"),
+    ("--seed", "-1", "seed must be at least 0"),
+    ("--polya-budget", "-1", "polya_budget must be at least 0")])
+def test_sweep_refuses_a_bad_budget_before_any_warning(flag, value, message, capsys):
+    # lambda = 9 lies outside (0, 8], but the budget is refused first
+    assert run(["sweep", "--family", "dv", "--k", "2", "--lambdas", "9",
+                flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_examples_single_entry(tmp_path):
     out = tmp_path / "ex.json"
     code = run(["examples", "eq1_5", "--json", str(out)])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
                       Verdict, assoc_bihom_eval, check_pos1, check_pos2,
                       check_pos3, check_sgcs, eval_complex, eval_rational,
-                      facet_derivative, max_squared_norm_diag, parse, polya_exponent,
+                      facet_derivative, parse, polya_exponent,
                       power_scan)
 from powerpos import conditions
 from powerpos.conditions import (_DENOMINATORS, _bernstein_g, _eval_d_grid,
@@ -782,6 +782,44 @@ def test_bernstein_form_is_g_exactly():
                 assert abs(value - _g_at(p, rm, t)) <= mpmath.mpf(10) ** -40 * (1 + size)
 
 
+@pytest.mark.parametrize("p", [
+    parse("x1 + x2", 2),
+    parse("3/7*x1 - 2/5*x2", 2),
+    Polynomial(2, {(1, 0): F(1, 10 ** 30), (0, 1): F(7, 3 ** 60)}),
+    Polynomial(2, {(4, 0): F(1, 10 ** 30), (2, 2): F(-3, 7 ** 40), (1, 3): F(5, 11 ** 30),
+                   (0, 4): F(2)}),
+], ids=["linear", "linear-mixed-signs", "linear-coprime-1e30", "quartic-coprime-1e30"])
+def test_bernstein_form_is_in_integers(p):
+    # degree 1 gives B = M = 0, and the scale carries the large coprime
+    # denominators, while b stays Python ints with gcd 1
+    b, scale = _bernstein_g(p)
+    d = p.degree()
+    assert b.shape == (2 * d - 1, d) and isinstance(scale, F) and scale > 0
+    assert all(type(v) is int for v in b.flat)
+    assert math.gcd(*b.flat) == 1
+    if d == 1:
+        assert scale * b[0, 0] == math.prod(p.terms.values())     # G = c_0 c_1 F_1
+    for r1 in (F(0), F(1, 3), F(1)):
+        for c in (F(-1), F(1, 5), F(1)):
+            assert scale * _bernstein_value(b, r1, c) == _fejer_sum(p, r1, c)
+
+
+_STOP_AT_THRESHOLD = {"reason": "G <= 0 at a corner", "r1": ["0", "1/2"], "c": ["-1", "1"],
+                      "corner": ["1/2", "-1"], "g": "0"}
+
+
+@pytest.mark.parametrize("k, lam, budget", [
+    (k, lam, {"boxes_processed": 3, "boxes_closed": 2, "max_depth_used": 1})
+    for k, lam in ((2, "15/2"), (3, "63/2"), (5, "511"))] + [
+    (k, str(2 ** (2 * k - 1)), {"boxes_processed": 2, "boxes_closed": 0, "max_depth_used": 1,
+                                "stop": _STOP_AT_THRESHOLD, "quarter_turn_points": 32})
+    for k in (2, 3, 5)])
+def test_pos3_certify_dv_search_budgets(k, lam, budget):
+    # the search's box counts, depth and stop on dv members just below and
+    # at the threshold 2^(2k-1)
+    assert check_pos3(_dv(k, lam), CERTIFY).budget == budget
+
+
 def test_halves_are_the_restrictions_to_the_half_boxes():
     rng = random.Random(43)
     for _ in range(10):
@@ -906,6 +944,47 @@ def test_grid_d_does_not_depend_on_the_chunks(monkeypatch, chunk):
     monkeypatch.setattr(conditions, "_GRID_CHUNK", chunk)
     parts = _eval_d_grid(p, 32, radii, row, phases)
     assert np.array_equal(whole[0], parts[0]) and np.array_equal(whole[1], parts[1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nelder_mead_objective_is_d_over_p_squared_on_the_grid(n):
+    rng = random.Random(80 + n)
+    g, checked = 12, 0
+    for _ in range(6):
+        p = rand_homogeneous(rng, n, rng.randint(1, 5), density=0.8)
+        radii, row, phases = _random_grid_points(rng, g, n, 300)
+        D, p_r = _eval_d_grid(p, g, radii, row, phases)
+        # sum of |c_I| r^I, the scale of the terms of D / p(r)^2 times p(r)^2
+        _, size = _eval_d_grid(Polynomial(n, {e: abs(c) for e, c in p.terms.items()}),
+                               g, radii, row, phases)
+        T = np.array(list(p.terms), dtype=float)
+        coef = np.array([float(c) for c in p.terms.values()])
+        for s in range(len(row)):
+            if size[s] == 0 or abs(p_r[s]) < 1e-3 * size[s]:
+                continue    # at or near p(r) = 0 the ratio itself is ill-conditioned
+            x = np.concatenate([radii[row[s], :n - 1] / g, 2 * math.pi * phases[s, 1:] / g])
+            value = conditions._nelder_mead_objective(x, T, coef)
+            assert abs(value - D[s] / p_r[s] ** 2) <= 1e-12 * (size[s] / p_r[s]) ** 2
+            checked += 1
+    assert checked >= 500
+
+
+def test_nelder_mead_objective_penalizes_points_past_the_simplex():
+    p = parse("(x1 + x2 + x3)^3 - 8*x1*x2*x3", 3)
+    T = np.array(list(p.terms), dtype=float)
+    coef = np.array([float(c) for c in p.terms.values()])
+    # r_3 = 1 - r_1 - r_2 < 0, a free radius past 1 clipped to 1 first
+    for x, rn in (([0.7, 0.6, 0.1, 0.2], 1 - (0.7 + 0.6)), ([1.5, 0.2, 0.0, 3.0], 1 - 1.2)):
+        assert rn < 0
+        assert conditions._nelder_mead_objective(np.array(x), T, coef) == \
+            pytest.approx(1e6 * (1 + rn ** 2), rel=1e-15)
+    # on the face r_3 = 0 there is no penalty: D / p(r)^2 <= 1
+    assert conditions._nelder_mead_objective(np.array([0.5, 0.5, 1.0, 2.0]), T, coef) <= 1
+    # for n = 2 the clip keeps r_2 = 1 - r_1 >= 0
+    p2 = _dv(2, 7)
+    T2 = np.array(list(p2.terms), dtype=float)
+    coef2 = np.array([float(c) for c in p2.terms.values()])
+    assert conditions._nelder_mead_objective(np.array([1.5, 1.0]), T2, coef2) == 0
 
 
 def test_misalignment_is_the_distance_to_the_mean_direction():
@@ -1132,16 +1211,6 @@ def test_sgcs_strict_for_condition_passing_p():
 def test_sgcs_violated_at_modulus_equality_point():
     res = check_sgcs(P_EQUALITY_QUARTIC, [1, 1], [-1, 1])
     assert res is SgcsResult.VIOLATED
-
-
-def test_max_squared_norm_diag_examples():
-    assert max_squared_norm_diag(parse("(x1+x2)^2", 2)) is True
-    assert max_squared_norm_diag(parse("x1^2 + x2^2", 2)) is False
-    telescoping = parse("x1^2 - x1*x2 + x2^2", 2)
-    assert max_squared_norm_diag(parse("(x1+x2)^2", 2) * telescoping) is False
-    assert max_squared_norm_diag(parse("(x1+x2)^3", 2) * telescoping) is True
-    with pytest.raises(ValueError):
-        max_squared_norm_diag(parse("x1^2 + x2", 2))
 
 
 def test_condition_report_json_shape():
