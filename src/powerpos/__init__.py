@@ -8,8 +8,8 @@ nonnegative-integer-coefficient polynomials.
 """
 
 from .conditions import (Condition, ConditionReport, Pos3Mode, Pos3Options,
-                         SgcsResult, Verdict, assoc_bihom_eval, check_pos1,
-                         check_pos2, check_pos3, check_sgcs, facet_derivative)
+                         Verdict, assoc_bihom_eval, check_pos1, check_pos2,
+                         check_pos3, facet_derivative)
 from .eventual import (OnsetProof, PositivityPattern, ScanRow, all_coeffs_positive,
                        polya_exponent, power_scan, scan_rows)
 from .geometry import (amgm_check, difference_lattice_is_full, hessian_logf_fd,
@@ -27,9 +27,9 @@ from .spectral import (BetaReport, BetaVerdict, PolyMatrix, beta_at,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Condition", "ConditionReport", "Pos3Mode", "Pos3Options", "SgcsResult",
-    "Verdict", "assoc_bihom_eval", "check_pos1", "check_pos2", "check_pos3",
-    "check_sgcs", "facet_derivative",
+    "Condition", "ConditionReport", "Pos3Mode", "Pos3Options", "Verdict",
+    "assoc_bihom_eval", "check_pos1", "check_pos2", "check_pos3",
+    "facet_derivative",
     "OnsetProof", "PositivityPattern", "ScanRow", "all_coeffs_positive",
     "polya_exponent", "power_scan", "scan_rows",
     "amgm_check", "difference_lattice_is_full", "hessian_logf_fd",

@@ -7,26 +7,15 @@ Pos2: strict positivity of each facet derivative on its facet minus the
       outcome, and keeps the exponents of the facets that certify.
 Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       set of points whose nonzero coordinates share one argument (the
-      "aligned" set).  Both modes first decide a p with no negative
-      coefficient from its support, any n (`_nonnegative_support`):
-      Holds when every pair face x_i, x_j carries exponents whose
-      differences have gcd 1, Fails with an exact equality witness at
-      e_i - e_j when some gcd is even (0 for a face with one term or
-      none); an odd gcd >= 3 goes on to the mode's search.  Next, a
+      "aligned" set).  `check_pos3` runs one pipeline in both modes, and
+      the first stage that decides returns.  First a p with no negative
+      coefficient is decided from its support, any n
+      (`_nonnegative_support`): Holds when every pair face x_i, x_j
+      carries exponents whose differences have gcd 1, Fails with an exact
+      equality witness at e_i - e_j when some gcd is even (0 for a face
+      with one term or none); an odd gcd >= 3 goes on.  Next, a
       coefficient sum <= 0 is an exact Fails at z = (1, ..., 1, -1)/n
-      (`_sign_rule`).  `_pair_face_probe` tests the quarter-turn points
-      of the grid on every pair face in integers, and a point where
-      |p(z)| >= p(|z|) is an exact Fails.  Falsify mode runs it before
-      any sampling, on the quarter turns its phase grid holds, so such a
-      Fails draws no sample.  Only on a miss does it sample the
-      normalized domain from a seeded numpy Generator, where D =
-      p(|z|)^2 - |p(z)|^2, computed in floats from the terms of p,
-      picks the candidates.  It re-validates candidates exactly when
-      their phases are multiples of pi/2, and else refines the best ones
-      by Nelder-Mead on the same formula and checks rational points next
-      to each refined point exactly.  Every Fails carries an exact
-      Gaussian-rational witness.  Certify mode runs the probe alone for
-      n >= 3 (a miss is Inconclusive).  For n = 2 it proves
+      (`_sign_rule`).  For n = 2, `_bernstein_search` proves
       G = D / (4 r1 r2 sin^2(t/2)) > 0, where
       D = p(r)^2 - |p(r e^{it})|^2 and G is a sum of Fejer kernels.
       G is a polynomial in (r1, cos t), so its Bernstein coefficients on
@@ -35,12 +24,20 @@ Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       rounding at all.  Dividing out the removable zeros of D on the
       aligned set leaves nothing to fence off.  When the search stops at
       a corner where G < 0 inside the segment, rational points next to it
-      are checked exactly for a Fails witness; failing that, the probe
-      runs.
+      are checked exactly for a Fails witness.  Then `_pair_face_probe`
+      tests the points at phase difference pi/2 and pi on every pair face
+      in integers, and a point where |p(z)| >= p(|z|) is an exact Fails.
+      That ends certify mode: anything left is Inconclusive.  Falsify
+      mode alone goes on to `_seeded_search`: it samples the normalized
+      domain from a seeded numpy Generator, where D, computed in floats
+      from the terms of p, picks the candidates.  It re-validates
+      candidates exactly when their phases are multiples of pi/2, and
+      else refines the best ones by Nelder-Mead on the same formula and
+      checks rational points next to each refined point exactly.  Every
+      Fails carries an exact Gaussian-rational witness.
 
 Also here: the associated Hermitian bihomogeneous form
-P(z, conj(w)) = p(z_1 conj(w_1), ..., z_n conj(w_n)) and its strict
-Cauchy-Schwarz probe.
+P(z, conj(w)) = p(z_1 conj(w_1), ..., z_n conj(w_n)).
 """
 
 from __future__ import annotations
@@ -237,7 +234,7 @@ _MAX_SAMPLES = 10 ** 6
 class Pos3Options:
     mode: Pos3Mode = Pos3Mode.FALSIFY
     grid: int = 32
-    max_depth: int = 24         # certify: halvings of one box before the search stops
+    max_depth: int = 24         # n = 2: halvings of one Bernstein box before the search stops
     tolerance: float = 1e-12
     max_samples: int = 20000
     seed: int = 0
@@ -511,15 +508,11 @@ def _nelder_mead_objective(x: np.ndarray, T: np.ndarray, coef: np.ndarray) -> fl
     return (total * total - (pz.real ** 2 + pz.imag ** 2)) / max(total * total, 1e-30)
 
 
-def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
+def _seeded_search(p: Polynomial, opts: Pos3Options, budget: dict) -> ConditionReport:
+    """Fails with an exact witness that the sampled grid and its
+    refinement lead to, else Inconclusive; `budget` is that of the stages
+    before, and the report extends it."""
     n, g = p.nvars, opts.grid
-    # the pair-face points of the grid at a quarter-turn phase difference:
-    # pi when g is even, and pi/2 as well when 4 | g (3 pi/2 mirrors pi/2,
-    # since |p(conj z)| = |p(z)|)
-    witness, points = _pair_face_probe(p, g, [q for q in (1, 2) if q * g % 4 == 0])
-    if witness is not None:
-        return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
-                               budget={"quarter_turn_points": points})
     # the float layer sees p times a power of two that keeps p(r)^2 in
     # float range; every float test below is scale-free, and the exact
     # checks use p itself
@@ -529,8 +522,7 @@ def _falsify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
     low = np.flatnonzero(D <= opts.tolerance * np.maximum(p_r ** 2, 1e-30))
     candidate_idx = low[_misalignment(R[low], TH[low]) > _MISALIGNMENT_FLOOR]
     candidate_idx = candidate_idx[np.argsort(D[candidate_idx], kind="stable")]
-    budget = {"quarter_turn_points": points, "samples": len(row),
-              "candidates": int(len(candidate_idx))}
+    budget = {**budget, "samples": len(row), "candidates": int(len(candidate_idx))}
 
     # pass 1: exact re-validation for quarter-turn phases
     for idx in candidate_idx[:200]:
@@ -667,29 +659,16 @@ def _corner_probe(p: Polynomial, r1: Fraction, c: Fraction) -> tuple:
     return None, len(units)
 
 
-def _quarter_turn_probe(p: Polynomial, grid: int, budget: dict) -> ConditionReport:
-    """Fails with an exact witness at the first pair-face point with phase
-    difference pi/2 or pi where |p(z)| >= p(|z|) (`_pair_face_probe`);
-    else Inconclusive.  `budget` is the search's, reported either way."""
-    witness, points = _pair_face_probe(p, grid, (1, 2))
-    budget = {**budget, "quarter_turn_points": points}
-    if witness is not None:
-        return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness, budget=budget)
-    return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE, budget=budget)
+def _bernstein_search(p: Polynomial, max_depth: int) -> ConditionReport:
+    """For n = 2: Holds when G > 0 is proved on [0, 1] x [-1, 1]; Fails with
+    an exact witness from `_corner_probe` when the search stops at a corner
+    where G < 0; else Inconclusive.  The budget holds the box counts and,
+    unless the search closed, its stop.
 
-
-def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
-    if p.nvars > 2:
-        rep = _quarter_turn_probe(p, opts.grid, {})
-        if rep.verdict is Verdict.INCONCLUSIVE:
-            rep.budget["note"] = ("certify decides n >= 3 only from the support, when no "
-                                  "coefficient is negative, the coefficient sum and the "
-                                  "pair-face quarter turns")
-        return rep
-    # G > 0 makes p nonzero on the open segment r1 + r2 = 1, so p keeps
-    # the sign of p(1/2, 1/2) > 0 there (`_sign_rule`).  Prove G > 0 on
-    # [0, 1] x [-1, 1]; a search that stops hands over to the exact
-    # corner and quarter-turn probes, so a Holds never pays for them
+    G > 0 makes p nonzero on the open segment r1 + r2 = 1, so p keeps the
+    sign of p(1/2, 1/2) > 0 there (`_sign_rule`), and |p(z)| < p(|z|) off
+    the aligned set.
+    """
     root, scale = _bernstein_g(p)
     degrees = (root.shape[0] - 1, root.shape[1] - 1)
     # A box at depth k has been halved k times, along r1 at even depths
@@ -721,7 +700,7 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
                     "corner": [str(r1[x]), str(c[y])], "g": str(g)}
             if g < 0 and 0 < r1[x] < 1 and c[y] < 1:
                 corner = (r1[x], c[y])
-        elif depth >= opts.max_depth:
+        elif depth >= max_depth:
             stop = {"reason": "depth limit", **box}
         else:
             axis = depth % 2
@@ -740,7 +719,7 @@ def _certify(p: Polynomial, opts: Pos3Options) -> ConditionReport:
             if witness is not None:
                 return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness,
                                        budget=budget)
-        return _quarter_turn_probe(p, opts.grid, budget)
+        return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE, budget=budget)
     return ConditionReport(Condition.POS3, Verdict.HOLDS,
                            certificate={"method": "fejer_kernel_bernstein"},
                            budget=budget)
@@ -817,9 +796,11 @@ def _sign_rule(p: Polynomial) -> Optional[ConditionReport]:
 def check_pos3(p: Polynomial, opts: Pos3Options | None = None) -> ConditionReport:
     """Decide the strict modulus inequality at the configured resolution.
 
-    Both modes first try `_nonnegative_support`, then `_sign_rule`.
-    Budget exhaustion is always reported as Inconclusive, never as a
-    verdict.
+    One pipeline for both modes; the first stage that decides returns:
+    `_nonnegative_support`, `_sign_rule`, for n = 2 `_bernstein_search`
+    with its corner probe, then `_pair_face_probe`.  The mode decides only
+    whether `_seeded_search` runs after them.  Budget exhaustion is always
+    reported as Inconclusive, never as a verdict.
     """
     _require_nonconstant_homogeneous(p)
     if opts is None:
@@ -831,13 +812,27 @@ def check_pos3(p: Polynomial, opts: Pos3Options | None = None) -> ConditionRepor
     decided = _nonnegative_support(p) or _sign_rule(p)
     if decided is not None:
         return decided
+    budget = {}
+    if p.nvars == 2:
+        # a Holds never pays for the probes that follow
+        searched = _bernstein_search(p, opts.max_depth)
+        if searched.verdict is not Verdict.INCONCLUSIVE:
+            return searched
+        budget = searched.budget
+    witness, budget["quarter_turn_points"] = _pair_face_probe(p, opts.grid, (1, 2))
+    if witness is not None:
+        return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness, budget=budget)
     if opts.mode is Pos3Mode.FALSIFY:
-        return _falsify(p, opts)
-    return _certify(p, opts)
+        return _seeded_search(p, opts, budget)
+    if p.nvars > 2:
+        budget["note"] = ("certify decides n >= 3 only from the support, when no "
+                          "coefficient is negative, the coefficient sum and the "
+                          "pair-face quarter turns")
+    return ConditionReport(Condition.POS3, Verdict.INCONCLUSIVE, budget=budget)
 
 
 # ---------------------------------------------------------------------
-# Hermitian bihomogeneous form probes
+# Hermitian bihomogeneous form
 # ---------------------------------------------------------------------
 
 def assoc_bihom_eval(p: Polynomial, z: Sequence[complex],
@@ -853,35 +848,3 @@ def assoc_bihom_eval(p: Polynomial, z: Sequence[complex],
                 v *= (zz * ww.conjugate()) ** e
         total += v
     return total
-
-
-class SgcsResult(str, Enum):
-    STRICT_HOLDS = "StrictHolds"
-    EQUALITY_ON_DEPENDENT = "EqualityOnDependent"
-    VIOLATED = "Violated"
-
-
-def _linearly_dependent(z: Sequence[complex], w: Sequence[complex],
-                        tol: float) -> bool:
-    scale = max(max(abs(v) for v in z), max(abs(v) for v in w), 1e-300) ** 2
-    for i in range(len(z)):
-        for j in range(i + 1, len(z)):
-            if abs(z[i] * w[j] - z[j] * w[i]) > tol * scale:
-                return False
-    return True
-
-
-def check_sgcs(p: Polynomial, z: Sequence[complex], w: Sequence[complex],
-               tol: float = 1e-9) -> SgcsResult:
-    """Classify the strict Cauchy-Schwarz inequality at (z, w)."""
-    pzw = assoc_bihom_eval(p, z, w)
-    pzz = assoc_bihom_eval(p, z, z).real
-    pww = assoc_bihom_eval(p, w, w).real
-    lhs = abs(pzw) ** 2
-    rhs = pzz * pww
-    scale = max(1.0, abs(rhs))
-    if _linearly_dependent(z, w, tol):
-        return SgcsResult.EQUALITY_ON_DEPENDENT
-    if lhs < rhs - tol * scale:
-        return SgcsResult.STRICT_HOLDS
-    return SgcsResult.VIOLATED

@@ -226,7 +226,9 @@ def polya_exponent(g: Polynomial, n_max: int) -> Optional[int]:
     property is monotone in N, the search tests N = 0, then doubles N
     up to n_max, then bisects between the last failing and the first
     passing N: about 2*log2(N) evaluations, and ceil(log2(n_max)) + 2
-    when no N <= n_max works.
+    when no N <= n_max works.  Raises ValueError at the first N it
+    reaches whose degree-(N + d) basis exceeds DEFAULT_DENSE_CAP
+    coefficients, the scans' rule, so memory stays bounded for any n_max.
     """
     if n_max < 0:
         raise ValueError("n_max must be at least 0")
@@ -238,6 +240,10 @@ def polya_exponent(g: Polynomial, n_max: int) -> Optional[int]:
     d = g.degree()
 
     def works(n: int) -> bool:
+        count = dense_monomial_count(g.nvars, n + d)
+        if count > DEFAULT_DENSE_CAP:
+            raise ValueError(f"polya search refused at N = {n}: dense coefficient "
+                             f"count {count} exceeds cap {DEFAULT_DENSE_CAP}")
         return all_coeffs_positive(_falling_factorial_form(g_terms, d, n + d))
 
     if works(0):

@@ -150,3 +150,26 @@ def modulus_gap(p: Polynomial, radii, phases):
             p_r += c * mpmath.fprod(mpmath.mpf(r) ** e for r, e in zip(radii, exp))
             p_z += c * mpmath.fprod(v ** e for v, e in zip(z, exp))
         return p_r ** 2 - abs(p_z) ** 2
+
+
+#: (nvars, degree, count) of the seeded corpus, in the order drawn
+CORPUS_SIZES = ((2, 4, 150), (2, 6, 150), (3, 3, 80), (3, 4, 80))
+
+
+def seeded_corpus() -> list[Polynomial]:
+    """The 460 seeded Pos3 inputs: each starts from (x1+...+xn)^d, then
+    1-3 times (`randint(1, 3)`) a term drawn by `choice` from the sorted
+    terms has its coefficient multiplied by 1 - k/16, k = `randint(1, 40)`,
+    all from one `random.Random(5)`, the sizes in `CORPUS_SIZES` order."""
+    rng = random.Random(5)
+    corpus = []
+    for n, d, count in CORPUS_SIZES:
+        base = {exp: Fraction(math.factorial(d), math.prod(map(math.factorial, exp)))
+                for exp in monomials_of_degree(n, d)}
+        for _ in range(count):
+            terms = dict(base)
+            for _ in range(rng.randint(1, 3)):
+                exp = rng.choice(sorted(terms))
+                terms[exp] *= 1 - Fraction(rng.randint(1, 40), 16)
+            corpus.append(Polynomial(n, {e: c for e, c in terms.items() if c}))
+    return corpus

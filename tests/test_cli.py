@@ -14,13 +14,15 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from powerpos import Pos3Options, check_pos2, parse
+from powerpos import Pos3Options, Verdict, check_pos2, conditions, parse
 from powerpos.cli import Budgets, build_parser, main
 
 from helpers import modulus_gap
 
 CUBIC_MINUS_CORNER = "(x1+x2+x3)^3 - x1^3"
 EQUALITY_QUARTIC = "(x1+x2)^4 - 8*x1^2*x2^2"
+# no exact stage decides Pos3 here, so falsify mode runs its seeded search
+NO_PROBE_WITNESS_CUBIC = "(x1+x2+x3)^3 - 8*x1*x2*x3"
 
 
 def run(argv):
@@ -63,11 +65,14 @@ def test_check_quartic_family_exit_zero(tmp_path):
 
 
 def test_check_inconclusive_exit_three(tmp_path):
-    # falsify mode cannot certify, so a condition-satisfying p comes back 3;
-    # the negative coefficient keeps the support from deciding Pos3 first
-    code = run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--pos3-mode", "falsify",
-                "--json", str(tmp_path / "r.json")])
+    # n = 3: no exact stage decides this p and the falsify search finds no
+    # witness, so it comes back 3; the negative coefficient keeps the
+    # support from deciding Pos3 first
+    out = tmp_path / "r.json"
+    code = run(["check", NO_PROBE_WITNESS_CUBIC, "--pos3-mode", "falsify", "--json", str(out)])
     assert code == 3
+    budget = json.loads(out.read_text())["reports"][2]["budget"]
+    assert budget["quarter_turn_points"] == 186 and budget["samples"] == 20000
 
 
 @pytest.mark.parametrize("expr", ["x1*x2", "x1^2*x2^2"])
@@ -166,7 +171,7 @@ def test_help_exit_zero(capsys):
 
 def test_check_determinism(tmp_path):
     # the cubic misses the pair-face probe, so falsify draws its samples
-    for expr in (EQUALITY_QUARTIC, "(x1+x2+x3)^3 - 8*x1*x2*x3"):
+    for expr in (EQUALITY_QUARTIC, NO_PROBE_WITNESS_CUBIC):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
             run(["check", expr, "--pos3-mode", "falsify", "--seed", "7", "--json", str(path)])
@@ -178,16 +183,14 @@ def test_check_determinism(tmp_path):
                                          ("(x1+x2+x3)^4 - 9*x1^2*x2^2", 3),
                                          ("(x1+x2+x3+x4)^4 - 17/2*x1^2*x2^2", 4)],
                          ids=["quartic", "lift", "n4"])
-def test_nelder_mead_witness_is_exact(expr, nvars, tmp_path):
-    # An odd grid holds no quarter-turn phase, so no exact witness exists
-    # among the samples and the Nelder-Mead refinement supplies one.
-    out = tmp_path / "r.json"
-    code = run(["check", expr, "--pos3-mode", "falsify", "--grid", "7", "--seed", "1",
-                "--json", str(out)])
-    assert code == 2
-    pos3 = json.loads(out.read_text())["reports"][2]
-    assert pos3["budget"]["refined"] >= 1
-    witness = pos3["witness"]
+def test_nelder_mead_witness_is_exact(expr, nvars):
+    # The seeded search alone, at an odd grid: the grid holds no quarter-turn
+    # phase, so no exact witness exists among the samples and the
+    # Nelder-Mead refinement supplies one.
+    rep = conditions._seeded_search(parse(expr, nvars), Pos3Options(grid=7, seed=1), {})
+    assert rep.verdict is Verdict.FAILS
+    assert rep.budget["refined"] >= 1
+    witness = rep.witness
     assert witness["validation"] == "exact" and witness["equality"] is False
     assert Fraction(witness["abs_p_z_squared"]) > Fraction(witness["p_abs_z_squared"])
 
@@ -301,6 +304,21 @@ def test_polya_negative_budget_is_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n_max must be at least 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["polya", "--g", "x1^2 - 2*x1*x2 + x2^2", "--max-n", "30000000"],
+    ["check", "(x1+x2+x3)^3 - 3*x3*(x1+x2)^2 + x3*(x1-x2)^2", "--polya-budget", "100000000"],
+], ids=["polya", "check"])
+def test_polya_search_past_the_dense_cap_is_one_error_line(argv, capsys):
+    # (x1 - x2)^2 (the check's third facet derivative) never certifies, so
+    # the search doubles N until the degree-(N + 2) basis passes the dense
+    # cap, at N = 2^21, and is refused there instead of exhausting memory
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: polya search refused at N = 2097152: dense coefficient "
+                            "count 2097155 exceeds cap 2000000\n")
 
 
 # ---------------------------------------------------------------------
@@ -461,18 +479,18 @@ def test_config_file_overrides_profile(tmp_path):
     cfg = tmp_path / "budgets.ini"
     cfg.write_text("[budgets]\nmax_samples = 50\n")
     out = tmp_path / "r.json"
-    run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--pos3-mode", "falsify",
+    run(["check", NO_PROBE_WITNESS_CUBIC, "--pos3-mode", "falsify",
          "--config", str(cfg), "--json", str(out)])
     report = json.loads(out.read_text())
     pos3 = report["reports"][2]
-    assert pos3["budget"]["samples"] <= 50
+    assert pos3["budget"]["samples"] == 50
 
 
 def test_cli_flag_overrides_config(tmp_path):
     cfg = tmp_path / "budgets.ini"
     cfg.write_text("[budgets]\nmax_samples = 50\n")
     out = tmp_path / "r.json"
-    run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--pos3-mode", "falsify",
+    run(["check", NO_PROBE_WITNESS_CUBIC, "--pos3-mode", "falsify",
          "--config", str(cfg), "--max-samples", "70", "--json", str(out)])
     report = json.loads(out.read_text())
     assert report["reports"][2]["budget"]["samples"] == 70
@@ -516,9 +534,9 @@ def test_invalid_config_value_is_an_error(tmp_path, capsys):
 
 
 def test_budget_profiles_accepted(tmp_path):
-    code = run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--budget-profile", "fast",
+    code = run(["check", NO_PROBE_WITNESS_CUBIC, "--budget-profile", "fast",
                 "--pos3-mode", "falsify", "--json", str(tmp_path / "r.json")])
-    assert code == 3  # falsify cannot certify a true instance
+    assert code == 3  # no stage decides Pos3 for this p
 
 
 @pytest.mark.parametrize("mode", ["certify", "falsify"])

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, SgcsResult,
-                      Verdict, assoc_bihom_eval, check_pos1, check_pos2,
-                      check_pos3, check_sgcs, eval_complex, eval_rational,
+from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, Verdict,
+                      assoc_bihom_eval, check_pos1, check_pos2, check_pos3,
+                      eval_complex, eval_rational,
                       facet_derivative, parse, polya_exponent,
                       power_scan)
 from powerpos import conditions
@@ -25,7 +25,7 @@ from powerpos.conditions import (_DENOMINATORS, _bernstein_g, _eval_d_grid,
 from powerpos.poly import eval_complex_exact, monomials_of_degree
 
 from helpers import (fraction_grid_samples, modulus_gap, rand_complex_point,
-                     rand_homogeneous)
+                     rand_homogeneous, seeded_corpus)
 
 P_CUBIC_MINUS_CORNER = parse("(x1+x2+x3)^3 - x1^3", 3)
 P_FACET_DEGENERATE = parse("x1^2*(x1+x2+x3) + (x2+x3)^3", 3)
@@ -375,8 +375,9 @@ def test_pos3_certify_reads_a_witness_off_a_negative_corner():
     assert second == (1, 0) and ur * ur + ui * ui == 1 and abs(ur - F(1, 2)) < F(1, 10)
     vre, vim = eval_complex_exact(P_NEGATIVE_CORNER, [(ur, ui), second])
     assert vre * vre + vim * vim > eval_rational(P_NEGATIVE_CORNER, [1, 1]) ** 2
-    assert conditions._quarter_turn_probe(P_NEGATIVE_CORNER, 32, {}).verdict \
-        is Verdict.INCONCLUSIVE
+    assert conditions._pair_face_probe(P_NEGATIVE_CORNER, 32, (1, 2))[0] is None
+    # falsify mode runs the same search first
+    assert check_pos3(P_NEGATIVE_CORNER).to_json_dict() == rep.to_json_dict()
 
 
 def test_pos3_certify_negative_corner_at_phase_pi_is_itself_the_witness():
@@ -466,8 +467,10 @@ def _witness_holds(p, witness):
 
 def test_pos3_falsify_fails_exactly_only_where_certify_does_not_hold():
     # positive coefficients with one set below zero, so that certify both
-    # holds and fails; odd grids hold no quarter-turn phase, so every
-    # falsify Fails comes from the Nelder-Mead refinement and its exact check
+    # holds and fails.  The seeded search runs alone, an independent float
+    # reference for the exact n = 2 stages; odd grids hold no quarter-turn
+    # phase, so its every Fails comes from the Nelder-Mead refinement and
+    # its exact check
     rng = random.Random(67)
     verdicts = {Verdict.HOLDS: 0, Verdict.FAILS: 0}
     for _ in range(40):
@@ -477,7 +480,7 @@ def test_pos3_falsify_fails_exactly_only_where_certify_does_not_hold():
         p = Polynomial(2, {(i, d - i): c for i, c in enumerate(coefs)})
         falsified = False
         for g in (5, 7):
-            rep = check_pos3(p, Pos3Options(grid=g, seed=rng.randint(0, 99)))
+            rep = conditions._seeded_search(p, Pos3Options(grid=g, seed=rng.randint(0, 99)), {})
             if rep.verdict is Verdict.FAILS:
                 falsified = True
                 assert rep.witness["validation"] == "exact" and rep.budget["refined"] >= 1
@@ -526,6 +529,63 @@ def test_pos3_certify_three_variables(expr, verdict):
 
 
 # ---------------------------------------------------------------------
+# Pos3 pipeline: both modes
+# ---------------------------------------------------------------------
+
+def test_pos3_seeded_corpus_verdict_table():
+    # (falsify, certify) verdict pairs per (n, d), default options: the
+    # exact stages are shared, so the modes differ only where falsify's
+    # seeded search finds a witness that no exact stage has
+    table = {}
+    for p in seeded_corpus():
+        pair = "".join(check_pos3(p, Pos3Options(mode=mode)).verdict.value[0]
+                       for mode in (Pos3Mode.FALSIFY, Pos3Mode.CERTIFY))
+        counts = table.setdefault((p.nvars, p.degree()), {})
+        counts[pair] = counts.get(pair, 0) + 1
+    assert table == {(2, 4): {"FF": 107, "HH": 43}, (2, 6): {"FF": 102, "HH": 48},
+                     (3, 3): {"FF": 53, "HH": 23, "FI": 1, "II": 3},
+                     (3, 4): {"FF": 48, "HH": 20, "FI": 3, "II": 9}}
+
+
+@st.composite
+def pushed_st(draw):
+    """p in 2 or 3 variables: positive coefficients on every monomial of its
+    degree, then one or two of them times 1 - k/16 for k in 1..40."""
+    n = draw(st.integers(2, 3))
+    d = draw(st.integers(2, 4 if n == 3 else 6))
+    monomials = list(monomials_of_degree(n, d))
+    terms = {exp: F(draw(st.integers(1, 9)), draw(st.integers(1, 3))) for exp in monomials}
+    for exp in draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=2)):
+        terms[exp] *= 1 - F(draw(st.integers(1, 40)), 16)
+    return Polynomial(n, {exp: c for exp, c in terms.items() if c})
+
+
+#: falsify on its whole grid (at most 45 radii times 64 phases): a
+#: permutation of the variables maps the samples to the samples, up to one
+#: common phase, so a permuted p is searched at the same points; a drawn
+#: part of a grid is not mapped to itself
+WHOLE_GRID_FALSIFY = Pos3Options(mode=Pos3Mode.FALSIFY, grid=8, max_samples=4000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pushed_st(), st.data())
+def test_pos3_exact_holds_meets_no_sampled_fails_and_verdicts_are_invariant(p, data):
+    # certify runs the exact stages alone, so its Holds is theirs
+    if check_pos3(p, CERTIFY).verdict is Verdict.HOLDS:
+        assert conditions._seeded_search(p, FAST_FALSIFY, {}).verdict is not Verdict.FAILS
+    perm = data.draw(st.permutations(range(p.nvars)))
+    moved = Polynomial(p.nvars, {tuple(exp[k] for k in perm): c for exp, c in p.terms.items()})
+    ratio = F(data.draw(st.integers(1, 50)), data.draw(st.integers(1, 50)))
+    # certify is exact at any scale; falsify's float tests floor p(r)^2 at
+    # an absolute 1e-30, so it is checked at moderate scales only
+    power = F(10) ** data.draw(st.integers(-300, 300))
+    for opts, scaled in ((CERTIFY, p.scale(ratio * power)), (WHOLE_GRID_FALSIFY, p.scale(ratio))):
+        verdict = check_pos3(p, opts).verdict
+        assert check_pos3(moved, opts).verdict is verdict
+        assert check_pos3(scaled, opts).verdict is verdict
+
+
+# ---------------------------------------------------------------------
 # Pos3 from the support of a nonnegative p
 # ---------------------------------------------------------------------
 
@@ -561,19 +621,20 @@ def test_support_rule_fails_with_an_equality_witness_on_a_pair_face(expr, n, fac
 
 def test_support_rule_leaves_an_odd_face_gcd_to_the_search():
     # g_12 = 3: equality sits at phase difference 2 pi/3, where no
-    # Gaussian-rational point lies, so both modes search as they did
+    # Gaussian-rational point lies, so both modes search: the Bernstein
+    # search and the probe, then falsify's seeded search
     p = parse("x1^3 + x2^3", 2)
     assert conditions._nonnegative_support(p) is None
-    falsify = check_pos3(p)
-    assert falsify.verdict is Verdict.INCONCLUSIVE
-    assert falsify.budget == {"quarter_turn_points": 62, "samples": 1056, "candidates": 0,
-                              "refined": 0, "note": "no counterexample found"}
     certify = check_pos3(p, CERTIFY)
     assert certify.verdict is Verdict.INCONCLUSIVE
     assert certify.budget == {"boxes_processed": 1, "boxes_closed": 0, "max_depth_used": 0,
                               "stop": {"reason": "G <= 0 at a corner", "r1": ["0", "1"],
                                        "c": ["-1", "1"], "corner": ["0", "-1"], "g": "0"},
                               "quarter_turn_points": 62}
+    falsify = check_pos3(p)
+    assert falsify.verdict is Verdict.INCONCLUSIVE
+    assert falsify.budget == {**certify.budget, "samples": 1056, "candidates": 0,
+                              "refined": 0, "note": "no counterexample found"}
 
 
 @pytest.mark.parametrize("expr, n", [("(x1+x2+x3)^3 - x1^3", 3), ("x1^4 + x1^3*x2 + x2^4", 2)])
@@ -594,15 +655,24 @@ def nonnegative_st(draw):
     return Polynomial(n, terms or {(d,) + (0,) * (n - 1): F(1)})
 
 
+def _search_stage_verdicts(p):
+    """The verdicts of the search stages run alone: for n = 2 the Bernstein
+    search, then the pair-face probe, then the seeded search."""
+    verdicts = [conditions._bernstein_search(p, CERTIFY.max_depth).verdict] \
+        if p.nvars == 2 else []
+    witness, _ = conditions._pair_face_probe(p, CERTIFY.grid, (1, 2))
+    verdicts.append(Verdict.INCONCLUSIVE if witness is None else Verdict.FAILS)
+    return verdicts + [conditions._seeded_search(p, FAST_FALSIFY, {}).verdict]
+
+
 @settings(max_examples=60, deadline=None)
 @given(nonnegative_st(), st.data())
 def test_support_rule_agrees_with_both_searches(p, data):
     rule = conditions._nonnegative_support(p)
     if rule is not None and rule.verdict is Verdict.HOLDS:
-        assert conditions._falsify(p, FAST_FALSIFY).verdict is not Verdict.FAILS
-        assert conditions._certify(p, CERTIFY).verdict is not Verdict.FAILS
+        assert Verdict.FAILS not in _search_stage_verdicts(p)
     if rule is not None and rule.verdict is Verdict.FAILS:
-        assert conditions._certify(p, CERTIFY).verdict is not Verdict.HOLDS
+        assert Verdict.HOLDS not in _search_stage_verdicts(p)
         assert _quarter_witness_holds(p, rule.witness)
     # the verdict is a property of the support up to relabelling
     perm = data.draw(st.permutations(range(p.nvars)))
@@ -703,14 +773,17 @@ def test_pair_face_probe_verdict_survives_permuting_the_variables():
     assert hits >= 10 and misses >= 2
 
 
-def test_falsify_probes_only_the_quarter_turns_on_its_grid():
-    # on its pair face p fails at phase difference pi/2 and not at pi:
-    # grid 4 holds both phases, grid 6 holds pi alone, the odd grid 7 neither
+def test_pos3_probes_both_quarter_turns_at_every_grid():
+    # on its pair face p fails at phase difference pi/2 and not at pi; the
+    # probe tests both at every grid, whether 4 | grid (4), 2 | grid (6) or
+    # neither (7), in both modes, so no sample is drawn
     p = parse("7/2*x1^4 - 55/48*x1^2*x2^2 + 3/2*x1*x2^3 + 2/3*x2^4", 2)
-    assert check_pos3(p, Pos3Options(grid=4)).budget == {"quarter_turn_points": 3}
-    for grid, points in ((6, 5), (7, 0)):
+    for grid, points in ((4, 3), (6, 3), (7, 5)):
         rep = check_pos3(p, Pos3Options(grid=grid))
-        assert rep.budget["quarter_turn_points"] == points and "samples" in rep.budget
+        assert rep.verdict is Verdict.FAILS and rep.witness["z"][1] == ["0", "1"]
+        assert rep.budget["quarter_turn_points"] == points and "samples" not in rep.budget
+        certify = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY, grid=grid))
+        assert certify.to_json_dict() == rep.to_json_dict()
 
 
 def _g_at(p, r1, t):
@@ -1025,9 +1098,13 @@ def test_pos3_falsify_lift_reports(lam, points, z, abs_p_z_squared, p_abs_z,
 
 def test_pos3_falsify_quarter_turn_witness_off_the_real_axis():
     # p(1, i) = 3 against p(1, 1) = 1: phase pi/2 fails at every r, and the
-    # probe tries it first, at r = (1/32, 31/32)
+    # probe tries it first, at r = (1/32, 31/32), after the Bernstein search
+    # stops at its first box
     rep = check_pos3(parse("x1^4 + x2^4 - x1^2*x2^2", 2))
-    assert rep.budget == {"quarter_turn_points": 1}
+    assert rep.budget == {"boxes_processed": 1, "boxes_closed": 0, "max_depth_used": 0,
+                          "stop": {"reason": "G <= 0 at a corner", "r1": ["0", "1"],
+                                   "c": ["-1", "1"], "corner": ["0", "-1"], "g": "0"},
+                          "quarter_turn_points": 1}
     assert rep.witness == {"z": [["1/31", "0"], ["0", "1"]],
                            "abs_p_z_squared": "854668817289/1099511627776",
                            "p_abs_z": "922561/1048576",
@@ -1159,7 +1236,7 @@ def test_pos3_certified_implies_weak_modulus_bound():
 
 
 # ---------------------------------------------------------------------
-# Hermitian form probes
+# Hermitian bihomogeneous form
 # ---------------------------------------------------------------------
 
 def test_assoc_bihom_diagonal_identity():
@@ -1186,31 +1263,6 @@ def test_assoc_bihom_hermitian_symmetry():
         rhs = assoc_bihom_eval(p, w, z)
         scale = max(1.0, abs(rhs))
         assert abs(lhs - rhs) <= 1e-9 * scale
-
-
-def test_sgcs_dependent_pair():
-    z = [1 + 1j, 2 - 0.5j]
-    w = [2 * v for v in z]
-    assert check_sgcs(P7, z, w) is SgcsResult.EQUALITY_ON_DEPENDENT
-
-
-def test_sgcs_strict_for_condition_passing_p():
-    rng = random.Random(9)
-    hits = 0
-    for _ in range(50):
-        z = rand_complex_point(rng, 2)
-        w = rand_complex_point(rng, 2)
-        res = check_sgcs(P7, z, w)
-        if res is SgcsResult.STRICT_HOLDS:
-            hits += 1
-        else:
-            assert res is SgcsResult.EQUALITY_ON_DEPENDENT
-    assert hits >= 45  # random pairs are almost surely independent
-
-
-def test_sgcs_violated_at_modulus_equality_point():
-    res = check_sgcs(P_EQUALITY_QUARTIC, [1, 1], [-1, 1])
-    assert res is SgcsResult.VIOLATED
 
 
 def test_condition_report_json_shape():

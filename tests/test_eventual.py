@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from powerpos import (Polynomial, all_coeffs_positive, corpus, eventual, parse,
                       polya_exponent, power_scan, scan_rows, serialize)
 from powerpos.cli import PROFILES, run_check
-from powerpos.eventual import (OnsetProof, _falling_factorial_form, _integer_terms,
-                               _lex_exponents, _lex_rank)
+from powerpos.eventual import (DEFAULT_DENSE_CAP, OnsetProof, _falling_factorial_form,
+                               _integer_terms, _lex_exponents, _lex_rank)
 from powerpos.poly import dense_monomial_count
 
 from helpers import dense_grid_pow_2d, rand_homogeneous
@@ -423,6 +423,14 @@ def test_polya_exponent_of_constants():
 def test_polya_exponent_rejects_a_negative_budget():
     with pytest.raises(ValueError, match="n_max"):
         polya_exponent(parse("x1 + x2", 2), -1)
+
+
+def test_polya_cap_applies_only_to_the_exponents_the_search_reaches():
+    # a degree-(50 + 2) basis in 8 variables is far past the dense cap, but
+    # the search certifies at N = 0 and never forms it
+    g = parse("(x1+x2+x3+x4+x5+x6+x7+x8)^2", 8)
+    assert dense_monomial_count(8, 52) > DEFAULT_DENSE_CAP
+    assert polya_exponent(g, 50) == 0
 
 
 def test_polya_positivity_is_monotone_in_n():
