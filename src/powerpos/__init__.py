@@ -12,9 +12,9 @@ from .conditions import (Condition, ConditionReport, Pos3Mode, Pos3Options,
                          check_pos3, facet_derivative)
 from .eventual import (OnsetProof, PositivityPattern, ScanRow, all_coeffs_positive,
                        polya_exponent, power_scan, scan_rows)
-from .geometry import (amgm_check, difference_lattice_is_full, hessian_logf_fd,
-                       is_positive_definite, jf_matrix, log_support,
-                       newton_affine_dim, smith_invariant_factors)
+from .geometry import (difference_lattice_is_full, hessian_logf_fd,
+                       is_positive_definite, jf_matrix, newton_affine_dim,
+                       smith_invariant_factors)
 from .intervals import Interval
 from .poly import (MINUS_INFINITY, MultiIndex, ParseError, Polynomial,
                    dehomogenize, eval_complex, eval_complex_exact,
@@ -32,8 +32,8 @@ __all__ = [
     "facet_derivative",
     "OnsetProof", "PositivityPattern", "ScanRow", "all_coeffs_positive",
     "polya_exponent", "power_scan", "scan_rows",
-    "amgm_check", "difference_lattice_is_full", "hessian_logf_fd",
-    "is_positive_definite", "jf_matrix", "log_support", "newton_affine_dim",
+    "difference_lattice_is_full", "hessian_logf_fd",
+    "is_positive_definite", "jf_matrix", "newton_affine_dim",
     "smith_invariant_factors", "Interval", "MINUS_INFINITY", "MultiIndex",
     "ParseError", "Polynomial", "dehomogenize", "eval_complex",
     "eval_complex_exact", "eval_interval", "eval_rational", "from_json",

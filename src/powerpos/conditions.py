@@ -398,20 +398,16 @@ def _misalignment(R: np.ndarray, TH: np.ndarray) -> np.ndarray:
     return R.sum(axis=1) - np.abs((R * np.exp(1j * TH)).sum(axis=1))
 
 
-#: `_float_scaled` leaves p alone while its largest coefficient is below
-#: 2^_FLOAT_BITS, so p(r)^2 stays below about T^2 2^512 for T terms and
-#: radii at most 1, far inside float range.
-_FLOAT_BITS = 256
-
-
 def _float_scaled(p: Polynomial) -> Polynomial:
-    """p times 2^-s for the least s >= 0 that brings its largest coefficient
-    below about 2^_FLOAT_BITS.  Every float test of the falsify layer is
-    invariant under positive scaling, and a power of two scales its floats
-    exactly, barring underflow; inputs below the bound are left alone."""
+    """p times the power of two that puts its largest |coefficient| in
+    [1, 2).  Every float test of the falsify layer is invariant under
+    positive scaling, and a power of two scales its floats exactly, barring
+    overflow and underflow, which the normalization keeps away."""
     top = max(abs(c) for c in p.terms.values())
-    shift = top.numerator.bit_length() - top.denominator.bit_length() - _FLOAT_BITS
-    return p.scale(Fraction(1, 2 ** shift)) if shift > 0 else p
+    shift = top.numerator.bit_length() - top.denominator.bit_length()
+    if top < Fraction(2) ** shift:
+        shift -= 1
+    return p.scale(Fraction(2) ** -shift) if shift else p
 
 
 def _eval_d_grid(p: Polynomial, g: int, radii: np.ndarray, row: np.ndarray,
@@ -513,9 +509,9 @@ def _seeded_search(p: Polynomial, opts: Pos3Options, budget: dict) -> ConditionR
     refinement lead to, else Inconclusive; `budget` is that of the stages
     before, and the report extends it."""
     n, g = p.nvars, opts.grid
-    # the float layer sees p times a power of two that keeps p(r)^2 in
-    # float range; every float test below is scale-free, and the exact
-    # checks use p itself
+    # the float layer sees p normalized by a power of two, so the float
+    # tests below, their 1e-30 floors included, do not depend on p's
+    # scale; the exact checks use p itself
     pf = _float_scaled(p)
     radii, row, phases, R, TH = _grid_samples(n, opts)
     D, p_r = _eval_d_grid(pf, g, radii, row, phases)

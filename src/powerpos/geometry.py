@@ -1,11 +1,10 @@
 """Support lattices, the log-Hessian matrix, and convexity probes.
 
-Covers: exponent support and the affine dimension of its convex hull,
+Covers: the affine dimension of the convex hull of the exponent support,
 fullness of the difference lattice via Smith normal form, the matrix
 J_f(s) = s_j d/ds_j (s_i d/ds_i log f) computed exactly from f and its
-partials, a finite-difference cross-check through the exponential
-change of variables, and the AM-GM style midpoint inequality
-p(sqrt(x*y))^2 <= p(x) p(y).
+partials, and a finite-difference cross-check through the exponential
+change of variables.
 """
 
 from __future__ import annotations
@@ -22,13 +21,6 @@ from .poly import Polynomial, eval_rational
 # ---------------------------------------------------------------------
 # Support and lattices
 # ---------------------------------------------------------------------
-
-def log_support(f: Polynomial) -> frozenset:
-    """Exponent support {I : c_I != 0}; rejects the zero polynomial."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has empty support")
-    return frozenset(f.terms)
-
 
 def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
     """Nonzero invariant factors of an integer matrix (Smith normal form).
@@ -103,7 +95,9 @@ def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
 
 def difference_lattice_generators(f: Polynomial) -> list[list[int]]:
     """Generators {I - I0} of the lattice spanned by support differences."""
-    support = sorted(log_support(f))
+    if f.is_zero():
+        raise ValueError("zero polynomial has empty support")
+    support = sorted(f.terms)
     base = support[0]
     return [[a - b for a, b in zip(exp, base)] for exp in support[1:]]
 
@@ -217,24 +211,3 @@ def is_positive_definite(mat, tol: float = 1e-9) -> bool:
             if factor:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
     return True
-
-
-def amgm_check(p: Polynomial, x: Sequence[Fraction | int],
-               y: Sequence[Fraction | int], tol: float = 1e-9) -> bool:
-    """Check p(sqrt(x1 y1), ..., sqrt(xn yn))^2 <= p(x) p(y) within tol.
-
-    The geometric-mean side needs square roots and is evaluated in
-    floating point; the right side is exact.  Equality is accepted.
-    """
-    xs = [Fraction(v) for v in x]
-    ys = [Fraction(v) for v in y]
-    if len(xs) != p.nvars or len(ys) != p.nvars:
-        raise ValueError("dimension mismatch")
-    if any(v <= 0 for v in xs + ys):
-        raise ValueError("points must be strictly positive")
-    mid = [complex(math.sqrt(a * b)) for a, b in zip(xs, ys)]
-    from .poly import eval_complex
-    left = eval_complex(p, mid).real ** 2
-    right = float(eval_rational(p, xs) * eval_rational(p, ys))
-    scale = max(1.0, abs(right))
-    return left <= right + tol * scale

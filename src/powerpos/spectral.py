@@ -3,10 +3,11 @@
 Irreducibility and aperiodicity are graph-theoretic on the support
 digraph: an entry with nonnegative integer coefficients is positive at
 an interior point of the orthant exactly when it is a nonzero
-polynomial.  The spectral radius function is evaluated by power
-iteration with Collatz-Wielandt bracketing, and a claimed identity
-p = beta_A is verified through an exact characteristic residual
-det(p I - A) plus numeric dominance sampling.
+polynomial.  Both are read off the powers of the 0/1 support matrix up
+to dim, since no cycle is longer.  The spectral radius function is
+evaluated by power iteration with Collatz-Wielandt bracketing, and a
+claimed identity p = beta_A is verified through an exact characteristic
+residual det(p I - A) plus numeric dominance sampling.
 """
 
 from __future__ import annotations
@@ -81,113 +82,42 @@ class PolyMatrix:
         xs = [Fraction(v) for v in x]
         return [[eval_rational(q, xs) for q in row] for row in self.entries]
 
-    def support_edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.dim) for j in range(self.dim)
-                if not self.entries[i][j].is_zero()]
-
 
 # ---------------------------------------------------------------------
 # Support digraph structure
 # ---------------------------------------------------------------------
 
-def _strongly_connected_components(dim: int, edges: list[tuple[int, int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative."""
-    adj: list[list[int]] = [[] for _ in range(dim)]
-    for i, j in edges:
-        adj[i].append(j)
-    index = [None] * dim
-    low = [0] * dim
-    on_stack = [False] * dim
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(dim):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] is None:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
+def _walks(a: PolyMatrix) -> np.ndarray:
+    """Stacked W_1..W_dim: W_k[u, v] iff a walk of length k leads from u
+    to v in the support digraph.  W_k = (W_(k-1) @ S) > 0 for the 0/1
+    support matrix S, in float64, exact since an entry counts <= dim walks.
+    """
+    s = np.array([[not q.is_zero() for q in row] for row in a.entries], dtype=float)
+    walks = np.empty((a.dim, a.dim, a.dim), dtype=bool)
+    walks[0] = s > 0
+    for k in range(1, a.dim):
+        walks[k] = walks[k - 1] @ s > 0
+    return walks
 
 
 def is_irreducible(a: PolyMatrix) -> bool:
-    """True iff the support digraph is strongly connected.
-
-    A single node needs a self-loop (a closed walk must exist).
-    """
-    edges = a.support_edges()
-    if a.dim == 1:
-        return bool(edges)
-    sccs = _strongly_connected_components(a.dim, edges)
-    return len(sccs) == 1
-
-
-def _scc_period(nodes: list[int], edges: list[tuple[int, int]]) -> int:
-    """gcd of closed-walk lengths within one strongly connected component.
-
-    0 when the component carries no edge (no closed walk at all).
-    """
-    node_set = set(nodes)
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    internal = False
-    for i, j in edges:
-        if i in node_set and j in node_set:
-            adj[i].append(j)
-            internal = True
-    if not internal:
-        return 0
-    start = nodes[0]
-    level = {start: 0}
-    queue = [start]
-    g = 0
-    while queue:
-        v = queue.pop()
-        for w in adj[v]:
-            if w not in level:
-                level[w] = level[v] + 1
-                queue.append(w)
-            else:
-                g = math.gcd(g, level[v] + 1 - level[w])
-    return abs(g)
+    """True iff the support digraph is strongly connected: every node
+    reaches every node, itself included, so a single node needs a
+    self-loop."""
+    return bool(_walks(a).any(axis=0).all())
 
 
 def is_aperiodic(a: PolyMatrix) -> bool:
-    """True iff every node's closed-walk lengths have gcd 1."""
-    edges = a.support_edges()
-    for comp in _strongly_connected_components(a.dim, edges):
-        if _scc_period(comp, edges) != 1:
-            return False
-    return True
+    """True iff every node's closed-walk lengths have gcd 1.  That is the
+    gcd, over its strongly connected component, of each member's
+    closed-walk lengths up to dim (no cycle is longer; 0 on no cycle)."""
+    walks = _walks(a)
+    reach = walks.any(axis=0)
+    component = (reach & reach.T) | np.eye(a.dim, dtype=bool)
+    lengths = np.arange(1, a.dim + 1)
+    closed = [math.gcd(*lengths[walks[:, u, u]].tolist()) for u in range(a.dim)]
+    return all(math.gcd(*(closed[u] for u in np.flatnonzero(row))) == 1
+               for row in component)
 
 
 # ---------------------------------------------------------------------
@@ -240,6 +170,12 @@ def beta_at(a: PolyMatrix, x: Sequence[Fraction | int], tol: float = 1e-9,
 # Characteristic residual and beta verification
 # ---------------------------------------------------------------------
 
+def _refuse_large(a: PolyMatrix) -> None:
+    if a.dim > MAX_DETERMINANT_DIM:
+        raise PolyMatrixError(
+            f"exact determinant refused for dim {a.dim} > {MAX_DETERMINANT_DIM}")
+
+
 def charpoly_residual(a: PolyMatrix, p: Polynomial) -> Polynomial:
     """Exact det(p I - A), which vanishes identically when p is an
     eigenvalue function of A.
@@ -249,9 +185,7 @@ def charpoly_residual(a: PolyMatrix, p: Polynomial) -> Polynomial:
     """
     if p.nvars != a.nvars:
         raise ValueError("nvars mismatch between p and A")
-    if a.dim > MAX_DETERMINANT_DIM:
-        raise PolyMatrixError(
-            f"exact determinant refused for dim {a.dim} > {MAX_DETERMINANT_DIM}")
+    _refuse_large(a)
     n = a.dim
     zero = Polynomial.zero(p.nvars)
     mat = [[(p if i == j else zero) - a.entries[i][j] for j in range(n)]
@@ -316,8 +250,14 @@ def verify_beta(a: PolyMatrix, p: Polynomial, sample_count: int = 20,
     p(x) with the Perron root of A(x) at sample_count random positive
     rational points, to relative tolerance tol.  Any exact or numeric
     contradiction refutes; missing structural hypotheses give
-    Inconclusive.
+    Inconclusive.  No sample, a tol that is not finite and positive, or
+    dim > MAX_DETERMINANT_DIM is a ValueError before any work.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample count must be at least 1, got {sample_count}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _refuse_large(a)
     irr = is_irreducible(a)
     aper = is_aperiodic(a)
     int_coeffs = all(c.denominator == 1 for c in p.terms.values())

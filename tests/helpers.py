@@ -115,11 +115,6 @@ def rand_homogeneous(rng: random.Random, nvars: int, degree: int,
     return Polynomial(nvars, terms)
 
 
-def rand_positive_point(rng: random.Random, n: int,
-                        lo: int = 1, hi: int = 12) -> list[Fraction]:
-    return [Fraction(rng.randint(lo, hi), rng.randint(1, 4)) for _ in range(n)]
-
-
 def rand_complex_point(rng: random.Random, n: int, scale: float = 2.0) -> list[complex]:
     return [complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
             for _ in range(n)]

@@ -14,15 +14,14 @@ import numpy as np
 import sympy
 
 from powerpos import (BetaVerdict, PolyMatrix, Polynomial, Pos3Mode,
-                      Pos3Options, Verdict, assoc_bihom_eval, amgm_check,
+                      Pos3Options, Verdict, assoc_bihom_eval,
                       check_pos1, check_pos2, check_pos3, eval_complex,
                       eval_rational, hessian_logf_fd, is_aperiodic,
                       is_irreducible, jf_matrix, parse, power_scan,
                       smith_invariant_factors, verify_beta)
 
 from helpers import (dense_grid_pow_2d, lattice_units_reachable,
-                     rand_complex_point, rand_homogeneous, rand_positive_point,
-                     to_sympy)
+                     rand_complex_point, rand_homogeneous, to_sympy)
 
 CUBIC_MINUS_CORNER = parse("(x1+x2+x3)^3 - x1^3", 3)
 DEGENERATE_FACET_CUBIC = parse("x1^2*(x1+x2+x3) + (x2+x3)^3", 3)
@@ -126,7 +125,7 @@ def test_criterion_4_equality_quartic_powers_stay_negative():
 
 
 def test_criterion_5_identity_suites():
-    """Four property suites at 1000 random instances each."""
+    """Three property suites at 1000 random instances each."""
     rng = random.Random(2024)
 
     # (a) diagonal restriction of the Hermitian form, 1e-9 relative
@@ -159,15 +158,7 @@ def test_criterion_5_identity_suites():
         if errs[1e-3] > errs[1e-2] / 10:
             fd_fail += 1
 
-    # (c) AM-GM midpoint inequality for a condition-passing p, zero violations
-    amgm_fail = 0
-    for _ in range(1000):
-        x = rand_positive_point(rng, 2)
-        y = rand_positive_point(rng, 2)
-        if not amgm_check(P7, x, y, tol=1e-9):
-            amgm_fail += 1
-
-    # (d) all-positive random p pass all three checks (n <= 4, d <= 5)
+    # (c) all-positive random p pass all three checks (n <= 4, d <= 5)
     allpos_fail = 0
     opts = Pos3Options(mode=Pos3Mode.FALSIFY, grid=6, max_samples=600)
     for _ in range(1000):
@@ -182,11 +173,10 @@ def test_criterion_5_identity_suites():
             allpos_fail += 1
 
     ok = diag_fail == 0 and fd_fail == 0 and checked >= 500 \
-        and amgm_fail == 0 and allpos_fail == 0
+        and allpos_fail == 0
     report_line(5, ok,
                 f"diagonal identity {1000 - diag_fail}/1000, "
                 f"finite-difference second-order {checked - fd_fail}/{checked}, "
-                f"midpoint inequality {1000 - amgm_fail}/1000, "
                 f"all-positive condition suite {1000 - allpos_fail}/1000")
 
 

@@ -379,6 +379,40 @@ def test_beta_rejects_negative_coefficients(tmp_path, capsys):
     assert run(["beta", "verify", "--matrix", str(bad), "--p", "x1"]) == 1
 
 
+SYMM = {"dim": 2, "nvars": 2, "entries": [["x1", "x2"], ["x2", "x1"]]}
+
+
+def nine_nodes(successor):
+    return {"dim": 9, "nvars": 1, "entries": [
+        ["x1" if j == successor(i) else "0" for j in range(9)] for i in range(9)]}
+
+
+@pytest.mark.parametrize("matrix, argv, message", [
+    # x1 - x2 is not the spectral radius; with no sample it read Verified
+    (SYMM, ["--p", "x1 - x2", "--samples", "0"], "sample count must be at least 1, got 0"),
+    (SYMM, ["--p", "x1 - x2", "--samples", "-3"], "sample count must be at least 1, got -3"),
+    (SYMM, ["--p", "x1 - x2", "--tol", "nan"], "tol must be finite and positive, got nan"),
+    (SYMM, ["--p", "x1 - x2", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
+    # a path is neither irreducible nor aperiodic, but its dim is refused first
+    (nine_nodes(lambda i: i + 1), ["--p", "x1"], "exact determinant refused for dim 9 > 8"),
+    (nine_nodes(lambda i: (i + 1) % 9), ["--p", "x1"],
+     "exact determinant refused for dim 9 > 8"),
+], ids=["samples-0", "samples-negative", "tol-nan", "tol-negative", "path-dim-9",
+        "cycle-dim-9"])
+def test_beta_verify_refuses_what_it_cannot_decide(tmp_path, capsys, matrix, argv, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    assert run(["beta", "verify", "--matrix", str(path), *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_beta_verify_default_samples_refute_a_wrong_p(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(SYMM))
+    assert run(["beta", "verify", "--matrix", str(path), "--p", "x1 - x2"]) == 2
+    assert json.loads(capsys.readouterr().out)["note"] == "dominance mismatch at ['13/7', '2/5']"
+
+
 # ---------------------------------------------------------------------
 # sweep / examples
 # ---------------------------------------------------------------------

@@ -1160,14 +1160,29 @@ def test_sign_rule_fails_exactly_wherever_the_coefficient_sum_is_not_positive():
 
 
 def test_falsify_float_layer_is_scale_free():
-    # 2^600 times p: the float layer sees it scaled back by a power of two,
-    # so the search runs as on p, and the witness search as well
+    # 2^600 and 10^-200 times p: the float layer sees each normalized by a
+    # power of two, so the search runs as on p, and the witness search as well
     p = parse("(x1 + x2 + x3)^3 - 8*x1*x2*x3", 3)
-    big = p.scale(2 ** 600)
-    assert conditions._float_scaled(p) is p
-    rep, big_rep = check_pos3(p), check_pos3(big)
-    assert big_rep.verdict is rep.verdict
-    assert big_rep.budget == rep.budget
+    rep = check_pos3(p)
+    for scale in (F(2 ** 600), F(1, 10 ** 200)):
+        scaled_rep = check_pos3(p.scale(scale))
+        assert scaled_rep.verdict is rep.verdict
+        assert scaled_rep.budget == rep.budget
+
+
+def test_falsify_finds_the_corpus_witnesses_at_a_tiny_scale():
+    # the four corpus inputs that only the seeded search decides: at 10^-200
+    # times p, D would underflow and p(r)^2 fall below the 1e-30 floors,
+    # were p not normalized first
+    corpus = seeded_corpus()
+    for i in (319, 427, 439, 450):
+        p = corpus[i]
+        rep = check_pos3(p)
+        tiny_rep = check_pos3(p.scale(F(1, 10 ** 200)))
+        assert rep.verdict is tiny_rep.verdict is Verdict.FAILS
+        assert check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY)).verdict is Verdict.INCONCLUSIVE
+        assert tiny_rep.budget == rep.budget
+        assert tiny_rep.witness["z"] == rep.witness["z"]
 
 
 def test_pos3_falsify_single_term_has_equality_witness():

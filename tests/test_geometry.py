@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 import sympy
 
-from powerpos import (amgm_check, check_pos1, check_pos2, dehomogenize,
+from powerpos import (check_pos1, check_pos2, dehomogenize,
                       difference_lattice_is_full, hessian_logf_fd,
-                      is_positive_definite, jf_matrix, log_support,
-                      newton_affine_dim, parse, smith_invariant_factors,
-                      Polynomial, Verdict)
+                      is_positive_definite, jf_matrix, newton_affine_dim,
+                      parse, smith_invariant_factors, Polynomial, Verdict)
 from powerpos.geometry import difference_lattice_generators
 
-from helpers import (lattice_units_reachable, rand_homogeneous,
-                     rand_positive_point)
+from helpers import lattice_units_reachable, rand_homogeneous
 
 P7 = parse("(x1+x2)^4 - 7*x1^2*x2^2", 2)
 
@@ -24,23 +22,9 @@ P7 = parse("(x1+x2)^4 - 7*x1^2*x2^2", 2)
 # support and lattices
 # ---------------------------------------------------------------------
 
-def test_log_support_affine_linear():
-    assert log_support(parse("s1+s2+1", 2)) == {(1, 0), (0, 1), (0, 0)}
-
-
-def test_log_support_monomial():
-    assert log_support(parse("x1^2*x2", 2)) == {(2, 1)}
-
-
-def test_log_support_dehomogenized_quartic():
-    f = parse("(s1+1)^4 - 7*s1^2", 1)
-    assert log_support(f) == {(0,), (1,), (2,), (3,), (4,)}
-    assert f.coefficient((2,)) == -1  # 6 - 7: the middle term survives
-
-
-def test_log_support_rejects_zero():
+def test_difference_lattice_generators_reject_zero():
     with pytest.raises(ValueError):
-        log_support(Polynomial.zero(2))
+        difference_lattice_generators(Polynomial.zero(2))
 
 
 def test_newton_affine_dim_examples():
@@ -209,30 +193,3 @@ def test_pd_agrees_with_numpy_on_random_symmetric():
         want = bool(np.min(np.linalg.eigvalsh(sym.astype(float))) > 1e-12)
         mat = [[F(int(v)) for v in row] for row in sym]
         assert is_positive_definite(mat) == want
-
-
-# ---------------------------------------------------------------------
-# AM-GM midpoint inequality
-# ---------------------------------------------------------------------
-
-def test_amgm_diagonal_equality():
-    x = [F(2), F(1, 3)]
-    assert amgm_check(parse("(x1+x2)^3", 2), x, x) is True
-
-
-def test_amgm_linear_hand_values():
-    # left = (2+2)^2 = 16, right = 5*5 = 25
-    assert amgm_check(parse("x1+x2", 2), [F(1), F(4)], [F(4), F(1)]) is True
-
-
-def test_amgm_condition_passing_family():
-    rng = random.Random(59)
-    for _ in range(100):
-        x = rand_positive_point(rng, 2)
-        y = rand_positive_point(rng, 2)
-        assert amgm_check(P7, x, y) is True
-
-
-def test_amgm_rejects_nonpositive_points():
-    with pytest.raises(ValueError):
-        amgm_check(P7, [F(0), F(1)], [F(1), F(1)])
