@@ -12,14 +12,13 @@ from .conditions import (Condition, ConditionReport, Pos3Mode, Pos3Options,
                          check_pos3, facet_derivative)
 from .eventual import (OnsetProof, PositivityPattern, ScanRow, all_coeffs_positive,
                        polya_exponent, power_scan, scan_rows)
-from .geometry import (difference_lattice_is_full, hessian_logf_fd,
-                       is_positive_definite, jf_matrix, newton_affine_dim,
-                       smith_invariant_factors)
+from .geometry import (difference_lattice_is_full, is_positive_definite,
+                       jf_matrix, newton_affine_dim, smith_invariant_factors)
 from .intervals import Interval
 from .poly import (MINUS_INFINITY, MultiIndex, ParseError, Polynomial,
-                   dehomogenize, eval_complex, eval_complex_exact,
-                   eval_interval, eval_rational, from_json, infer_nvars,
-                   monomials_of_degree, parse, serialize, to_json)
+                   eval_complex, eval_complex_exact, eval_interval,
+                   eval_rational, infer_nvars, monomials_of_degree, parse,
+                   serialize)
 from .spectral import (BetaReport, BetaVerdict, PolyMatrix, beta_at,
                        charpoly_residual, is_aperiodic, is_irreducible,
                        perron_bounds, verify_beta)
@@ -32,12 +31,11 @@ __all__ = [
     "facet_derivative",
     "OnsetProof", "PositivityPattern", "ScanRow", "all_coeffs_positive",
     "polya_exponent", "power_scan", "scan_rows",
-    "difference_lattice_is_full", "hessian_logf_fd",
-    "is_positive_definite", "jf_matrix", "newton_affine_dim",
-    "smith_invariant_factors", "Interval", "MINUS_INFINITY", "MultiIndex",
-    "ParseError", "Polynomial", "dehomogenize", "eval_complex",
-    "eval_complex_exact", "eval_interval", "eval_rational", "from_json",
-    "infer_nvars", "monomials_of_degree", "parse", "serialize", "to_json",
+    "difference_lattice_is_full", "is_positive_definite", "jf_matrix",
+    "newton_affine_dim", "smith_invariant_factors", "Interval",
+    "MINUS_INFINITY", "MultiIndex", "ParseError", "Polynomial",
+    "eval_complex", "eval_complex_exact", "eval_interval", "eval_rational",
+    "infer_nvars", "monomials_of_degree", "parse", "serialize",
     "BetaReport", "BetaVerdict", "PolyMatrix", "beta_at", "charpoly_residual",
     "is_aperiodic", "is_irreducible", "perron_bounds", "verify_beta",
 ]

@@ -28,8 +28,8 @@ from . import corpus as corpus_mod
 from .conditions import (Pos3Options, Verdict, check_pos1, check_pos2,
                          check_pos3)
 from .eventual import power_scan, polya_exponent, scan_rows
-from .geometry import (difference_lattice_generators, hessian_logf_fd,
-                       is_positive_definite, jf_matrix, smith_invariant_factors)
+from .geometry import (difference_lattice_generators, is_positive_definite,
+                       jf_matrix, smith_invariant_factors)
 from .poly import ParseError, Polynomial, infer_nvars, parse, serialize
 from .spectral import BetaVerdict, PolyMatrix, verify_beta
 
@@ -48,14 +48,12 @@ class Budgets:
     the one of the option or parameter it feeds."""
     grid: int = Pos3Options.grid
     max_depth: int = Pos3Options.max_depth
-    tolerance: float = Pos3Options.tolerance
     max_samples: int = Pos3Options.max_samples
     polya_budget: int = _POS2_DEFAULTS["polya_budget"].default
     sample_grid: int = _POS2_DEFAULTS["sample_grid"].default
 
     def pos3_options(self, mode: str, seed: int) -> Pos3Options:
-        return Pos3Options(mode=mode, grid=self.grid,
-                           max_depth=self.max_depth, tolerance=self.tolerance,
+        return Pos3Options(mode=mode, grid=self.grid, max_depth=self.max_depth,
                            max_samples=self.max_samples, seed=seed)
 
 
@@ -172,8 +170,8 @@ def cmd_geometry(args) -> int:
     checks = args.check or ["dim", "lattice"]
     point = None
     if args.point is not None:
-        if not {"jf", "hess"} & set(checks):
-            raise ValueError("--point is read only by --check jf and --check hess")
+        if "jf" not in checks:
+            raise ValueError("--point is read only by --check jf")
         point = [Fraction(v) for v in args.point.split(",")]
     f = _parse_poly(args.f, args.nvars)
     result: dict = {"f": serialize(f), "nvars": f.nvars}
@@ -192,10 +190,6 @@ def cmd_geometry(args) -> int:
         result["jf"] = {"point": [str(v) for v in point],
                         "matrix": [[str(v) for v in row] for row in mat],
                         "positive_definite": is_positive_definite(mat)}
-    if "hess" in checks:
-        t = [0.0] * f.nvars if point is None else [float(v) for v in point]
-        hess = hessian_logf_fd(f, t)
-        result["hessian_logf_fd"] = {"t": t, "matrix": hess.tolist()}
     _emit(result, args.json)
     return EXIT_OK
 
@@ -364,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_geom.add_argument("--nvars", type=int)
     p_geom.add_argument("--point", help="comma-separated rationals")
     p_geom.add_argument("--check", action="append",
-                        choices=["dim", "lattice", "jf", "hess"])
+                        choices=["dim", "lattice", "jf"])
     p_geom.set_defaults(func=cmd_geometry)
 
     p_beta = sub.add_parser("beta", help="spectral radius function verification")

@@ -169,7 +169,7 @@ def check_pos2(p: Polynomial, polya_budget: int = 50,
                                certificate={"polya_exponents": {}, "note": "vacuous for one variable"},
                                budget={})
     exponents: dict[str, int] = {}
-    uncertified: list[int] = []
+    uncertified: dict[int, Polynomial] = {}
     for k in range(n):
         g = facet_derivative(p, k)
         if g.is_zero():
@@ -183,7 +183,7 @@ def check_pos2(p: Polynomial, polya_budget: int = 50,
                 budget={"facets_checked": k + 1})
         nk = polya_exponent(g, polya_budget)
         if nk is None:
-            uncertified.append(k)
+            uncertified[k] = g
         else:
             exponents[str(k + 1)] = nk
     if not uncertified:
@@ -192,8 +192,7 @@ def check_pos2(p: Polynomial, polya_budget: int = 50,
                                budget={"polya_budget": polya_budget})
     # certification failed on some facet: hunt for an exact counterexample
     samples = 0
-    for k in uncertified:
-        g = facet_derivative(p, k)
+    for k, g in uncertified.items():
         for pt in _facet_simplex_points(n - 1, sample_grid):
             samples += 1
             val = eval_rational(g, list(pt))
@@ -235,7 +234,6 @@ class Pos3Options:
     mode: Pos3Mode = Pos3Mode.FALSIFY
     grid: int = 32
     max_depth: int = 24         # n = 2: halvings of one Bernstein box before the search stops
-    tolerance: float = 1e-12
     max_samples: int = 20000
     seed: int = 0
 
@@ -249,8 +247,6 @@ class Pos3Options:
         for name, most in (("grid", _MAX_GRID), ("max_samples", _MAX_SAMPLES)):
             if getattr(self, name) > most:
                 raise ValueError(f"{name} must be at most {most}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be finite and positive")
 
 
 #: Certify processes at most this many boxes before its search stops.
@@ -359,6 +355,9 @@ def _rational_unit(theta: float, bound: Optional[int]) -> tuple:
 #: Falsify drops candidates whose `_misalignment` is at most this: near
 #: the aligned set D vanishes, and float noise there is no counterexample.
 _MISALIGNMENT_FLOOR = 1e-3
+
+#: Falsify's candidates are the samples where D <= this times p(r)^2.
+_CANDIDATE_TOLERANCE = 1e-12
 
 #: Falsify evaluates D on the grid about this many (sample, term) entries
 #: at a time: each chunk of samples holds its terms c_I r^I and their
@@ -515,7 +514,7 @@ def _seeded_search(p: Polynomial, opts: Pos3Options, budget: dict) -> ConditionR
     pf = _float_scaled(p)
     radii, row, phases, R, TH = _grid_samples(n, opts)
     D, p_r = _eval_d_grid(pf, g, radii, row, phases)
-    low = np.flatnonzero(D <= opts.tolerance * np.maximum(p_r ** 2, 1e-30))
+    low = np.flatnonzero(D <= _CANDIDATE_TOLERANCE * np.maximum(p_r ** 2, 1e-30))
     candidate_idx = low[_misalignment(R[low], TH[low]) > _MISALIGNMENT_FLOOR]
     candidate_idx = candidate_idx[np.argsort(D[candidate_idx], kind="stable")]
     budget = {**budget, "samples": len(row), "candidates": int(len(candidate_idx))}

@@ -1,19 +1,16 @@
-"""Support lattices, the log-Hessian matrix, and convexity probes.
+"""Support lattices and the log-Hessian matrix.
 
 Covers: the affine dimension of the convex hull of the exponent support,
-fullness of the difference lattice via Smith normal form, the matrix
-J_f(s) = s_j d/ds_j (s_i d/ds_i log f) computed exactly from f and its
-partials, and a finite-difference cross-check through the exponential
-change of variables.
+fullness of the difference lattice via Smith normal form, and the matrix
+J_f(s) = s_j d/ds_j (s_i d/ds_i log f), computed exactly from f and its
+partials; it is the Hessian of log f(e^t) at t = log s.  Positive
+definiteness is decided by exact LDL elimination.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .poly import Polynomial, eval_rational
 
@@ -119,7 +116,7 @@ def difference_lattice_is_full(f: Polynomial) -> bool:
 
 
 # ---------------------------------------------------------------------
-# J_f and its finite-difference cross-check
+# J_f and positive definiteness
 # ---------------------------------------------------------------------
 
 def jf_matrix(f: Polynomial, s: Sequence[Fraction | int]) -> list[list[Fraction]]:
@@ -151,48 +148,13 @@ def jf_matrix(f: Polynomial, s: Sequence[Fraction | int]) -> list[list[Fraction]
     return out
 
 
-def hessian_logf_fd(f: Polynomial, t: Sequence[float], h: float = 1e-3) -> np.ndarray:
-    """Central-difference Hessian of log f(e^{t_1}, ..., e^{t_l}) at t."""
-    ell = f.nvars
-    t = np.asarray(t, dtype=float)
-    if t.shape != (ell,):
-        raise ValueError(f"point has shape {t.shape}, expected ({ell},)")
+def is_positive_definite(mat) -> bool:
+    """Positive definiteness by exact LDL elimination: all pivots > 0.
 
-    def logf(tt: np.ndarray) -> float:
-        val = float(eval_rational(f, [Fraction(x) for x in np.exp(tt)]))
-        if val <= 0:
-            raise ValueError("f(e^t) must be positive throughout the stencil")
-        return math.log(val)
-
-    out = np.empty((ell, ell))
-    for i in range(ell):
-        ei = np.zeros(ell)
-        ei[i] = h
-        out[i, i] = (logf(t + ei) - 2 * logf(t) + logf(t - ei)) / h ** 2
-        for j in range(i + 1, ell):
-            ej = np.zeros(ell)
-            ej[j] = h
-            out[i, j] = out[j, i] = (
-                logf(t + ei + ej) - logf(t + ei - ej)
-                - logf(t - ei + ej) + logf(t - ei - ej)) / (4 * h ** 2)
-    return out
-
-
-def is_positive_definite(mat, tol: float = 1e-9) -> bool:
-    """Positive definiteness check.
-
-    Rational input: exact LDL elimination, all pivots must be > 0.
-    Float input: symmetrize (rejecting asymmetry beyond tol) and test
-    the smallest eigenvalue.
+    Entries may be ints, Fractions or floats (a float's Fraction is its
+    exact binary value), in nested lists or an array; an asymmetric
+    matrix is a ValueError.
     """
-    if isinstance(mat, np.ndarray) or (mat and isinstance(mat[0][0], float)):
-        arr = np.asarray(mat, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if np.max(np.abs(arr - arr.T)) > tol * scale:
-            raise ValueError("matrix asymmetric beyond tolerance")
-        sym = 0.5 * (arr + arr.T)
-        return bool(np.min(np.linalg.eigvalsh(sym)) > 0)
-
     rows = [[Fraction(v) for v in row] for row in mat]
     dim = len(rows)
     if any(len(r) != dim for r in rows):

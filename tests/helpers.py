@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths:
 sympy expansion for polynomial arithmetic, dense array convolution for
-powers, and breadth-first lattice walking for lattice fullness.
+powers, breadth-first lattice walking for lattice fullness, and central
+differences for the log-Hessian.  `dehomogenize` builds the coordinate
+charts of the lattice tests.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import mpmath
 import numpy as np
 import sympy
 
-from powerpos import Polynomial, monomials_of_degree
+from powerpos import Polynomial, eval_rational, monomials_of_degree
 
 
 def sympy_coeff_dict(expr_text: str, nvars: int) -> dict[tuple, Fraction]:
@@ -96,6 +99,62 @@ def lattice_units_reachable(gens: list[list[int]], ell: int, box: int = 12) -> b
                     queue.append(w)
     units = (tuple(1 if i == j else 0 for i in range(ell)) for j in range(ell))
     return all(u in seen for u in units)
+
+
+def dehomogenize(p: Polynomial, ell: int, sigma: Sequence[int] | None = None) -> Polynomial:
+    """Restrict a homogeneous p to ell variables through a coordinate chart.
+
+    Returns q(s_1..s_ell) = p at the point whose sigma[i]-th coordinate
+    (0-based) is the i-th entry of (s_1, ..., s_ell, 0, ..., 0, 1).
+    sigma acts on coordinate positions; identity by default.
+    """
+    n = p.nvars
+    if not p.is_homogeneous():
+        raise ValueError("dehomogenize requires a homogeneous polynomial")
+    if not 1 <= ell <= n - 1:
+        raise ValueError(f"ell={ell} out of range for nvars={n}")
+    sigma = tuple(range(n)) if sigma is None else tuple(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError("sigma must be a permutation of 0..nvars-1")
+    # coordinate sigma[i] receives slot i's value: s_(i+1), 0 or 1
+    slot = {j: i for i, j in enumerate(sigma)}
+    out: dict[tuple, Fraction] = {}
+    for exp, coef in p.terms.items():
+        if any(e and ell <= slot[j] < n - 1 for j, e in enumerate(exp)):
+            continue  # a coordinate set to 0 kills the term
+        new = [0] * ell
+        for j, e in enumerate(exp):
+            if slot[j] < ell:
+                new[slot[j]] = e
+        out[tuple(new)] = out.get(tuple(new), Fraction(0)) + coef
+    return Polynomial(ell, out)
+
+
+def hessian_logf_fd(f: Polynomial, t: Sequence[float], h: float = 1e-3) -> np.ndarray:
+    """Central-difference Hessian of log f(e^{t_1}, ..., e^{t_l}) at t."""
+    ell = f.nvars
+    t = np.asarray(t, dtype=float)
+    if t.shape != (ell,):
+        raise ValueError(f"point has shape {t.shape}, expected ({ell},)")
+
+    def logf(tt: np.ndarray) -> float:
+        val = float(eval_rational(f, [Fraction(x) for x in np.exp(tt)]))
+        if val <= 0:
+            raise ValueError("f(e^t) must be positive throughout the stencil")
+        return math.log(val)
+
+    out = np.empty((ell, ell))
+    for i in range(ell):
+        ei = np.zeros(ell)
+        ei[i] = h
+        out[i, i] = (logf(t + ei) - 2 * logf(t) + logf(t - ei)) / h ** 2
+        for j in range(i + 1, ell):
+            ej = np.zeros(ell)
+            ej[j] = h
+            out[i, j] = out[j, i] = (
+                logf(t + ei + ej) - logf(t + ei - ej)
+                - logf(t - ei + ej) + logf(t - ei - ej)) / (4 * h ** 2)
+    return out
 
 
 def rand_homogeneous(rng: random.Random, nvars: int, degree: int,

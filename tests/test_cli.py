@@ -6,8 +6,10 @@ import importlib
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import mpmath
 import pytest
 
 from powerpos import Pos3Options, Verdict, check_pos2, conditions, parse
-from powerpos.cli import Budgets, build_parser, main
+from powerpos.cli import _BUDGET_FIELDS, Budgets, build_parser, main
 
 from helpers import modulus_gap
 
@@ -106,15 +108,45 @@ def test_parse_error_exit_one(capsys):
                                   ["check", "x1+x2", "--threads", "2"],
                                   ["check", "x1+x2", "--delta", "0.01"],
                                   ["power-scan", "--p", "x1+x2"],
-                                  ["nonsense"]])
+                                  ["nonsense"],
+                                  ["check", "x1+x2", "--tolerance", "1e-9"],
+                                  ["geometry", "--f", "s1+1", "--check", "hess"]])
 def test_usage_error_exit_one(argv, capsys):
     # argparse's own exit status 2 would read as "Fails"
     assert run(argv) == 1
     assert "error:" in capsys.readouterr().err
 
 
+TOO_MANY_VARIABLES = {"dim": 1, "nvars": 65, "entries": [["x1"]]}
+
+
+@pytest.mark.parametrize("argv", [["check", "x1+x65"], ["check", "x1", "--nvars", "65"],
+                                  ["beta", "verify", "--matrix", "m.json", "--p", "x1"]],
+                         ids=["x65", "nvars-65", "matrix-nvars-65"])
+def test_too_many_variables_is_one_parse_error(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(TOO_MANY_VARIABLES))
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("parse error: ") and "over the limit of 64" in captured.err
+
+
+def test_readme_cli_lines_parse():
+    # every `powerpos ...` line of the README's CLI block is a valid command
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("powerpos ")]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
 BUDGETED = {"--json", "--seed", "--budget-profile", "--config", "--grid", "--max-depth",
-            "--tolerance", "--max-samples", "--polya-budget", "--sample-grid"}
+            "--max-samples", "--polya-budget", "--sample-grid"}
 
 
 def _flags(path):
@@ -129,8 +161,8 @@ BETA = ["beta", "verify", "--matrix", "m.json", "--p", "x1+x2"]
 
 
 # Each subcommand's flags, and one flag it does not read, which is a usage
-# error.  Of the shared flags, check, sweep and examples take all 10, beta
-# verify takes --json and --seed, the others --json and beta none: 35.
+# error.  Of the shared flags, check, sweep and examples take all 9, beta
+# verify takes --json and --seed, the others --json and beta none: 32.
 
 
 @pytest.mark.parametrize("path, flags, argv, unread", [
@@ -347,11 +379,11 @@ def test_geometry_jf_check(tmp_path):
 
 def test_geometry_point_needs_a_check_that_reads_it(tmp_path, capsys):
     assert run(["geometry", "--f", "s1+1", "--point", "1"]) == 1
-    assert "--point" in capsys.readouterr().err
+    assert "--point is read only by --check jf" in capsys.readouterr().err
     out = tmp_path / "geom.json"
-    assert run(["geometry", "--f", "s1+1", "--point", "1/2", "--check", "hess",
+    assert run(["geometry", "--f", "s1+1", "--point", "1/2", "--check", "jf",
                 "--json", str(out)]) == 0
-    assert json.loads(out.read_text())["hessian_logf_fd"]["t"] == [0.5]
+    assert json.loads(out.read_text())["jf"]["point"] == ["1/2"]
 
 
 def test_beta_verify_verified_and_refuted(tmp_path):
@@ -391,14 +423,16 @@ def nine_nodes(successor):
     # x1 - x2 is not the spectral radius; with no sample it read Verified
     (SYMM, ["--p", "x1 - x2", "--samples", "0"], "sample count must be at least 1, got 0"),
     (SYMM, ["--p", "x1 - x2", "--samples", "-3"], "sample count must be at least 1, got -3"),
+    (SYMM, ["--p", "x1 - x2", "--samples", "10001"],
+     "sample count must be at most 10000, got 10001"),
     (SYMM, ["--p", "x1 - x2", "--tol", "nan"], "tol must be finite and positive, got nan"),
     (SYMM, ["--p", "x1 - x2", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
     # a path is neither irreducible nor aperiodic, but its dim is refused first
     (nine_nodes(lambda i: i + 1), ["--p", "x1"], "exact determinant refused for dim 9 > 8"),
     (nine_nodes(lambda i: (i + 1) % 9), ["--p", "x1"],
      "exact determinant refused for dim 9 > 8"),
-], ids=["samples-0", "samples-negative", "tol-nan", "tol-negative", "path-dim-9",
-        "cycle-dim-9"])
+], ids=["samples-0", "samples-negative", "samples-10001", "tol-nan", "tol-negative",
+        "path-dim-9", "cycle-dim-9"])
 def test_beta_verify_refuses_what_it_cannot_decide(tmp_path, capsys, matrix, argv, message):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(matrix))
@@ -530,7 +564,37 @@ def test_cli_flag_overrides_config(tmp_path):
     assert report["reports"][2]["budget"]["samples"] == 70
 
 
-@pytest.mark.parametrize("line", ["delta = 1e-3", "max_sample = 50"])
+# For each budget key, a check whose report the key changes: (the check's
+# argv, a value other than the default, the report, the entry of it that
+# changes, and that entry at the default and at the value)
+BUDGET_EFFECTS = {
+    "grid": ([NO_PROBE_WITNESS_CUBIC], "16", "Pos3", "quarter_turn_points", (186, 90)),
+    "max_depth": (["(x1+x2)^4 - 7*x1^2*x2^2"], "0", "Pos3", "boxes_processed", (3, 1)),
+    "max_samples": ([NO_PROBE_WITNESS_CUBIC, "--pos3-mode", "falsify"], "70", "Pos3",
+                    "samples", (20000, 70)),
+    # each facet derivative 3*x2^2 - 5*x2*x3 + 3*x3^2 needs the Polya exponent 11
+    "polya_budget": (["(x1+x2+x3)^3 - 11*x1*x2*x3"], "2", "Pos2", "verdict",
+                     ("Holds", "Inconclusive")),
+    # each facet derivative 3*(x2 - x3)^2 vanishes at 1/2, off a grid of 7
+    "sample_grid": (["(x1+x2+x3)^3 - 12*x1*x2*x3"], "7", "Pos2", "verdict",
+                    ("Fails", "Inconclusive")),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_BUDGET_FIELDS))
+def test_every_budget_key_changes_a_report(key, tmp_path):
+    argv, value, condition, entry, want = BUDGET_EFFECTS[key]
+    seen = []
+    for flags in ([], [f"--{key.replace('_', '-')}", value]):
+        out = tmp_path / "r.json"
+        run(["check", *argv, *flags, "--json", str(out)])
+        (report,) = [r for r in json.loads(out.read_text())["reports"]
+                     if r["condition"] == condition]
+        seen.append(report[entry] if entry == "verdict" else report["budget"][entry])
+    assert tuple(seen) == want
+
+
+@pytest.mark.parametrize("line", ["delta = 1e-3", "max_sample = 50", "tolerance = 1e-12"])
 def test_unknown_config_key_errors(line, capsys, tmp_path):
     # a removed key or a typo is an error, not a silent no-op
     cfg = tmp_path / "budgets.ini"
@@ -547,8 +611,7 @@ def test_missing_config_errors(capsys, tmp_path):
 @pytest.mark.parametrize("flag, value", [("--sample-grid", "0"), ("--polya-budget", "-1"),
                                          ("--max-samples", "-5"), ("--grid", "-3"),
                                          ("--grid", "0"), ("--max-depth", "-1"),
-                                         ("--tolerance", "nan"), ("--tolerance", "inf"),
-                                         ("--tolerance", "0"), ("--seed", "-1"),
+                                         ("--seed", "-1"),
                                          ("--grid", "4097"), ("--max-samples", "1000001")])
 @pytest.mark.parametrize("mode", ["certify", "falsify"])
 def test_invalid_budget_value_is_one_error_line(flag, value, mode, capsys):

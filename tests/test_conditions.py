@@ -1210,9 +1210,6 @@ def test_pos3_falsify_never_lists_the_radius_grid(monkeypatch):
 
 
 def test_pos3_options_validate():
-    for tolerance in (0.0, -1e-12, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            Pos3Options(tolerance=tolerance)
     for name, least in (("grid", 1), ("max_samples", 1), ("max_depth", 0),
                         ("seed", 0)):
         Pos3Options(**{name: least})

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 import sympy
 
-from powerpos import (check_pos1, check_pos2, dehomogenize,
-                      difference_lattice_is_full, hessian_logf_fd,
+from powerpos import (check_pos1, check_pos2, difference_lattice_is_full,
                       is_positive_definite, jf_matrix, newton_affine_dim,
                       parse, smith_invariant_factors, Polynomial, Verdict)
 from powerpos.geometry import difference_lattice_generators
 
-from helpers import lattice_units_reachable, rand_homogeneous
+from helpers import (dehomogenize, hessian_logf_fd, lattice_units_reachable,
+                     rand_homogeneous)
 
 P7 = parse("(x1+x2)^4 - 7*x1^2*x2^2", 2)
 

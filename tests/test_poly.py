@@ -1,4 +1,4 @@
-"""Polynomial core: grammar, arithmetic, evaluation, dehomogenization."""
+"""Polynomial core: grammar, arithmetic, evaluation; the test charts."""
 
 import importlib
 import random
@@ -11,15 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerpos import (MINUS_INFINITY, Interval, ParseError, Polynomial,
-                      dehomogenize, eval_complex, eval_complex_exact,
-                      eval_interval, eval_rational,
-                      from_json, infer_nvars, monomials_of_degree, parse,
-                      serialize, to_json)
+                      eval_complex, eval_complex_exact, eval_interval,
+                      eval_rational, infer_nvars, monomials_of_degree, parse,
+                      serialize)
 from powerpos.cli import main
 from powerpos.corpus import load_corpus
-from powerpos.poly import MAX_POWER_BITS, MAX_POWER_TERMS
+from powerpos.poly import MAX_NVARS, MAX_POWER_BITS, MAX_POWER_TERMS
 
-from helpers import rand_homogeneous, sympy_coeff_dict, to_sympy
+from helpers import dehomogenize, rand_homogeneous, sympy_coeff_dict, to_sympy
 
 
 # ---------------------------------------------------------------------
@@ -183,7 +182,7 @@ def test_eval_complex_exact_matches_multiplying_term_by_term():
 
 
 # ---------------------------------------------------------------------
-# dehomogenize
+# dehomogenize: the coordinate charts of the lattice tests (helpers.py)
 # ---------------------------------------------------------------------
 
 def test_dehomogenize_linear():
@@ -278,6 +277,13 @@ def test_oversized_product_or_coefficient_fails_fast(capsys, text, nvars, messag
     assert out == "" and len(err.splitlines()) == 1 and "error:" in err
 
 
+def test_parse_refuses_more_than_max_nvars():
+    assert parse("x1", MAX_NVARS).nvars == MAX_NVARS
+    with pytest.raises(ParseError, match=f"{MAX_NVARS + 1} variables, over the limit of "
+                                         f"{MAX_NVARS}"):
+        parse("x1", MAX_NVARS + 1)
+
+
 def test_product_guard_bounds_terms_by_factors_and_monomials(monkeypatch):
     monkeypatch.setattr("powerpos.poly.MAX_POWER_TERMS", 10)
     # 5 * 6 term pairs, but only the 10 monomials of degree 9
@@ -315,11 +321,6 @@ def test_bench_expressions_pass_the_power_guard(monkeypatch):
             for case in workloads.generate(name, seed):
                 for text in (case["expr"], case.get("q", "1")):
                     parse(text, case["nvars"])
-
-
-def test_json_round_trip():
-    p = parse("(x1 - 1/3*x2)^3", 2)
-    assert from_json(to_json(p)) == p
 
 
 def test_infer_nvars():
