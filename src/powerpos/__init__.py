@@ -7,9 +7,9 @@ verifies polynomial spectral radius functions of matrices over
 nonnegative-integer-coefficient polynomials.
 """
 
-from .conditions import (Condition, ConditionReport, Pos3Mode, Pos3Options,
-                         Verdict, assoc_bihom_eval, check_pos1, check_pos2,
-                         check_pos3, facet_derivative)
+from .conditions import (PROFILES, Budgets, Condition, ConditionReport,
+                         Pos3Mode, Verdict, assoc_bihom_eval, check_pos1,
+                         check_pos2, check_pos3, facet_derivative)
 from .eventual import (OnsetProof, PositivityPattern, ScanRow, all_coeffs_positive,
                        polya_exponent, power_scan, scan_rows)
 from .geometry import (difference_lattice_is_full, is_positive_definite,
@@ -26,7 +26,7 @@ from .spectral import (BetaReport, BetaVerdict, PolyMatrix, beta_at,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Condition", "ConditionReport", "Pos3Mode", "Pos3Options", "Verdict",
+    "PROFILES", "Budgets", "Condition", "ConditionReport", "Pos3Mode", "Verdict",
     "assoc_bihom_eval", "check_pos1", "check_pos2", "check_pos3",
     "facet_derivative",
     "OnsetProof", "PositivityPattern", "ScanRow", "all_coeffs_positive",

@@ -16,16 +16,15 @@ import argparse
 import configparser
 import csv
 import functools
-import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
-from .conditions import (Pos3Options, Verdict, check_pos1, check_pos2,
+from .conditions import (PROFILES, Budgets, Verdict, check_pos1, check_pos2,
                          check_pos3)
 from .eventual import power_scan, polya_exponent, scan_rows
 from .geometry import (difference_lattice_generators, is_positive_definite,
@@ -39,38 +38,14 @@ EXIT_FAILS = 2
 EXIT_INCONCLUSIVE = 3
 
 
-_POS2_DEFAULTS = inspect.signature(check_pos2).parameters
-
-
-@dataclass(frozen=True)
-class Budgets:
-    """The budgets a profile, config file or flag can set; each default is
-    the one of the option or parameter it feeds."""
-    grid: int = Pos3Options.grid
-    max_depth: int = Pos3Options.max_depth
-    max_samples: int = Pos3Options.max_samples
-    polya_budget: int = _POS2_DEFAULTS["polya_budget"].default
-    sample_grid: int = _POS2_DEFAULTS["sample_grid"].default
-
-    def pos3_options(self, mode: str, seed: int) -> Pos3Options:
-        return Pos3Options(mode=mode, grid=self.grid, max_depth=self.max_depth,
-                           max_samples=self.max_samples, seed=seed)
-
-
-PROFILES = {
-    "fast": Budgets(grid=16, max_depth=18, max_samples=4000, polya_budget=20),
-    "default": Budgets(),
-    "thorough": Budgets(grid=64, max_depth=30, max_samples=100000,
-                        polya_budget=120, sample_grid=16),
-}
-
 #: Budget name -> the type its text is read as
 _BUDGET_FIELDS = {f.name: type(f.default) for f in fields(Budgets)}
 
 
 def load_budgets(args) -> Budgets:
-    """The profile, then the config file's [budgets], then the flags."""
-    budgets = PROFILES[args.budget_profile]
+    """The profile, then the config file's [budgets], then the flags;
+    only the result is validated."""
+    overrides = {}
     config_path = args.config
     if config_path:
         cfg = configparser.ConfigParser()
@@ -80,10 +55,10 @@ def load_budgets(args) -> Budgets:
             for key, text in cfg.items("budgets"):
                 if key not in _BUDGET_FIELDS:
                     raise ValueError(f"unknown [budgets] key in {config_path}: {key}")
-                budgets = replace(budgets, **{key: _BUDGET_FIELDS[key](text)})
-    flags = {key: getattr(args, key) for key in _BUDGET_FIELDS
-             if getattr(args, key) is not None}
-    return replace(budgets, **flags)
+                overrides[key] = _BUDGET_FIELDS[key](text)
+    overrides.update((key, getattr(args, key)) for key in _BUDGET_FIELDS
+                     if getattr(args, key) is not None)
+    return replace(PROFILES[args.budget_profile], **overrides)
 
 
 def _load_expr(arg: str) -> str:
@@ -124,11 +99,8 @@ def _verdict_exit(verdicts: Sequence[Verdict]) -> int:
 def run_check(p: Polynomial, budgets: Budgets, pos3_mode: str,
               seed: int) -> tuple[int, dict]:
     """Run all three condition checks and aggregate the reports."""
-    pos3_options = budgets.pos3_options(pos3_mode, seed)
-    reports = [check_pos1(p),
-               check_pos2(p, polya_budget=budgets.polya_budget,
-                          sample_grid=budgets.sample_grid),
-               check_pos3(p, pos3_options)]
+    reports = [check_pos1(p), check_pos2(p, budgets),
+               check_pos3(p, budgets, pos3_mode, seed)]
     result = {
         "polynomial": serialize(p),
         "nvars": p.nvars,

@@ -51,9 +51,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eventual import polya_exponent
-from .poly import (Polynomial, eval_complex_exact, eval_rational,
-                   monomials_of_degree)
+from .eventual import polya_exponent, polya_reach
+from .poly import (Polynomial, dense_monomial_count, eval_complex_exact,
+                   eval_rational, monomials_of_degree)
 
 
 class Condition(str, Enum):
@@ -84,6 +84,41 @@ class ConditionReport:
             "witness": self.witness,
             "budget": self.budget,
         }
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """The search budgets, each set by a profile, an INI [budgets] key or
+    a flag.  Pos2 reads `polya_budget` and `sample_grid`; Pos3 reads
+    `grid`, `max_depth` (n = 2: halvings of one Bernstein box) and
+    `max_samples` (falsify only)."""
+    grid: int = 32
+    max_depth: int = 24
+    max_samples: int = 20000
+    polya_budget: int = 50
+    sample_grid: int = 8
+
+    def __post_init__(self):
+        # Past 4096, grid's exact pair-face probes and falsify's tables, and
+        # past 10^6 falsify's sample arrays, would run for hours or exhaust
+        # memory.  A dive to depth k costs about k^2, as the integers grow
+        # at each halving: 0.08 s at 1,000, 3.7 s at 12,000.  The Pos2 pair
+        # is bounded in check_pos2, where the bound depends on n.
+        for name, least, most in (("grid", 1, 4096), ("max_depth", 0, 1000),
+                                  ("max_samples", 1, 10 ** 6), ("polya_budget", 0, None),
+                                  ("sample_grid", 1, None)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
+            if most is not None and getattr(self, name) > most:
+                raise ValueError(f"{name} must be at most {most}")
+
+
+PROFILES = {
+    "fast": Budgets(grid=16, max_depth=18, max_samples=4000, polya_budget=20),
+    "default": Budgets(),
+    "thorough": Budgets(grid=64, max_depth=30, max_samples=100000,
+                        polya_budget=120, sample_grid=16),
+}
 
 
 def _require_nonconstant_homogeneous(p: Polynomial) -> int:
@@ -140,34 +175,36 @@ def facet_derivative(p: Polynomial, k: int) -> Polynomial:
     return Polynomial(p.nvars - 1, out)
 
 
-def _facet_simplex_points(ell: int, grid: int) -> list[tuple[Fraction, ...]]:
-    """Nonzero rational points of the grid simplex in ell variables."""
-    points = []
-    for exp in monomials_of_degree(ell, grid):
-        points.append(tuple(Fraction(e, grid) for e in exp))
-    return points
+#: The most points the Pos2 facet grid may hold.  At 50-60 us an exact
+#: point, the 249,571 points of grid 705 on the n = 4 input of
+#: `test_pos2_reports_on_pos2_hard_inputs` take 15 s a facet.
+_MAX_FACET_GRID = 250_000
 
 
-def check_pos2(p: Polynomial, polya_budget: int = 50,
-               sample_grid: int = 8) -> ConditionReport:
+def check_pos2(p: Polynomial, budgets: Budgets = Budgets()) -> ConditionReport:
     """Certify each facet derivative positive via a simplex multiplier.
 
     Holds with a per-facet exponent N_k when (sum of remaining
     variables)^{N_k} times the facet derivative has all positive
-    coefficients, all exactly.  Fails when a facet derivative vanishes
-    identically or an exact grid point on the facet gives a value <= 0.
+    coefficients, all exactly; N_k runs up to `polya_budget`, or to the
+    largest N the dense cap admits, then recorded as `polya_capped_at`.
+    Fails when a facet derivative vanishes identically or a point of the
+    `sample_grid` facet grid gives a value <= 0; a facet grid of more than
+    `_MAX_FACET_GRID` points is refused before any search.
     """
-    if polya_budget < 0:
-        raise ValueError("polya_budget must be at least 0")
-    if sample_grid < 1:
-        raise ValueError("sample_grid must be at least 1")
-    _require_nonconstant_homogeneous(p)
+    d = _require_nonconstant_homogeneous(p)
     n = p.nvars
     if n == 1:
         # the only facet minus the origin is empty
         return ConditionReport(Condition.POS2, Verdict.HOLDS,
                                certificate={"polya_exponents": {}, "note": "vacuous for one variable"},
                                budget={})
+    facet_points = dense_monomial_count(n - 1, budgets.sample_grid)
+    if facet_points > _MAX_FACET_GRID:
+        raise ValueError(f"sample_grid {budgets.sample_grid} refused: the facet grid has "
+                         f"{facet_points} points, over the cap of {_MAX_FACET_GRID}")
+    polya_budget = budgets.polya_budget
+    reach = polya_reach(n - 1, d - 1, polya_budget)
     exponents: dict[str, int] = {}
     uncertified: dict[int, Polynomial] = {}
     for k in range(n):
@@ -181,7 +218,7 @@ def check_pos2(p: Polynomial, polya_budget: int = 50,
                 witness={"facet": k + 1, "point": [str(v) for v in point],
                          "value": "0", "facet_derivative": "0"},
                 budget={"facets_checked": k + 1})
-        nk = polya_exponent(g, polya_budget)
+        nk = polya_exponent(g, reach) if reach >= 0 else None
         if nk is None:
             uncertified[k] = g
         else:
@@ -190,24 +227,29 @@ def check_pos2(p: Polynomial, polya_budget: int = 50,
         return ConditionReport(Condition.POS2, Verdict.HOLDS,
                                certificate={"polya_exponents": exponents},
                                budget={"polya_budget": polya_budget})
+    searched = {"polya_budget": polya_budget}
+    if reach < polya_budget:
+        # the dense cap, not the budget, ended the search on these facets
+        searched["polya_capped_at"] = reach
     # certification failed on some facet: hunt for an exact counterexample
     samples = 0
     for k, g in uncertified.items():
-        for pt in _facet_simplex_points(n - 1, sample_grid):
+        for exp in monomials_of_degree(n - 1, budgets.sample_grid):
             samples += 1
-            val = eval_rational(g, list(pt))
+            pt = [Fraction(e, budgets.sample_grid) for e in exp]
+            val = eval_rational(g, pt)
             if val <= 0:
-                full = list(pt[:k]) + [Fraction(0)] + list(pt[k:])
+                full = pt[:k] + [Fraction(0)] + pt[k:]
                 return ConditionReport(
                     Condition.POS2, Verdict.FAILS,
                     witness={"facet": k + 1, "point": [str(v) for v in full],
                              "value": str(val)},
-                    budget={"polya_budget": polya_budget, "samples": samples})
+                    budget={**searched, "samples": samples})
     return ConditionReport(
         Condition.POS2, Verdict.INCONCLUSIVE,
         certificate=None,
         witness=None,
-        budget={"polya_budget": polya_budget, "polya_exponents": exponents,
+        budget={**searched, "polya_exponents": exponents,
                 "samples": samples, "uncertified_facets": [k + 1 for k in uncertified]})
 
 
@@ -216,37 +258,8 @@ def check_pos2(p: Polynomial, polya_budget: int = 50,
 # ---------------------------------------------------------------------
 
 class Pos3Mode(str, Enum):
-    FALSIFY = "Falsify"
-    CERTIFY = "Certify"
-
-
-#: The largest grid and max_samples accepted.  Both searches probe
-#: O(grid) points per pair face in exact arithmetic, and falsify's tables
-#: and sample arrays grow with grid and max_samples, so larger values
-#: would run for hours or exhaust memory; the thorough profile uses 64
-#: and 100,000.
-_MAX_GRID = 4096
-_MAX_SAMPLES = 10 ** 6
-
-
-@dataclass
-class Pos3Options:
-    mode: Pos3Mode = Pos3Mode.FALSIFY
-    grid: int = 32
-    max_depth: int = 24         # n = 2: halvings of one Bernstein box before the search stops
-    max_samples: int = 20000
-    seed: int = 0
-
-    def __post_init__(self):
-        if isinstance(self.mode, str):
-            self.mode = Pos3Mode(self.mode.capitalize())
-        for name, least in (("grid", 1), ("max_samples", 1), ("max_depth", 0),
-                            ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}")
-        for name, most in (("grid", _MAX_GRID), ("max_samples", _MAX_SAMPLES)):
-            if getattr(self, name) > most:
-                raise ValueError(f"{name} must be at most {most}")
+    FALSIFY = "falsify"
+    CERTIFY = "certify"
 
 
 #: Certify processes at most this many boxes before its search stops.
@@ -450,7 +463,7 @@ def _eval_d_grid(p: Polynomial, g: int, radii: np.ndarray, row: np.ndarray,
     return D, p_r
 
 
-def _grid_samples(n: int, opts: Pos3Options) -> tuple:
+def _grid_samples(n: int, budgets: Budgets, seed: int) -> tuple:
     """The falsify sample points, held as integers.
 
     Radii are e/g for the compositions e of g, phases 2 pi j/g with the
@@ -463,20 +476,20 @@ def _grid_samples(n: int, opts: Pos3Options) -> tuple:
     of each sample, the (samples, n) phase numerators j, and the float
     radii and phases.
     """
-    g = opts.grid
+    g = budgets.grid
     n_radii = math.comb(g + n - 1, n - 1)
     if n_radii > np.iinfo(np.int64).max:
         raise ValueError(f"falsify grid too large: {n_radii} radii")
-    if n_radii * g ** (n - 1) <= opts.max_samples:
+    if n_radii * g ** (n - 1) <= budgets.max_samples:
         ranks = np.arange(n_radii)
         row = np.repeat(ranks, g ** (n - 1))
         free = np.tile(np.indices((g,) * (n - 1)).reshape(n - 1, -1).T, (n_radii, 1))
     else:
-        rng = np.random.default_rng(opts.seed)
-        ranks, row = np.unique(rng.integers(n_radii, size=opts.max_samples),
+        rng = np.random.default_rng(seed)
+        ranks, row = np.unique(rng.integers(n_radii, size=budgets.max_samples),
                                return_inverse=True)
         row = row.reshape(-1)
-        free = rng.integers(g, size=(opts.max_samples, n - 1))
+        free = rng.integers(g, size=(budgets.max_samples, n - 1))
     radii = _unrank_compositions(n, g, ranks)
     phases = np.hstack([np.zeros((len(row), 1), dtype=np.int64), free])
     return radii, row, phases, (radii / g)[row], (2 * phases) / g * math.pi
@@ -503,16 +516,17 @@ def _nelder_mead_objective(x: np.ndarray, T: np.ndarray, coef: np.ndarray) -> fl
     return (total * total - (pz.real ** 2 + pz.imag ** 2)) / max(total * total, 1e-30)
 
 
-def _seeded_search(p: Polynomial, opts: Pos3Options, budget: dict) -> ConditionReport:
+def _seeded_search(p: Polynomial, budgets: Budgets, seed: int,
+                   budget: dict) -> ConditionReport:
     """Fails with an exact witness that the sampled grid and its
     refinement lead to, else Inconclusive; `budget` is that of the stages
     before, and the report extends it."""
-    n, g = p.nvars, opts.grid
+    n, g = p.nvars, budgets.grid
     # the float layer sees p normalized by a power of two, so the float
     # tests below, their 1e-30 floors included, do not depend on p's
     # scale; the exact checks use p itself
     pf = _float_scaled(p)
-    radii, row, phases, R, TH = _grid_samples(n, opts)
+    radii, row, phases, R, TH = _grid_samples(n, budgets, seed)
     D, p_r = _eval_d_grid(pf, g, radii, row, phases)
     low = np.flatnonzero(D <= _CANDIDATE_TOLERANCE * np.maximum(p_r ** 2, 1e-30))
     candidate_idx = low[_misalignment(R[low], TH[low]) > _MISALIGNMENT_FLOOR]
@@ -788,18 +802,21 @@ def _sign_rule(p: Polynomial) -> Optional[ConditionReport]:
                            budget={"note": f"p({', '.join([f'1/{n}'] * n)}) <= 0"})
 
 
-def check_pos3(p: Polynomial, opts: Pos3Options | None = None) -> ConditionReport:
+def check_pos3(p: Polynomial, budgets: Budgets = Budgets(),
+               mode: Pos3Mode = Pos3Mode.CERTIFY, seed: int = 0) -> ConditionReport:
     """Decide the strict modulus inequality at the configured resolution.
 
     One pipeline for both modes; the first stage that decides returns:
     `_nonnegative_support`, `_sign_rule`, for n = 2 `_bernstein_search`
     with its corner probe, then `_pair_face_probe`.  The mode decides only
-    whether `_seeded_search` runs after them.  Budget exhaustion is always
-    reported as Inconclusive, never as a verdict.
+    whether `_seeded_search`, which draws from `seed`, runs after them.
+    Budget exhaustion is always reported as Inconclusive, never as a
+    verdict.
     """
+    mode = Pos3Mode(mode)
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     _require_nonconstant_homogeneous(p)
-    if opts is None:
-        opts = Pos3Options()
     if p.nvars == 1:
         # every nonzero complex point is a rotated positive-orthant point
         return ConditionReport(Condition.POS3, Verdict.HOLDS,
@@ -810,15 +827,15 @@ def check_pos3(p: Polynomial, opts: Pos3Options | None = None) -> ConditionRepor
     budget = {}
     if p.nvars == 2:
         # a Holds never pays for the probes that follow
-        searched = _bernstein_search(p, opts.max_depth)
+        searched = _bernstein_search(p, budgets.max_depth)
         if searched.verdict is not Verdict.INCONCLUSIVE:
             return searched
         budget = searched.budget
-    witness, budget["quarter_turn_points"] = _pair_face_probe(p, opts.grid, (1, 2))
+    witness, budget["quarter_turn_points"] = _pair_face_probe(p, budgets.grid, (1, 2))
     if witness is not None:
         return ConditionReport(Condition.POS3, Verdict.FAILS, witness=witness, budget=budget)
-    if opts.mode is Pos3Mode.FALSIFY:
-        return _seeded_search(p, opts, budget)
+    if mode is Pos3Mode.FALSIFY:
+        return _seeded_search(p, budgets, seed, budget)
     if p.nvars > 2:
         budget["note"] = ("certify decides n >= 3 only from the support, when no "
                           "coefficient is negative, the coefficient sum and the "

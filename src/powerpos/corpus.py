@@ -21,9 +21,9 @@ class CorpusEntry:
     name: str
     nvars: int
     p_expr: str
+    pos3_mode: str
     q_expr: str = "1"
     expected: dict = field(default_factory=dict)  # condition -> verdict string
-    pos3_mode: str = "falsify"
     scan_m_max: Optional[int] = None
     expect_onset: Optional[object] = None  # int, "finite", "none", or None
     notes: str = ""
@@ -43,9 +43,9 @@ def _entry_from_dict(data: dict) -> CorpusEntry:
         name=data["name"],
         nvars=int(data["nvars"]),
         p_expr=data["p"],
+        pos3_mode=data["pos3_mode"],
         q_expr=data.get("q", "1"),
         expected=data.get("expected", {}),
-        pos3_mode=data.get("pos3_mode", "falsify"),
         scan_m_max=scan.get("m_max"),
         expect_onset=scan.get("expect_onset"),
         notes=data.get("notes", ""),

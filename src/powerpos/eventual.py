@@ -30,6 +30,7 @@ of f, so a search can double N and then bisect.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -122,8 +123,7 @@ class ScanRow:
     min_coef: Fraction
 
 
-def power_scan(p: Polynomial, q: Polynomial, m_max: int,
-               dense_cap: int = DEFAULT_DENSE_CAP) -> PositivityPattern:
+def power_scan(p: Polynomial, q: Polynomial, m_max: int) -> PositivityPattern:
     """Scan p^m * q for all-positive coefficients, m = 0..m_max, and stop
     once the flags so far prove the rest (the module docstring's runs).
 
@@ -136,9 +136,9 @@ def power_scan(p: Polynomial, q: Polynomial, m_max: int,
     close, the remaining flags are set true and `proof` records the runs;
     first_true, the window-onset and every flag are those of the full
     scan.  Refuses windows whose final dense coefficient count exceeds
-    dense_cap, whether or not the scan would stop early.
+    DEFAULT_DENSE_CAP, whether or not the scan would stop early.
     """
-    _check_window(p, q, m_max, dense_cap)
+    _check_window(p, q, m_max)
     pattern = PositivityPattern(p_id=serialize(p), q_id=serialize(q), m_max=m_max)
     flags = pattern.flags
     scan = _kernel_powers(p, q)
@@ -182,14 +182,13 @@ def power_scan(p: Polynomial, q: Polynomial, m_max: int,
     return pattern
 
 
-def scan_rows(p: Polynomial, q: Polynomial, m_max: int,
-              dense_cap: int = DEFAULT_DENSE_CAP) -> Iterator[ScanRow]:
+def scan_rows(p: Polynomial, q: Polynomial, m_max: int) -> Iterator[ScanRow]:
     """Every row of the window, m = 0..m_max, computed, with no early stop.
 
     Reads the same powers as power_scan, one product per row, as the
     rows are iterated.  Refuses the window as power_scan does, at once.
     """
-    _check_window(p, q, m_max, dense_cap)
+    _check_window(p, q, m_max)
     p_scale, q_scale = _integer_terms(p)[1], _integer_terms(q)[1]
     # range first: zip stops before it asks for a power past m_max
     powers = zip(range(m_max + 1), _kernel_powers(p, q))
@@ -202,7 +201,7 @@ def _row(m: int, f: np.ndarray, scale: int) -> ScanRow:
     return ScanRow(m, all_coeffs_positive(f), len(nonzero), Fraction(nonzero.min(), scale))
 
 
-def _check_window(p: Polynomial, q: Polynomial, m_max: int, dense_cap: int) -> None:
+def _check_window(p: Polynomial, q: Polynomial, m_max: int) -> None:
     if p.nvars != q.nvars:
         raise ValueError("p and q must share nvars")
     if not p.is_homogeneous() or p.is_zero() or p.degree() == 0:
@@ -212,9 +211,9 @@ def _check_window(p: Polynomial, q: Polynomial, m_max: int, dense_cap: int) -> N
     if m_max < 1:
         raise ValueError("m_max must be positive")
     final_count = dense_monomial_count(p.nvars, m_max * p.degree() + q.degree())
-    if final_count > dense_cap:
-        raise ValueError(
-            f"scan refused: dense coefficient count {final_count} exceeds cap {dense_cap}")
+    if final_count > DEFAULT_DENSE_CAP:
+        raise ValueError(f"scan refused: dense coefficient count {final_count} "
+                         f"exceeds cap {DEFAULT_DENSE_CAP}")
 
 
 def polya_exponent(g: Polynomial, n_max: int) -> Optional[int]:
@@ -264,6 +263,14 @@ def polya_exponent(g: Polynomial, n_max: int) -> Optional[int]:
         else:
             lo = mid
     return hi
+
+
+def polya_reach(nvars: int, deg: int, n_max: int) -> int:
+    """The largest N <= n_max that polya_exponent admits for a degree-deg
+    g in nvars variables, its degree-(N + deg) basis within
+    DEFAULT_DENSE_CAP; -1 when none is."""
+    return bisect.bisect_right(range(n_max + 1), DEFAULT_DENSE_CAP,
+                               key=lambda n: dense_monomial_count(nvars, n + deg)) - 1
 
 
 def _falling_factorial_form(terms: IntTerms, deg: int, total: int) -> np.ndarray:

@@ -30,6 +30,9 @@ MAX_DETERMINANT_DIM = 8
 #: verify_beta refuses more samples than this (2,000 take 0.3 s at dim 2).
 MAX_BETA_SAMPLES = 10_000
 
+#: perron_bounds gives up after this many power iterations.
+MAX_PERRON_ITER = 100_000
+
 
 class PolyMatrixError(ValueError):
     pass
@@ -131,8 +134,8 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-def perron_bounds(b: Sequence[Sequence[float]], tol: float = 1e-9,
-                  max_iter: int = 100_000) -> tuple[float, float, np.ndarray]:
+def perron_bounds(b: Sequence[Sequence[float]],
+                  tol: float = 1e-9) -> tuple[float, float, np.ndarray]:
     """Collatz-Wielandt enclosure of the spectral radius of nonnegative b.
 
     Power iteration on b + I (the shift keeps the iteration primitive);
@@ -142,7 +145,7 @@ def perron_bounds(b: Sequence[Sequence[float]], tol: float = 1e-9,
     m = np.asarray(b, dtype=float) + np.eye(len(b))
     v = np.ones(len(b))
     lo, hi = -math.inf, math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_PERRON_ITER):
         w = m @ v
         ratios = w / v
         lo, hi = float(ratios.min()), float(ratios.max())
@@ -156,8 +159,7 @@ def perron_bounds(b: Sequence[Sequence[float]], tol: float = 1e-9,
         f"Collatz-Wielandt bracket [{lo - 1.0}, {hi - 1.0}] did not reach tol={tol}")
 
 
-def beta_at(a: PolyMatrix, x: Sequence[Fraction | int], tol: float = 1e-9,
-            max_iter: int = 100_000) -> float:
+def beta_at(a: PolyMatrix, x: Sequence[Fraction | int], tol: float = 1e-9) -> float:
     """Spectral radius of A(x) at a strictly positive point, to tol."""
     xs = [Fraction(v) for v in x]
     if len(xs) != a.nvars:
@@ -165,7 +167,7 @@ def beta_at(a: PolyMatrix, x: Sequence[Fraction | int], tol: float = 1e-9,
     if any(v <= 0 for v in xs):
         raise ValueError("beta_at requires a strictly positive point")
     b = [[float(v) for v in row] for row in a.at(xs)]
-    lo, hi, _ = perron_bounds(b, tol=tol, max_iter=max_iter)
+    lo, hi, _ = perron_bounds(b, tol=tol)
     return 0.5 * (lo + hi)
 
 

@@ -13,8 +13,8 @@ from fractions import Fraction as F
 import numpy as np
 import sympy
 
-from powerpos import (BetaVerdict, PolyMatrix, Polynomial, Pos3Mode,
-                      Pos3Options, Verdict, assoc_bihom_eval,
+from powerpos import (BetaVerdict, Budgets, PolyMatrix, Polynomial, Pos3Mode,
+                      Verdict, assoc_bihom_eval,
                       check_pos1, check_pos2, check_pos3, eval_complex,
                       eval_rational, is_aperiodic,
                       is_irreducible, jf_matrix, parse, power_scan,
@@ -49,7 +49,7 @@ def test_criterion_1_named_example_verdicts():
                  and r2.witness["facet_derivative"] == "0" and t2 < 1.0)
 
     t0 = time.perf_counter()
-    r3 = check_pos3(EQUALITY_QUARTIC, Pos3Options(mode=Pos3Mode.FALSIFY))
+    r3 = check_pos3(EQUALITY_QUARTIC, mode=Pos3Mode.FALSIFY)
     t3 = time.perf_counter() - t0
     witness_coords = {tuple(map(F, z)) for z in r3.witness["z"]} \
         if r3.verdict is Verdict.FAILS else set()
@@ -70,8 +70,7 @@ def test_criterion_2_quartic_family_full_pipeline():
     t0 = time.perf_counter()
     ok = check_pos1(P7).verdict is Verdict.HOLDS
     ok = ok and check_pos2(P7).verdict is Verdict.HOLDS
-    ok = ok and check_pos3(P7, Pos3Options(mode=Pos3Mode.CERTIFY)).verdict \
-        is Verdict.HOLDS
+    ok = ok and check_pos3(P7).verdict is Verdict.HOLDS
     pattern = power_scan(P7, Polynomial.constant(2, 1), 60)
     ok = ok and pattern.onset is not None
     ok = ok and pattern.flags[2] is False and pattern.flags[3] is False
@@ -160,7 +159,7 @@ def test_criterion_5_identity_suites():
 
     # (c) all-positive random p pass all three checks (n <= 4, d <= 5)
     allpos_fail = 0
-    opts = Pos3Options(mode=Pos3Mode.FALSIFY, grid=6, max_samples=600)
+    budgets = Budgets(grid=6, max_samples=600)
     for _ in range(1000):
         n = rng.randint(2, 4)
         d = rng.randint(1, 5)
@@ -169,7 +168,7 @@ def test_criterion_5_identity_suites():
             allpos_fail += 1
         elif check_pos2(p).verdict is not Verdict.HOLDS:
             allpos_fail += 1
-        elif check_pos3(p, opts).verdict is Verdict.FAILS:
+        elif check_pos3(p, budgets, Pos3Mode.FALSIFY).verdict is Verdict.FAILS:
             allpos_fail += 1
 
     ok = diag_fail == 0 and fd_fail == 0 and checked >= 500 \
@@ -222,8 +221,7 @@ def test_criterion_7_spectral_verification_and_round_trip():
     p = parse("x1+x2", 2)
     ok = ok and check_pos1(p).verdict is Verdict.HOLDS
     ok = ok and check_pos2(p).verdict is Verdict.HOLDS
-    ok = ok and check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY)).verdict \
-        is Verdict.HOLDS
+    ok = ok and check_pos3(p).verdict is Verdict.HOLDS
     pattern = power_scan(p, Polynomial.constant(2, 1), 60)
     ok = ok and pattern.onset is not None
     m = max(pattern.onset, 1)

@@ -3,7 +3,6 @@
 import argparse
 import csv
 import importlib
-import inspect
 import json
 import os
 import shlex
@@ -16,8 +15,8 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from powerpos import Pos3Options, Verdict, check_pos2, conditions, parse
-from powerpos.cli import _BUDGET_FIELDS, Budgets, build_parser, main
+from powerpos import Budgets, Verdict, conditions, eventual, parse
+from powerpos.cli import _BUDGET_FIELDS, build_parser, main
 
 from helpers import modulus_gap
 
@@ -219,7 +218,7 @@ def test_nelder_mead_witness_is_exact(expr, nvars):
     # The seeded search alone, at an odd grid: the grid holds no quarter-turn
     # phase, so no exact witness exists among the samples and the
     # Nelder-Mead refinement supplies one.
-    rep = conditions._seeded_search(parse(expr, nvars), Pos3Options(grid=7, seed=1), {})
+    rep = conditions._seeded_search(parse(expr, nvars), Budgets(grid=7), 1, {})
     assert rep.verdict is Verdict.FAILS
     assert rep.budget["refined"] >= 1
     witness = rep.witness
@@ -340,17 +339,39 @@ def test_polya_negative_budget_is_one_error_line(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["polya", "--g", "x1^2 - 2*x1*x2 + x2^2", "--max-n", "30000000"],
-    ["check", "(x1+x2+x3)^3 - 3*x3*(x1+x2)^2 + x3*(x1-x2)^2", "--polya-budget", "100000000"],
-], ids=["polya", "check"])
+], ids=["polya"])
 def test_polya_search_past_the_dense_cap_is_one_error_line(argv, capsys):
-    # (x1 - x2)^2 (the check's third facet derivative) never certifies, so
-    # the search doubles N until the degree-(N + 2) basis passes the dense
-    # cap, at N = 2^21, and is refused there instead of exhausting memory
+    # (x1 - x2)^2 never certifies, so the search doubles N until the
+    # degree-(N + 2) basis passes the dense cap, at N = 2^21, and is
+    # refused there instead of exhausting memory
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: polya search refused at N = 2097152: dense coefficient "
                             "count 2097155 exceeds cap 2000000\n")
+
+
+def test_check_stops_the_polya_search_at_the_dense_cap(monkeypatch, tmp_path, capsys):
+    # the third facet derivative is (x1 - x2)^2: check searches it up to
+    # the largest N whose N + 3 coefficients fit the cap, then samples the
+    # facet, where (1/2, 1/2, 0) is an exact zero
+    monkeypatch.setattr(eventual, "DEFAULT_DENSE_CAP", 1000)
+    out = tmp_path / "r.json"
+    assert run(["check", "(x1+x2+x3)^3 - 3*x3*(x1+x2)^2 + x3*(x1-x2)^2",
+                "--polya-budget", "100000000", "--json", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    pos2 = json.loads(out.read_text())["reports"][1]
+    assert pos2["verdict"] == "Fails"
+    assert pos2["witness"] == {"facet": 3, "point": ["1/2", "1/2", "0"], "value": "0"}
+    assert pos2["budget"] == {"polya_budget": 100000000, "polya_capped_at": 997, "samples": 5}
+
+
+def test_facet_grid_over_its_cap_is_one_error_line(capsys):
+    assert run(["check", "(x1+x2+x3+x4)^2", "--sample-grid", "706"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sample_grid 706 refused: the facet grid has 250278 "
+                            "points, over the cap of 250000\n")
 
 
 # ---------------------------------------------------------------------
@@ -612,7 +633,8 @@ def test_missing_config_errors(capsys, tmp_path):
                                          ("--max-samples", "-5"), ("--grid", "-3"),
                                          ("--grid", "0"), ("--max-depth", "-1"),
                                          ("--seed", "-1"),
-                                         ("--grid", "4097"), ("--max-samples", "1000001")])
+                                         ("--grid", "4097"), ("--max-samples", "1000001"),
+                                         ("--max-depth", "1001")])
 @pytest.mark.parametrize("mode", ["certify", "falsify"])
 def test_invalid_budget_value_is_one_error_line(flag, value, mode, capsys):
     assert run(["check", "(x1+x2)^4 - 7*x1^2*x2^2", "--pos3-mode", mode,
@@ -634,11 +656,3 @@ def test_budget_profiles_accepted(tmp_path):
     code = run(["check", NO_PROBE_WITNESS_CUBIC, "--budget-profile", "fast",
                 "--pos3-mode", "falsify", "--json", str(tmp_path / "r.json")])
     assert code == 3  # no stage decides Pos3 for this p
-
-
-@pytest.mark.parametrize("mode", ["certify", "falsify"])
-def test_budget_defaults_are_the_option_defaults(mode):
-    assert Budgets().pos3_options(mode, 5) == Pos3Options(mode=mode, seed=5)
-    pos2 = inspect.signature(check_pos2).parameters
-    assert (Budgets().polya_budget, Budgets().sample_grid) == \
-        (pos2["polya_budget"].default, pos2["sample_grid"].default)

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerpos import (Condition, Polynomial, Pos3Mode, Pos3Options, Verdict,
+from powerpos import (Budgets, Condition, Polynomial, Pos3Mode, Verdict,
                       assoc_bihom_eval, check_pos1, check_pos2, check_pos3,
                       eval_complex, eval_rational,
                       facet_derivative, parse, polya_exponent,
                       power_scan)
-from powerpos import conditions
+from powerpos import conditions, eventual
 from powerpos.conditions import (_DENOMINATORS, _bernstein_g, _eval_d_grid,
                                  _grid_samples, _halves, _rational_unit,
                                  _unrank_compositions)
@@ -32,7 +32,8 @@ P_FACET_DEGENERATE = parse("x1^2*(x1+x2+x3) + (x2+x3)^3", 3)
 P_EQUALITY_QUARTIC = parse("(x1+x2)^4 - 8*x1^2*x2^2", 2)
 P7 = parse("(x1+x2)^4 - 7*x1^2*x2^2", 2)
 
-FAST_FALSIFY = Pos3Options(mode=Pos3Mode.FALSIFY, grid=16, max_samples=4000)
+FAST = Budgets(grid=16, max_samples=4000)
+FALSIFY = Pos3Mode.FALSIFY
 
 
 # ---------------------------------------------------------------------
@@ -131,11 +132,37 @@ def test_pos2_vacuous_single_variable():
 
 
 def test_pos2_validates_its_budgets():
-    assert check_pos2(P7, polya_budget=0, sample_grid=1).verdict is Verdict.HOLDS
+    assert check_pos2(P7, Budgets(polya_budget=0, sample_grid=1)).verdict is Verdict.HOLDS
     with pytest.raises(ValueError, match="polya_budget"):
-        check_pos2(P7, polya_budget=-1)
+        check_pos2(P7, Budgets(polya_budget=-1))
     with pytest.raises(ValueError, match="sample_grid"):
-        check_pos2(P7, sample_grid=0)
+        check_pos2(P7, Budgets(sample_grid=0))
+
+
+def test_pos2_refuses_a_facet_grid_over_its_cap():
+    # n = 4: sample_grid 705 gives 249,571 facet points, 706 gives 250,278;
+    # the cap is checked before any search, whether or not the grid runs
+    p = parse("(x1+x2+x3+x4)^2", 4)
+    assert check_pos2(p, Budgets(sample_grid=705)).verdict is Verdict.HOLDS
+    with pytest.raises(ValueError, match="sample_grid 706 refused: the facet grid has "
+                                         "250278 points, over the cap of 250000"):
+        check_pos2(p, Budgets(sample_grid=706))
+
+
+@pytest.mark.parametrize("cap, capped_at", [(1000, 997), (2, -1)])
+def test_pos2_stops_the_polya_search_at_the_dense_cap(monkeypatch, cap, capped_at):
+    # the third facet derivative (x1 - x2)^2 never certifies: the search
+    # runs to the largest N whose degree-(N + 2) basis, N + 3 coefficients,
+    # fits the cap (-1: not even N = 0 fits), and the grid finds the zero
+    monkeypatch.setattr(eventual, "DEFAULT_DENSE_CAP", cap)
+    p = parse("(x1+x2+x3)^3 - 3*x3*(x1+x2)^2 + x3*(x1-x2)^2", 3)
+    rep = check_pos2(p, Budgets(polya_budget=10 ** 8))
+    assert rep.verdict is Verdict.FAILS
+    assert rep.witness == {"facet": 3, "point": ["1/2", "1/2", "0"], "value": "0"}
+    assert rep.budget["polya_capped_at"] == capped_at
+    # a budget the cap admits is not recorded
+    if capped_at >= 0:
+        assert "polya_capped_at" not in check_pos2(p, Budgets(polya_budget=capped_at)).budget
 
 
 @pytest.mark.parametrize("expr, nvars, exponents, budget", [
@@ -151,7 +178,7 @@ def test_pos2_reports_on_pos2_hard_inputs(expr, nvars, exponents, budget):
     # gave, and the exponents of the facets that certify.
     p = parse(expr, nvars)
     assert [polya_exponent(facet_derivative(p, k), 120) for k in range(nvars)] == exponents
-    rep = check_pos2(p, polya_budget=120, sample_grid=16)
+    rep = check_pos2(p, Budgets(polya_budget=120, sample_grid=16))
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.certificate is None and rep.witness is None
     assert rep.budget == {"polya_budget": 120, **budget}
@@ -162,7 +189,7 @@ def test_pos2_reports_on_pos2_hard_inputs(expr, nvars, exponents, budget):
 # ---------------------------------------------------------------------
 
 def test_pos3_falsify_equality_quartic():
-    rep = check_pos3(P_EQUALITY_QUARTIC, FAST_FALSIFY)
+    rep = check_pos3(P_EQUALITY_QUARTIC, FAST, FALSIFY)
     assert rep.verdict is Verdict.FAILS
     assert rep.witness["validation"] == "exact"
     # equality case: |p(z)|^2 == p(|z|)^2 at the witness
@@ -171,7 +198,7 @@ def test_pos3_falsify_equality_quartic():
 
 
 def test_pos3_fails_witness_revalidates_exactly():
-    rep = check_pos3(P_EQUALITY_QUARTIC, FAST_FALSIFY)
+    rep = check_pos3(P_EQUALITY_QUARTIC, FAST, FALSIFY)
     z = [(F(re), F(im)) for re, im in rep.witness["z"]]
     vre, vim = eval_complex_exact(P_EQUALITY_QUARTIC, z)
     lhs = vre * vre + vim * vim
@@ -184,14 +211,14 @@ def test_pos3_fails_witness_revalidates_exactly():
 
 def test_pos3_certify_linear():
     # every coefficient positive: the strict triangle inequality, no search
-    rep = check_pos3(parse("x1+x2", 2), Pos3Options(mode=Pos3Mode.CERTIFY))
+    rep = check_pos3(parse("x1+x2", 2))
     assert rep.verdict is Verdict.HOLDS
     assert rep.certificate == {"method": "nonnegative_support"}
     assert rep.budget == {}
 
 
 def test_pos3_certify_quartic_family():
-    rep = check_pos3(P7, Pos3Options(mode=Pos3Mode.CERTIFY))
+    rep = check_pos3(P7)
     assert rep.verdict is Verdict.HOLDS
     assert rep.certificate == {"method": "fejer_kernel_bernstein"}
     # the root box halves along r1 and both halves close
@@ -200,7 +227,7 @@ def test_pos3_certify_quartic_family():
 
 def test_pos3_falsify_no_counterexample_on_linear():
     # the support decides before the sample grid is built
-    rep = check_pos3(parse("x1+x2", 2), FAST_FALSIFY)
+    rep = check_pos3(parse("x1+x2", 2), FAST, FALSIFY)
     assert rep.verdict is Verdict.HOLDS
     assert rep.certificate == {"method": "nonnegative_support"}
     assert "samples" not in rep.budget
@@ -214,18 +241,17 @@ def test_pos3_single_variable_vacuous():
 # an asymmetric septic whose certificate takes 23 boxes, down to depth 7
 P_ASYM = parse("6*x1^7 + 5*x1^6*x2 + x1^5*x2^2 + 5*x1^4*x2^3 - 293/40*x1^3*x2^4"
                " + 2*x1^2*x2^5 + 6*x1*x2^6 + 8*x2^7", 2)
-CERTIFY = Pos3Options(mode=Pos3Mode.CERTIFY)
 
 
 def test_pos3_certify_asymmetric_septic():
-    rep = check_pos3(P_ASYM, CERTIFY)
+    rep = check_pos3(P_ASYM)
     assert rep.verdict is Verdict.HOLDS
     assert rep.budget == {"boxes_processed": 23, "boxes_closed": 12, "max_depth_used": 7}
 
 
 def test_pos3_budget_exhaustion_is_inconclusive(monkeypatch):
     monkeypatch.setattr(conditions, "_MAX_BOXES", 10)
-    rep = check_pos3(P_ASYM, CERTIFY)
+    rep = check_pos3(P_ASYM)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.budget["stop"] == {"reason": "box budget"}
 
@@ -233,7 +259,7 @@ def test_pos3_budget_exhaustion_is_inconclusive(monkeypatch):
 @pytest.mark.parametrize("max_boxes", [0, 1, 10, 20, 511, 513, 1000])
 def test_pos3_box_budget_is_never_exceeded(monkeypatch, max_boxes):
     monkeypatch.setattr(conditions, "_MAX_BOXES", max_boxes)
-    rep = check_pos3(P_ASYM, CERTIFY)
+    rep = check_pos3(P_ASYM)
     if max_boxes < 23:
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert rep.budget["boxes_processed"] == max_boxes
@@ -245,17 +271,17 @@ def test_pos3_box_budget_is_never_exceeded(monkeypatch, max_boxes):
 
 def test_pos3_box_budget_that_just_suffices_still_holds(monkeypatch):
     monkeypatch.setattr(conditions, "_MAX_BOXES", 23)
-    assert check_pos3(P_ASYM, CERTIFY).verdict is Verdict.HOLDS
+    assert check_pos3(P_ASYM).verdict is Verdict.HOLDS
     monkeypatch.setattr(conditions, "_MAX_BOXES", 22)
-    rep = check_pos3(P_ASYM, CERTIFY)
+    rep = check_pos3(P_ASYM)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.budget["boxes_processed"] == 22
 
 
 def test_pos3_depth_limit_counts_the_halvings_of_a_box():
-    assert check_pos3(P_ASYM, Pos3Options(mode=Pos3Mode.CERTIFY, max_depth=7)).verdict \
+    assert check_pos3(P_ASYM, Budgets(max_depth=7)).verdict \
         is Verdict.HOLDS
-    rep = check_pos3(P_ASYM, Pos3Options(mode=Pos3Mode.CERTIFY, max_depth=6))
+    rep = check_pos3(P_ASYM, Budgets(max_depth=6))
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.budget["max_depth_used"] == 6
     stop = rep.budget["stop"]
@@ -270,7 +296,7 @@ def test_pos3_certify_never_closes_the_boxes_where_pos2_fails():
     # G(0, t) = c_0 c_1 = 0 here (Pos2 fails): the root box has a zero
     # corner at r1 = 0, so the search stops there, at once; the negative
     # coefficient keeps the support from deciding first
-    rep = check_pos3(parse("x1^4 + x1^3*x2 - 1/100*x1^2*x2^2 + x2^4", 2), CERTIFY)
+    rep = check_pos3(parse("x1^4 + x1^3*x2 - 1/100*x1^2*x2^2 + x2^4", 2))
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.budget["boxes_processed"] == 1
     stop = rep.budget["stop"]
@@ -287,7 +313,7 @@ def _dv(k, lam):
 def test_pos3_certify_agrees_with_the_theorem_below_threshold(k, lam, onset):
     # Pos1, Pos2 and Pos3 hold, so large powers are all-positive
     p = _dv(k, lam)
-    assert check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY)).verdict is Verdict.HOLDS
+    assert check_pos3(p).verdict is Verdict.HOLDS
     assert check_pos1(p).verdict is Verdict.HOLDS
     assert check_pos2(p).verdict is Verdict.HOLDS
     assert power_scan(p, Polynomial.constant(2, 1), 60).onset == onset
@@ -296,7 +322,7 @@ def test_pos3_certify_agrees_with_the_theorem_below_threshold(k, lam, onset):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_pos3_certify_fails_exactly_at_threshold(k):
     p = _dv(k, 2 ** (2 * k - 1))
-    rep = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY))
+    rep = check_pos3(p)
     assert rep.verdict is Verdict.FAILS
     assert rep.witness["validation"] == "exact" and rep.witness["equality"] is True
     # G(1/2, pi) = 0: the search stops at that corner of a half of the
@@ -315,7 +341,7 @@ def test_pos3_certify_fails_exactly_at_threshold(k):
 def test_pos3_certify_near_the_threshold_needs_one_halving(k, lam):
     # the Bernstein bound is tight enough that halving r1 at 1/2, where G
     # is least, closes both halves
-    rep = check_pos3(_dv(k, lam), Pos3Options(mode=Pos3Mode.CERTIFY, max_depth=1))
+    rep = check_pos3(_dv(k, lam), Budgets(max_depth=1))
     assert rep.verdict is Verdict.HOLDS
     assert rep.budget == {"boxes_processed": 3, "boxes_closed": 2, "max_depth_used": 1}
 
@@ -323,9 +349,9 @@ def test_pos3_certify_near_the_threshold_needs_one_halving(k, lam):
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_pos3_certify_dv_family_below_and_at_the_threshold(k):
     top = 2 ** (2 * k - 1)
-    below = check_pos3(_dv(k, top - F(1, 2 ** k)), CERTIFY)
+    below = check_pos3(_dv(k, top - F(1, 2 ** k)))
     assert below.verdict is Verdict.HOLDS and below.budget["boxes_processed"] == 3
-    at = check_pos3(_dv(k, top), CERTIFY)
+    at = check_pos3(_dv(k, top))
     assert at.verdict is Verdict.FAILS and at.witness["equality"] is True
 
 
@@ -334,7 +360,7 @@ def test_pos3_certify_dv_family_below_and_at_the_threshold(k):
 def test_pos3_certify_decides_high_degree_members_below_the_threshold(expr):
     # below 2^(2k-1) Pos3 holds (the dv truth); the float search left these
     # Inconclusive
-    assert check_pos3(parse(expr, 2), CERTIFY).verdict is Verdict.HOLDS
+    assert check_pos3(parse(expr, 2)).verdict is Verdict.HOLDS
 
 
 def test_pos3_certify_holds_only_where_falsify_finds_no_witness():
@@ -348,11 +374,11 @@ def test_pos3_certify_holds_only_where_falsify_finds_no_witness():
         k = rng.randint(2, d - 2)
         coefs[k] = -F(rng.randint(1, 16), 64) * sum(coefs)
         p = Polynomial(2, {(i, d - i): c for i, c in enumerate(coefs) if c})
-        rep = check_pos3(p, CERTIFY)
+        rep = check_pos3(p)
         if rep.verdict is Verdict.HOLDS:
             holds += 1
             assert rep.certificate == {"method": "fejer_kernel_bernstein"}
-            assert check_pos3(p, FAST_FALSIFY).verdict is not Verdict.FAILS
+            assert check_pos3(p, FAST, FALSIFY).verdict is not Verdict.FAILS
     assert holds >= 20
 
 
@@ -363,7 +389,7 @@ P_NEGATIVE_CORNER = parse("4*x2^7 + 3*x1*x2^6 + x1^2*x2^5 - 17/4*x1^3*x2^4 + 4/3
 def test_pos3_certify_reads_a_witness_off_a_negative_corner():
     # the search stops at (r1, c) = (1/2, 1/2), where G < 0; cos t = 1/2
     # is no quarter turn, and no quarter-turn point fails
-    rep = check_pos3(P_NEGATIVE_CORNER, CERTIFY)
+    rep = check_pos3(P_NEGATIVE_CORNER)
     assert rep.verdict is Verdict.FAILS
     stop = rep.budget["stop"]
     assert stop["corner"] == ["1/2", "1/2"] and F(stop["g"]) < 0
@@ -377,11 +403,11 @@ def test_pos3_certify_reads_a_witness_off_a_negative_corner():
     assert vre * vre + vim * vim > eval_rational(P_NEGATIVE_CORNER, [1, 1]) ** 2
     assert conditions._pair_face_probe(P_NEGATIVE_CORNER, 32, (1, 2))[0] is None
     # falsify mode runs the same search first
-    assert check_pos3(P_NEGATIVE_CORNER).to_json_dict() == rep.to_json_dict()
+    assert check_pos3(P_NEGATIVE_CORNER, mode=FALSIFY).to_json_dict() == rep.to_json_dict()
 
 
 def test_pos3_certify_negative_corner_at_phase_pi_is_itself_the_witness():
-    rep = check_pos3(_dv(2, 9), CERTIFY)
+    rep = check_pos3(_dv(2, 9))
     assert rep.budget["stop"]["corner"] == ["1/2", "-1"]
     assert rep.budget["corner_points"] == 1
     assert rep.witness["z"] == [["-1", "0"], ["1", "0"]]
@@ -480,7 +506,7 @@ def test_pos3_falsify_fails_exactly_only_where_certify_does_not_hold():
         p = Polynomial(2, {(i, d - i): c for i, c in enumerate(coefs)})
         falsified = False
         for g in (5, 7):
-            rep = conditions._seeded_search(p, Pos3Options(grid=g, seed=rng.randint(0, 99)), {})
+            rep = conditions._seeded_search(p, Budgets(grid=g), rng.randint(0, 99), {})
             if rep.verdict is Verdict.FAILS:
                 falsified = True
                 assert rep.witness["validation"] == "exact" and rep.budget["refined"] >= 1
@@ -488,7 +514,7 @@ def test_pos3_falsify_fails_exactly_only_where_certify_does_not_hold():
                 radii = [_rational_modulus(re, im) for re, im in z]
                 vre, vim = eval_complex_exact(p, z)
                 assert vre * vre + vim * vim >= eval_rational(p, radii) ** 2
-        certified = check_pos3(p, CERTIFY).verdict
+        certified = check_pos3(p).verdict
         assert not (falsified and certified is Verdict.HOLDS)
         if certified in verdicts and falsified == (certified is Verdict.FAILS):
             verdicts[certified] += 1
@@ -497,7 +523,7 @@ def test_pos3_falsify_fails_exactly_only_where_certify_does_not_hold():
 
 @pytest.mark.parametrize("expr", ["-(x1+x2)", "-(x1+x2)^4 + 7*x1^2*x2^2", "-x1^2 + x1*x2 - x2^2"])
 def test_pos3_certify_never_holds_for_negative_p(expr):
-    rep = check_pos3(parse(expr, 2), Pos3Options(mode=Pos3Mode.CERTIFY))
+    rep = check_pos3(parse(expr, 2))
     assert rep.verdict is not Verdict.HOLDS
 
 
@@ -508,8 +534,7 @@ def test_pos3_certify_never_holds_for_negative_p(expr):
 def test_pos3_certify_verdict_survives_swapping_the_variables(expr):
     p = parse(expr, 2)
     swapped = Polynomial(2, {(b, a): c for (a, b), c in p.terms.items()})
-    opts = Pos3Options(mode=Pos3Mode.CERTIFY)
-    assert check_pos3(p, opts).verdict is check_pos3(swapped, opts).verdict
+    assert check_pos3(p).verdict is check_pos3(swapped).verdict
 
 
 @pytest.mark.parametrize("expr, verdict", [
@@ -521,7 +546,7 @@ def test_pos3_certify_verdict_survives_swapping_the_variables(expr):
 ])
 def test_pos3_certify_three_variables(expr, verdict):
     p = parse(expr, 3)
-    rep = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY))
+    rep = check_pos3(p)
     assert rep.verdict is verdict
     assert "boxes_processed" not in rep.budget
     if verdict is Verdict.FAILS:
@@ -538,7 +563,7 @@ def test_pos3_seeded_corpus_verdict_table():
     # seeded search finds a witness that no exact stage has
     table = {}
     for p in seeded_corpus():
-        pair = "".join(check_pos3(p, Pos3Options(mode=mode)).verdict.value[0]
+        pair = "".join(check_pos3(p, mode=mode).verdict.value[0]
                        for mode in (Pos3Mode.FALSIFY, Pos3Mode.CERTIFY))
         counts = table.setdefault((p.nvars, p.degree()), {})
         counts[pair] = counts.get(pair, 0) + 1
@@ -564,25 +589,26 @@ def pushed_st(draw):
 #: permutation of the variables maps the samples to the samples, up to one
 #: common phase, so a permuted p is searched at the same points; a drawn
 #: part of a grid is not mapped to itself
-WHOLE_GRID_FALSIFY = Pos3Options(mode=Pos3Mode.FALSIFY, grid=8, max_samples=4000)
+WHOLE_GRID = Budgets(grid=8, max_samples=4000)
 
 
 @settings(max_examples=100, deadline=None)
 @given(pushed_st(), st.data())
 def test_pos3_exact_holds_meets_no_sampled_fails_and_verdicts_are_invariant(p, data):
     # certify runs the exact stages alone, so its Holds is theirs
-    if check_pos3(p, CERTIFY).verdict is Verdict.HOLDS:
-        assert conditions._seeded_search(p, FAST_FALSIFY, {}).verdict is not Verdict.FAILS
+    if check_pos3(p).verdict is Verdict.HOLDS:
+        assert conditions._seeded_search(p, FAST, 0, {}).verdict is not Verdict.FAILS
     perm = data.draw(st.permutations(range(p.nvars)))
     moved = Polynomial(p.nvars, {tuple(exp[k] for k in perm): c for exp, c in p.terms.items()})
     ratio = F(data.draw(st.integers(1, 50)), data.draw(st.integers(1, 50)))
     # certify is exact at any scale; falsify's float tests floor p(r)^2 at
     # an absolute 1e-30, so it is checked at moderate scales only
     power = F(10) ** data.draw(st.integers(-300, 300))
-    for opts, scaled in ((CERTIFY, p.scale(ratio * power)), (WHOLE_GRID_FALSIFY, p.scale(ratio))):
-        verdict = check_pos3(p, opts).verdict
-        assert check_pos3(moved, opts).verdict is verdict
-        assert check_pos3(scaled, opts).verdict is verdict
+    for (budgets, mode), scaled in (((Budgets(), Pos3Mode.CERTIFY), p.scale(ratio * power)),
+                                    ((WHOLE_GRID, FALSIFY), p.scale(ratio))):
+        verdict = check_pos3(p, budgets, mode).verdict
+        assert check_pos3(moved, budgets, mode).verdict is verdict
+        assert check_pos3(scaled, budgets, mode).verdict is verdict
 
 
 # ---------------------------------------------------------------------
@@ -606,12 +632,12 @@ def _quarter_witness_holds(p, witness):
 @pytest.mark.parametrize("expr, n, face", [("x1^2 + x2^2", 2, (0, 1)),
                                            ("x1*x2*x3", 3, (0, 1)),
                                            ("x1^2 + x2^2 + x3^2 + x1*x2", 3, (0, 2))])
-@pytest.mark.parametrize("mode", [Pos3Mode.FALSIFY, Pos3Mode.CERTIFY])
+@pytest.mark.parametrize("mode", [Pos3Mode.FALSIFY, Pos3Mode.CERTIFY], ids=["Falsify", "Certify"])
 def test_support_rule_fails_with_an_equality_witness_on_a_pair_face(expr, n, face, mode):
     # g_ij even (exponents 2 and 0) or 0 (no term on the face): z = e_i - e_j
     # gives |p(z)| = p(|z|)
     p = parse(expr, n)
-    rep = check_pos3(p, Pos3Options(mode=mode))
+    rep = check_pos3(p, mode=mode)
     assert rep.verdict is Verdict.FAILS and rep.budget == {}
     assert rep.witness["z"] == [["1" if k == face[0] else "-1" if k == face[1] else "0", "0"]
                                 for k in range(n)]
@@ -625,13 +651,13 @@ def test_support_rule_leaves_an_odd_face_gcd_to_the_search():
     # search and the probe, then falsify's seeded search
     p = parse("x1^3 + x2^3", 2)
     assert conditions._nonnegative_support(p) is None
-    certify = check_pos3(p, CERTIFY)
+    certify = check_pos3(p)
     assert certify.verdict is Verdict.INCONCLUSIVE
     assert certify.budget == {"boxes_processed": 1, "boxes_closed": 0, "max_depth_used": 0,
                               "stop": {"reason": "G <= 0 at a corner", "r1": ["0", "1"],
                                        "c": ["-1", "1"], "corner": ["0", "-1"], "g": "0"},
                               "quarter_turn_points": 62}
-    falsify = check_pos3(p)
+    falsify = check_pos3(p, mode=FALSIFY)
     assert falsify.verdict is Verdict.INCONCLUSIVE
     assert falsify.budget == {**certify.budget, "samples": 1056, "candidates": 0,
                               "refined": 0, "note": "no counterexample found"}
@@ -639,7 +665,7 @@ def test_support_rule_leaves_an_odd_face_gcd_to_the_search():
 
 @pytest.mark.parametrize("expr, n", [("(x1+x2+x3)^3 - x1^3", 3), ("x1^4 + x1^3*x2 + x2^4", 2)])
 def test_support_rule_certifies_nonnegative_p_with_missing_monomials(expr, n):
-    rep = check_pos3(parse(expr, n), CERTIFY)
+    rep = check_pos3(parse(expr, n))
     assert rep.verdict is Verdict.HOLDS
     assert rep.certificate == {"method": "nonnegative_support"} and rep.budget == {}
 
@@ -658,11 +684,11 @@ def nonnegative_st(draw):
 def _search_stage_verdicts(p):
     """The verdicts of the search stages run alone: for n = 2 the Bernstein
     search, then the pair-face probe, then the seeded search."""
-    verdicts = [conditions._bernstein_search(p, CERTIFY.max_depth).verdict] \
+    verdicts = [conditions._bernstein_search(p, Budgets().max_depth).verdict] \
         if p.nvars == 2 else []
-    witness, _ = conditions._pair_face_probe(p, CERTIFY.grid, (1, 2))
+    witness, _ = conditions._pair_face_probe(p, Budgets().grid, (1, 2))
     verdicts.append(Verdict.INCONCLUSIVE if witness is None else Verdict.FAILS)
-    return verdicts + [conditions._seeded_search(p, FAST_FALSIFY, {}).verdict]
+    return verdicts + [conditions._seeded_search(p, FAST, 0, {}).verdict]
 
 
 @settings(max_examples=60, deadline=None)
@@ -748,7 +774,7 @@ def test_pair_face_probe_fails_only_where_certify_does_not_hold():
     for _ in range(60):
         p = _pushed_negative(rng, 2, rng.randint(2, 6))
         witness, _ = conditions._pair_face_probe(p, 32, (1, 2))
-        certified = check_pos3(p, CERTIFY).verdict
+        certified = check_pos3(p).verdict
         assert witness is None or certified is not Verdict.HOLDS
         hits += witness is not None
         holds += certified is Verdict.HOLDS
@@ -769,7 +795,7 @@ def test_pair_face_probe_verdict_survives_permuting_the_variables():
             hits += found
             misses += not found
         if n >= 3:
-            assert check_pos3(p, CERTIFY).verdict is check_pos3(moved, CERTIFY).verdict
+            assert check_pos3(p).verdict is check_pos3(moved).verdict
     assert hits >= 10 and misses >= 2
 
 
@@ -779,10 +805,10 @@ def test_pos3_probes_both_quarter_turns_at_every_grid():
     # neither (7), in both modes, so no sample is drawn
     p = parse("7/2*x1^4 - 55/48*x1^2*x2^2 + 3/2*x1*x2^3 + 2/3*x2^4", 2)
     for grid, points in ((4, 3), (6, 3), (7, 5)):
-        rep = check_pos3(p, Pos3Options(grid=grid))
+        rep = check_pos3(p, Budgets(grid=grid), FALSIFY)
         assert rep.verdict is Verdict.FAILS and rep.witness["z"][1] == ["0", "1"]
         assert rep.budget["quarter_turn_points"] == points and "samples" not in rep.budget
-        certify = check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY, grid=grid))
+        certify = check_pos3(p, Budgets(grid=grid))
         assert certify.to_json_dict() == rep.to_json_dict()
 
 
@@ -890,7 +916,7 @@ _STOP_AT_THRESHOLD = {"reason": "G <= 0 at a corner", "r1": ["0", "1/2"], "c": [
 def test_pos3_certify_dv_search_budgets(k, lam, budget):
     # the search's box counts, depth and stop on dv members just below and
     # at the threshold 2^(2k-1)
-    assert check_pos3(_dv(k, lam), CERTIFY).budget == budget
+    assert check_pos3(_dv(k, lam)).budget == budget
 
 
 def test_halves_are_the_restrictions_to_the_half_boxes():
@@ -928,10 +954,9 @@ def test_unranked_compositions_follow_monomials_of_degree():
 @pytest.mark.parametrize("n, g, seed", [(4, 6, 3), (2, 7, 0)])
 def test_grid_samples_equal_the_fraction_lists(n, g, seed):
     # both grids fit whole in 20,000 samples, so the seed is not read
-    opts = Pos3Options(grid=g, seed=seed)
-    _, _, _, R, TH = _grid_samples(n, opts)
+    _, _, _, R, TH = _grid_samples(n, Budgets(grid=g), seed)
     ref_R, ref_TH = fraction_grid_samples(n, g)
-    assert len(R) < opts.max_samples
+    assert len(R) < Budgets().max_samples
     assert np.array_equal(R, ref_R)
     assert np.array_equal(TH, ref_TH)
 
@@ -939,10 +964,10 @@ def test_grid_samples_equal_the_fraction_lists(n, g, seed):
 @pytest.mark.parametrize("n, g, seed", [(3, 32, 0), (3, 32, 7), (3, 64, 1), (8, 32, 2)])
 def test_drawn_grid_samples_are_grid_points_set_by_the_seed(n, g, seed):
     # none of these grids fits in 20,000 samples
-    max_samples = Pos3Options.max_samples
+    max_samples = Budgets().max_samples
 
     def draw(seed):
-        return _grid_samples(n, Pos3Options(grid=g, seed=seed))
+        return _grid_samples(n, Budgets(grid=g), seed)
 
     radii, row, phases, R, TH = draw(seed)
     assert len(row) == len(phases) == len(R) == len(TH) == max_samples
@@ -970,8 +995,8 @@ def test_grid_d_matches_high_precision_values():
         n = rng.randint(2, 4)
         p = rand_homogeneous(rng, n, rng.randint(1, 5), density=0.7)
         g = rng.choice([5, 8, 16, 32])
-        radii, row, phases, _, _ = _grid_samples(n, Pos3Options(grid=g, max_samples=300,
-                                                                seed=rng.randint(0, 99)))
+        radii, row, phases, _, _ = _grid_samples(n, Budgets(grid=g, max_samples=300),
+                                                  rng.randint(0, 99))
         D, p_r = _eval_d_grid(p, g, radii, row, phases)
         for s in rng.sample(range(len(row)), 40):
             r = [F(int(e), g) for e in radii[row[s]]]
@@ -991,8 +1016,8 @@ def test_grid_d_matches_high_precision_values():
 
 
 def _random_grid_points(rng, g, n, count):
-    radii, row, phases, _, _ = _grid_samples(n, Pos3Options(grid=g, max_samples=count,
-                                                            seed=rng.randint(0, 99)))
+    radii, row, phases, _, _ = _grid_samples(n, Budgets(grid=g, max_samples=count),
+                                              rng.randint(0, 99))
     return radii, row, phases
 
 
@@ -1012,7 +1037,7 @@ def test_grid_d_is_even_in_the_phases():
 @pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 19])
 def test_grid_d_does_not_depend_on_the_chunks(monkeypatch, chunk):
     p = parse("(x1 + x2 + x3)^4 - 29/2*x1^2*x2^2 + x2*x3^3", 3)
-    radii, row, phases, _, _ = _grid_samples(3, Pos3Options(max_samples=3000))
+    radii, row, phases, _, _ = _grid_samples(3, Budgets(max_samples=3000), 0)
     whole = _eval_d_grid(p, 32, radii, row, phases)
     monkeypatch.setattr(conditions, "_GRID_CHUNK", chunk)
     parts = _eval_d_grid(p, 32, radii, row, phases)
@@ -1085,7 +1110,7 @@ def test_pos3_falsify_lift_reports(lam, points, z, abs_p_z_squared, p_abs_z,
     # probe fails it at a quarter turn, at r = (k/32, 1 - k/32), with no
     # sample drawn
     p = parse(f"(x1 + x2 + x3)^4 - {lam}*x1^2*x2^2", 3)
-    rep = check_pos3(p)
+    rep = check_pos3(p, mode=FALSIFY)
     assert rep.verdict is Verdict.FAILS
     assert rep.budget == {"quarter_turn_points": points}
     assert rep.witness == {"z": z, "abs_p_z_squared": abs_p_z_squared,
@@ -1093,14 +1118,37 @@ def test_pos3_falsify_lift_reports(lam, points, z, abs_p_z_squared, p_abs_z,
                            "equality": False, "validation": "exact"}
     assert _witness_holds(p, rep.witness)
     # at grid 32 certify runs the same probe on the same points
-    assert check_pos3(p, CERTIFY).to_json_dict() == rep.to_json_dict()
+    assert check_pos3(p).to_json_dict() == rep.to_json_dict()
+
+
+@pytest.mark.parametrize("h, z", [
+    ("3*x1^4 + 9*x1^3*x2 - 5/2*x1^2*x2^2 + x1*x2^3 + 6*x2^4",
+     [["3/5", "0"], ["-44/125", "-117/125"], ["0", "0"]]),
+    ("7*x1^6 + 6*x1^5*x2 + 2*x1^4*x2^2 - 6*x1^3*x2^3 + 3*x1^2*x2^4 + 2*x1*x2^5 + 9/2*x2^6",
+     [["1", "0"], ["5/13", "12/13"], ["0", "0"]]),
+], ids=["quartic", "sextic"])
+def test_only_the_seeded_search_decides_lifts_of_off_axis_failures(h, z):
+    # h fails Pos3 only away from phase differences pi/2 and pi, so no
+    # quarter turn on a pair face of p = h + x3 (x1 + x2 + x3)^(d - 1)
+    # fails, and no exact stage decides p: certify is Inconclusive, and
+    # falsify's refinement finds a witness off the axes
+    d = parse(h, 2).degree()
+    p = parse(f"{h} + x3*(x1 + x2 + x3)^{d - 1}", 3)
+    assert check_pos1(p).verdict is check_pos2(p).verdict is Verdict.HOLDS
+    certify = check_pos3(p)
+    assert certify.verdict is Verdict.INCONCLUSIVE
+    assert certify.budget["quarter_turn_points"] == 186
+    falsify = check_pos3(p, mode=FALSIFY)
+    assert falsify.verdict is Verdict.FAILS and falsify.budget["refined"] >= 1
+    assert falsify.witness["z"] == z and falsify.witness["validation"] == "exact"
+    assert _witness_holds(p, falsify.witness)
 
 
 def test_pos3_falsify_quarter_turn_witness_off_the_real_axis():
     # p(1, i) = 3 against p(1, 1) = 1: phase pi/2 fails at every r, and the
     # probe tries it first, at r = (1/32, 31/32), after the Bernstein search
     # stops at its first box
-    rep = check_pos3(parse("x1^4 + x2^4 - x1^2*x2^2", 2))
+    rep = check_pos3(parse("x1^4 + x2^4 - x1^2*x2^2", 2), mode=FALSIFY)
     assert rep.budget == {"boxes_processed": 1, "boxes_closed": 0, "max_depth_used": 0,
                           "stop": {"reason": "G <= 0 at a corner", "r1": ["0", "1"],
                                    "c": ["-1", "1"], "corner": ["0", "-1"], "g": "0"},
@@ -1115,20 +1163,19 @@ def test_pos3_falsify_quarter_turn_witness_off_the_real_axis():
 def test_pos3_certify_sign_rule_fails_where_p_is_not_positive():
     # both modes apply the rule before their searches, for any n
     for mode in Pos3Mode:
-        opts = Pos3Options(mode=mode)
         # p(1/2, 1/2) = -1: at z = (1/2, -1/2), |p(z)| = 0 >= p(|z|), though
         # |p(z)|^2 < p(|z|)^2, so the witness rests on the sign of p(|z|)
-        rep = check_pos3(parse("-(x1 + x2)^2", 2), opts)
+        rep = check_pos3(parse("-(x1 + x2)^2", 2), mode=mode)
         assert rep.verdict is Verdict.FAILS and rep.budget == {"note": "p(1/2, 1/2) <= 0"}
         assert rep.witness == {"z": [["1", "0"], ["-1", "0"]], "abs_p_z_squared": "0",
                                "p_abs_z": "-1", "p_abs_z_squared": "1",
                                "equality": False, "validation": "exact"}
         # p(1/2, 1/2) = 0 is a Fails too
-        rep = check_pos3(parse("(x1 - x2)^2*(x1 + x2)", 2), opts)
+        rep = check_pos3(parse("(x1 - x2)^2*(x1 + x2)", 2), mode=mode)
         assert rep.verdict is Verdict.FAILS and rep.budget == {"note": "p(1/2, 1/2) <= 0"}
         assert rep.witness["p_abs_z"] == "0"
         # at z = (1/3, 1/3, -1/3), |p(z)| = 1/9 >= 0 >= p(|z|) = -1
-        rep = check_pos3(parse("-(x1 + x2 + x3)^2", 3), opts)
+        rep = check_pos3(parse("-(x1 + x2 + x3)^2", 3), mode=mode)
         assert rep.verdict is Verdict.FAILS
         assert rep.budget == {"note": "p(1/3, 1/3, 1/3) <= 0"}
         assert rep.witness == {"z": [["1", "0"], ["1", "0"], ["-1", "0"]],
@@ -1147,7 +1194,7 @@ def test_sign_rule_fails_exactly_wherever_the_coefficient_sum_is_not_positive():
         # p at (1, ..., 1, -1), straight from the terms
         flipped = sum(c * (-1) ** exp[-1] for exp, c in p.terms.items())
         for mode in Pos3Mode:
-            rep = check_pos3(p, Pos3Options(mode=mode, grid=6, max_samples=200))
+            rep = check_pos3(p, Budgets(grid=6, max_samples=200), mode)
             if total > 0:
                 assert "note" not in rep.budget or "<= 0" not in rep.budget["note"]
                 continue
@@ -1163,9 +1210,9 @@ def test_falsify_float_layer_is_scale_free():
     # 2^600 and 10^-200 times p: the float layer sees each normalized by a
     # power of two, so the search runs as on p, and the witness search as well
     p = parse("(x1 + x2 + x3)^3 - 8*x1*x2*x3", 3)
-    rep = check_pos3(p)
+    rep = check_pos3(p, mode=FALSIFY)
     for scale in (F(2 ** 600), F(1, 10 ** 200)):
-        scaled_rep = check_pos3(p.scale(scale))
+        scaled_rep = check_pos3(p.scale(scale), mode=FALSIFY)
         assert scaled_rep.verdict is rep.verdict
         assert scaled_rep.budget == rep.budget
 
@@ -1177,17 +1224,17 @@ def test_falsify_finds_the_corpus_witnesses_at_a_tiny_scale():
     corpus = seeded_corpus()
     for i in (319, 427, 439, 450):
         p = corpus[i]
-        rep = check_pos3(p)
-        tiny_rep = check_pos3(p.scale(F(1, 10 ** 200)))
+        rep = check_pos3(p, mode=FALSIFY)
+        tiny_rep = check_pos3(p.scale(F(1, 10 ** 200)), mode=FALSIFY)
         assert rep.verdict is tiny_rep.verdict is Verdict.FAILS
-        assert check_pos3(p, Pos3Options(mode=Pos3Mode.CERTIFY)).verdict is Verdict.INCONCLUSIVE
+        assert check_pos3(p).verdict is Verdict.INCONCLUSIVE
         assert tiny_rep.budget == rep.budget
         assert tiny_rep.witness["z"] == rep.witness["z"]
 
 
 def test_pos3_falsify_single_term_has_equality_witness():
     # |z1 z2| = |z1| |z2|: a monomial has no pairs, D = 0, and Pos3 fails
-    rep = check_pos3(parse("x1*x2", 2))
+    rep = check_pos3(parse("x1*x2", 2), mode=FALSIFY)
     assert rep.verdict is Verdict.FAILS
     assert rep.witness["equality"] is True
     assert rep.witness["validation"] == "exact"
@@ -1202,33 +1249,37 @@ def test_pos3_falsify_never_lists_the_radius_grid(monkeypatch):
     monkeypatch.setattr(conditions, "monomials_of_degree", listed)
     p = parse("(x1+x2+x3+x4+x5+x6+x7+x8)^3 - 7*x1*x2*x3", 8)
     start = time.perf_counter()
-    rep = check_pos3(p, Pos3Options(max_samples=2000))
+    rep = check_pos3(p, Budgets(max_samples=2000), FALSIFY)
     assert time.perf_counter() - start < 10
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.budget["quarter_turn_points"] == 28 * 62
     assert rep.budget["samples"] == 2000
 
 
-def test_pos3_options_validate():
-    for name, least in (("grid", 1), ("max_samples", 1), ("max_depth", 0),
-                        ("seed", 0)):
-        Pos3Options(**{name: least})
-        with pytest.raises(ValueError, match=name):
-            Pos3Options(**{name: least - 1})
-    # an oversized grid or sample count is refused before any search runs
-    for name, most in (("grid", 4096), ("max_samples", 10 ** 6)):
-        Pos3Options(**{name: most})
-        with pytest.raises(ValueError, match=f"{name} must be at most {most}"):
-            Pos3Options(**{name: most + 1})
+def test_budgets_validate():
+    # an out-of-range budget is refused before any search runs
+    for name, least, most in (("grid", 1, 4096), ("max_depth", 0, 1000),
+                              ("max_samples", 1, 10 ** 6), ("polya_budget", 0, None),
+                              ("sample_grid", 1, None)):
+        Budgets(**{name: least})
+        with pytest.raises(ValueError, match=f"{name} must be at least {least}"):
+            Budgets(**{name: least - 1})
+        if most is not None:
+            Budgets(**{name: most})
+            with pytest.raises(ValueError, match=f"{name} must be at most {most}"):
+                Budgets(**{name: most + 1})
     with pytest.raises(TypeError):
-        Pos3Options(delta=1e-3)
-    assert Pos3Options(mode="certify").mode is Pos3Mode.CERTIFY
+        Budgets(delta=1e-3)
+    # the mode and the seed are check_pos3's own
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        check_pos3(P7, seed=-1)
+    assert Pos3Mode("certify") is Pos3Mode.CERTIFY and Pos3Mode("falsify") is FALSIFY
 
 
 def test_pos3_witness_transfers_to_odd_powers():
     # any exact equality/violation witness for p stays one for p^m:
     # |p^m(z)| = |p(z)|^m >= p(|z|)^m = p^m(|z|)
-    rep = check_pos3(P_EQUALITY_QUARTIC, FAST_FALSIFY)
+    rep = check_pos3(P_EQUALITY_QUARTIC, FAST, FALSIFY)
     z = [(F(re), F(im)) for re, im in rep.witness["z"]]
     radii = [abs(F(re)) + abs(F(im)) for re, im in rep.witness["z"]]
     for m in (3, 5):
@@ -1278,7 +1329,7 @@ def test_assoc_bihom_hermitian_symmetry():
 
 
 def test_condition_report_json_shape():
-    rep = check_pos3(P_EQUALITY_QUARTIC, FAST_FALSIFY)
+    rep = check_pos3(P_EQUALITY_QUARTIC, FAST, FALSIFY)
     d = rep.to_json_dict()
     assert d["condition"] == "Pos3"
     assert d["verdict"] == "Fails"

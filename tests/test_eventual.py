@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerpos import (Polynomial, all_coeffs_positive, corpus, eventual, parse,
-                      polya_exponent, power_scan, scan_rows, serialize)
-from powerpos.cli import PROFILES, run_check
+from powerpos import (PROFILES, Polynomial, all_coeffs_positive, corpus, eventual,
+                      parse, polya_exponent, power_scan, scan_rows, serialize)
+from powerpos.cli import run_check
 from powerpos.eventual import (DEFAULT_DENSE_CAP, OnsetProof, _falling_factorial_form,
                                _integer_terms, _lex_exponents, _lex_rank)
 from powerpos.poly import dense_monomial_count
@@ -96,8 +96,7 @@ def test_scan_equality_quartic_never_nonnegative():
 
 def test_scan_guardrail_refuses_huge_window():
     with pytest.raises(ValueError, match="cap"):
-        power_scan(parse("(x1+x2+x3+x4)^4", 4), Polynomial.constant(4, 1),
-                   2000, dense_cap=1000)
+        power_scan(parse("(x1+x2+x3+x4)^4", 4), Polynomial.constant(4, 1), 2000)
 
 
 def test_scan_rejects_constant_p():
@@ -198,8 +197,7 @@ def test_scan_with_a_positive_constant_q_proves_from_m_zero():
 
 def test_scan_rows_refuse_at_once():
     with pytest.raises(ValueError, match="cap"):
-        scan_rows(parse("(x1+x2+x3+x4)^4", 4), Polynomial.constant(4, 1), 2000,
-                  dense_cap=1000)
+        scan_rows(parse("(x1+x2+x3+x4)^4", 4), Polynomial.constant(4, 1), 2000)
 
 
 def _scan_q(rng, n):
