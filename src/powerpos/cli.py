@@ -185,8 +185,6 @@ def cmd_beta(args) -> int:
 
 def cmd_sweep(args) -> int:
     budgets = load_budgets(args)
-    if args.family != "dv":
-        raise ValueError(f"unknown family {args.family!r}")
     k = args.k
     if k < 2:
         raise ValueError("family requires k >= 2")
@@ -224,7 +222,7 @@ def cmd_sweep(args) -> int:
         if fh is not sys.stdout:
             fh.close()
     if args.json:
-        _emit({"family": args.family, "k": k, "rows": rows,
+        _emit({"family": "dv", "k": k, "rows": rows,
                "metadata": {"seed": args.seed}}, args.json)
     return EXIT_OK
 
@@ -262,7 +260,7 @@ def cmd_examples(args) -> int:
     results = []
     for name in names:
         if name not in entries:
-            raise KeyError(f"unknown corpus entry {name!r}")
+            raise ValueError(f"unknown corpus entry {name!r}")
         results.append(_check_entry(entries[name], budgets, args.seed))
     mismatched = [r["name"] for r in results if r["mismatches"]]
     _emit({"results": results, "mismatched": mismatched,
@@ -343,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_beta)
 
     p_sweep = sub.add_parser("sweep", parents=[budgeted],
-                             help="verdicts and onsets across a family")
-    p_sweep.add_argument("--family", default="dv")
+                             help="verdicts and onsets across the dv family")
     p_sweep.add_argument("--k", type=int, required=True)
     p_sweep.add_argument("--lambdas", required=True,
                          help="comma-separated rational values")

@@ -2,9 +2,9 @@
 
 Pos1: strict positivity at the coordinate unit vectors (exact).
 Pos2: strict positivity of each facet derivative on its facet minus the
-      origin, certified by a simplex-multiplier exponent per facet and
-      falsified by exact grid sampling; Inconclusive is a first-class
-      outcome, and keeps the exponents of the facets that certify.
+      origin, decided by exact Bernstein subdivision of each facet
+      simplex: Holds when every box closes, Fails at a rational vertex
+      where the derivative is <= 0, Inconclusive at the depth limit.
 Pos3: strict modulus inequality |p(z)| < p(|z_1|, ..., |z_n|) off the
       set of points whose nonzero coordinates share one argument (the
       "aligned" set).  `check_pos3` runs one pipeline in both modes, and
@@ -51,9 +51,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eventual import polya_exponent, polya_reach
-from .poly import (Polynomial, dense_monomial_count, eval_complex_exact,
-                   eval_rational, monomials_of_degree)
+from .poly import (DEFAULT_DENSE_CAP, Polynomial, dense_monomial_count,
+                   eval_complex_exact, eval_rational, monomials_of_degree)
 
 
 class Condition(str, Enum):
@@ -89,35 +88,30 @@ class ConditionReport:
 @dataclass(frozen=True)
 class Budgets:
     """The search budgets, each set by a profile, an INI [budgets] key or
-    a flag.  Pos2 reads `polya_budget` and `sample_grid`; Pos3 reads
-    `grid`, `max_depth` (n = 2: halvings of one Bernstein box) and
-    `max_samples` (falsify only)."""
+    a flag.  `max_depth` bounds the halvings of one Bernstein box, for
+    Pos2 on every facet and for Pos3 when n = 2; Pos3 also reads `grid`
+    and `max_samples` (falsify only)."""
     grid: int = 32
     max_depth: int = 24
     max_samples: int = 20000
-    polya_budget: int = 50
-    sample_grid: int = 8
 
     def __post_init__(self):
         # Past 4096, grid's exact pair-face probes and falsify's tables, and
         # past 10^6 falsify's sample arrays, would run for hours or exhaust
         # memory.  A dive to depth k costs about k^2, as the integers grow
-        # at each halving: 0.08 s at 1,000, 3.7 s at 12,000.  The Pos2 pair
-        # is bounded in check_pos2, where the bound depends on n.
+        # at each halving: 0.08 s at 1,000, 3.7 s at 12,000.
         for name, least, most in (("grid", 1, 4096), ("max_depth", 0, 1000),
-                                  ("max_samples", 1, 10 ** 6), ("polya_budget", 0, None),
-                                  ("sample_grid", 1, None)):
+                                  ("max_samples", 1, 10 ** 6)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
-            if most is not None and getattr(self, name) > most:
+            if getattr(self, name) > most:
                 raise ValueError(f"{name} must be at most {most}")
 
 
 PROFILES = {
-    "fast": Budgets(grid=16, max_depth=18, max_samples=4000, polya_budget=20),
+    "fast": Budgets(grid=16, max_depth=18, max_samples=4000),
     "default": Budgets(),
-    "thorough": Budgets(grid=64, max_depth=30, max_samples=100000,
-                        polya_budget=120, sample_grid=16),
+    "thorough": Budgets(grid=64, max_depth=30, max_samples=100000),
 }
 
 
@@ -167,30 +161,73 @@ def facet_derivative(p: Polynomial, k: int) -> Polynomial:
     if not 0 <= k < p.nvars:
         raise ValueError(f"index {k} out of range for nvars={p.nvars}")
     g = p.partial_derivative(k)
-    out: dict[tuple, Fraction] = {}
-    for exp, coef in g.terms.items():
-        if exp[k] != 0:
+    return Polynomial(p.nvars - 1, {e[:k] + e[k + 1:]: c for e, c in g.terms.items() if e[k] == 0})
+
+
+#: A Bernstein search (Pos2, and Pos3 for n = 2) stops after this many boxes.
+_MAX_BOXES = 2_000_000
+
+
+def _facet_search(g: Polynomial, max_depth: int) -> tuple:
+    """Depth-first Bernstein subdivision of the facet simplex, stopped at
+    the first box that cannot close: (a vertex where g <= 0 or None, the
+    box counts with the stop if the depth or the box budget ended it).
+
+    g = sum c_a x^a of degree D has the Bernstein coefficients c_a a!/D!,
+    held as the integers c_a L a! (L the lcm of the denominators), so the
+    root box closes iff every c_a > 0: Polya's N = 0 test.  A split halves
+    the longest edge (i, j), the lowest pair on a tie, by `_halves` on
+    each line parallel to it, scaled by 2^(D - s) on a line of degree s,
+    so a vertex coefficient stays g there times a positive scale.
+    """
+    size, degree = g.nvars, g.degree()
+    lcm_g = math.lcm(*(c.denominator for c in g.terms.values()))
+    b = {e: int(g.terms.get(e, 0) * lcm_g) * math.prod(map(math.factorial, e))
+         for e in monomials_of_degree(size, degree)}
+    vertices = [tuple(int(k == v) for k in range(size)) for v in range(size)]
+    corners = [tuple(degree * x for x in e) for e in vertices]
+    stack = [(b, vertices, 0)]
+    counts = dict.fromkeys(("boxes_processed", "boxes_closed", "max_depth_used"), 0)
+    while stack:
+        if counts["boxes_processed"] == _MAX_BOXES:
+            return None, {**counts, "stop": {"reason": "box budget"}}
+        b, vertices, depth = stack.pop()
+        counts["boxes_processed"] += 1
+        counts["max_depth_used"] = max(counts["max_depth_used"], depth)
+        if min(b.values()) > 0:
+            counts["boxes_closed"] += 1
             continue
-        out[exp[:k] + exp[k + 1:]] = coef
-    return Polynomial(p.nvars - 1, out)
-
-
-#: The most points the Pos2 facet grid may hold.  At 50-60 us an exact
-#: point, the 249,571 points of grid 705 on the n = 4 input of
-#: `test_pos2_reports_on_pos2_hard_inputs` take 15 s a facet.
-_MAX_FACET_GRID = 250_000
+        low = min(range(size), key=lambda v: b[corners[v]])
+        if b[corners[low]] <= 0:
+            return vertices[low], counts
+        if depth >= max_depth:
+            return None, {**counts, "stop": {"reason": "depth limit", "vertices": [
+                [str(x) for x in v] for v in vertices]}}
+        i, j = max(combinations(range(size), 2), key=lambda ij: sum(
+            (x - y) ** 2 for x, y in zip(vertices[ij[0]], vertices[ij[1]])))
+        # a line runs from a_j = 0 to a_j = s; its left half keeps vertex i
+        left, right = {}, {}
+        for e in b:
+            if e[j] == 0:
+                line = [e[:i] + (e[i] - t,) + e[i + 1:j] + (t,) + e[j + 1:]
+                        for t in range(e[i] + 1)]
+                halves = _halves(np.array([b[f] for f in line], dtype=object), 0)
+                for f, x, y in zip(line, *halves):
+                    left[f], right[f] = x << (degree - e[i]), y << (degree - e[i])
+        mid = tuple(Fraction(x + y, 2) for x, y in zip(vertices[i], vertices[j]))
+        stack += [(right, vertices[:i] + [mid] + vertices[i + 1:], depth + 1),
+                  (left, vertices[:j] + [mid] + vertices[j + 1:], depth + 1)]
+    return None, counts
 
 
 def check_pos2(p: Polynomial, budgets: Budgets = Budgets()) -> ConditionReport:
-    """Certify each facet derivative positive via a simplex multiplier.
+    """Decide exactly whether each facet derivative g_k is > 0 on its facet.
 
-    Holds with a per-facet exponent N_k when (sum of remaining
-    variables)^{N_k} times the facet derivative has all positive
-    coefficients, all exactly; N_k runs up to `polya_budget`, or to the
-    largest N the dense cap admits, then recorded as `polya_capped_at`.
-    Fails when a facet derivative vanishes identically or a point of the
-    `sample_grid` facet grid gives a value <= 0; a facet grid of more than
-    `_MAX_FACET_GRID` points is refused before any search.
+    Fails when some g_k is 0, or at a vertex of `_facet_search` where
+    g_k <= 0.  Holds when every facet's search closes: a facet closed at
+    its root box reports the Polya exponent 0, any other its box counts
+    under `subdivision`.  Else Inconclusive.  A stack of max_depth + 1
+    boxes past DEFAULT_DENSE_CAP coefficients is refused before any search.
     """
     d = _require_nonconstant_homogeneous(p)
     n = p.nvars
@@ -199,16 +236,8 @@ def check_pos2(p: Polynomial, budgets: Budgets = Budgets()) -> ConditionReport:
         return ConditionReport(Condition.POS2, Verdict.HOLDS,
                                certificate={"polya_exponents": {}, "note": "vacuous for one variable"},
                                budget={})
-    facet_points = dense_monomial_count(n - 1, budgets.sample_grid)
-    if facet_points > _MAX_FACET_GRID:
-        raise ValueError(f"sample_grid {budgets.sample_grid} refused: the facet grid has "
-                         f"{facet_points} points, over the cap of {_MAX_FACET_GRID}")
-    polya_budget = budgets.polya_budget
-    reach = polya_reach(n - 1, d - 1, polya_budget)
-    exponents: dict[str, int] = {}
-    uncertified: dict[int, Polynomial] = {}
-    for k in range(n):
-        g = facet_derivative(p, k)
+    derivatives = [facet_derivative(p, k) for k in range(n)]
+    for k, g in enumerate(derivatives):
         if g.is_zero():
             # any nonzero facet point witnesses dp/dx_k = 0
             j = 0 if k != 0 else 1
@@ -218,39 +247,32 @@ def check_pos2(p: Polynomial, budgets: Budgets = Budgets()) -> ConditionReport:
                 witness={"facet": k + 1, "point": [str(v) for v in point],
                          "value": "0", "facet_derivative": "0"},
                 budget={"facets_checked": k + 1})
-        nk = polya_exponent(g, reach) if reach >= 0 else None
-        if nk is None:
-            uncertified[k] = g
+    count = dense_monomial_count(n - 1, d - 1)
+    if (budgets.max_depth + 1) * count > DEFAULT_DENSE_CAP:
+        raise ValueError(f"Pos2 refused: {budgets.max_depth + 1} boxes of {count} Bernstein "
+                         f"coefficients exceed the cap {DEFAULT_DENSE_CAP}")
+    exponents, subdivided, boxes = {}, {}, 0
+    for k, g in enumerate(derivatives):
+        point, counts = _facet_search(g, budgets.max_depth)
+        boxes += counts["boxes_processed"]
+        if point is not None:
+            return ConditionReport(
+                Condition.POS2, Verdict.FAILS,
+                witness={"facet": k + 1, "point": [str(v) for v in point[:k] + (0,) + point[k:]],
+                         "value": str(eval_rational(g, point))},
+                budget={"boxes_processed": boxes})
+        if counts["boxes_processed"] == counts["boxes_closed"] == 1:
+            exponents[str(k + 1)] = 0
         else:
-            exponents[str(k + 1)] = nk
-    if not uncertified:
-        return ConditionReport(Condition.POS2, Verdict.HOLDS,
-                               certificate={"polya_exponents": exponents},
-                               budget={"polya_budget": polya_budget})
-    searched = {"polya_budget": polya_budget}
-    if reach < polya_budget:
-        # the dense cap, not the budget, ended the search on these facets
-        searched["polya_capped_at"] = reach
-    # certification failed on some facet: hunt for an exact counterexample
-    samples = 0
-    for k, g in uncertified.items():
-        for exp in monomials_of_degree(n - 1, budgets.sample_grid):
-            samples += 1
-            pt = [Fraction(e, budgets.sample_grid) for e in exp]
-            val = eval_rational(g, pt)
-            if val <= 0:
-                full = pt[:k] + [Fraction(0)] + pt[k:]
-                return ConditionReport(
-                    Condition.POS2, Verdict.FAILS,
-                    witness={"facet": k + 1, "point": [str(v) for v in full],
-                             "value": str(val)},
-                    budget={**searched, "samples": samples})
-    return ConditionReport(
-        Condition.POS2, Verdict.INCONCLUSIVE,
-        certificate=None,
-        witness=None,
-        budget={**searched, "polya_exponents": exponents,
-                "samples": samples, "uncertified_facets": [k + 1 for k in uncertified]})
+            subdivided[str(k + 1)] = counts
+    certificate = {"polya_exponents": exponents, **({"subdivision": subdivided} if subdivided else {})}
+    uncertified = [int(k) for k, c in subdivided.items() if "stop" in c]
+    if uncertified:
+        return ConditionReport(Condition.POS2, Verdict.INCONCLUSIVE,
+                               budget={"boxes_processed": boxes, **certificate,
+                                       "uncertified_facets": uncertified})
+    return ConditionReport(Condition.POS2, Verdict.HOLDS, certificate=certificate,
+                           budget={"boxes_processed": boxes})
 
 
 # ---------------------------------------------------------------------
@@ -261,9 +283,6 @@ class Pos3Mode(str, Enum):
     FALSIFY = "falsify"
     CERTIFY = "certify"
 
-
-#: Certify processes at most this many boxes before its search stops.
-_MAX_BOXES = 2_000_000
 
 #: Falsify refines at most this many of its best candidates by Nelder-Mead.
 _REFINE_CANDIDATES = 12
@@ -648,7 +667,8 @@ def _halves(b: np.ndarray, axis: int) -> tuple:
         left[k] = row[0] * 2 ** (n - k)
         right[n - k] = row[-1] * 2 ** (n - k)
         row = row[:-1] + row[1:]
-    return tuple(np.moveaxis(np.stack(half), 0, axis) for half in (left, right))
+    # object dtype: np.stack would put 1-D input's Python ints in int64
+    return tuple(np.moveaxis(np.array(half, dtype=object), 0, axis) for half in (left, right))
 
 
 def _corner_probe(p: Polynomial, r1: Fraction, c: Fraction) -> tuple:

@@ -30,7 +30,6 @@ of f, so a search can double N and then bisect.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,9 +37,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .poly import Polynomial, dense_monomial_count, serialize
-
-DEFAULT_DENSE_CAP = 2_000_000
+from .poly import DEFAULT_DENSE_CAP, Polynomial, dense_monomial_count, serialize
 
 
 def all_coeffs_positive(f: Polynomial | np.ndarray) -> bool:
@@ -263,14 +260,6 @@ def polya_exponent(g: Polynomial, n_max: int) -> Optional[int]:
         else:
             lo = mid
     return hi
-
-
-def polya_reach(nvars: int, deg: int, n_max: int) -> int:
-    """The largest N <= n_max that polya_exponent admits for a degree-deg
-    g in nvars variables, its degree-(N + deg) basis within
-    DEFAULT_DENSE_CAP; -1 when none is."""
-    return bisect.bisect_right(range(n_max + 1), DEFAULT_DENSE_CAP,
-                               key=lambda n: dense_monomial_count(nvars, n + deg)) - 1
 
 
 def _falling_factorial_form(terms: IntTerms, deg: int, total: int) -> np.ndarray:

@@ -40,6 +40,9 @@ MAX_POWER_BITS = 100_000
 #: about n^2 to n^3 (0.4 s at n = 64, 1.6 s at n = 128, on a 2-vCPU VM).
 MAX_NVARS = 64
 
+#: The most coefficients of dense bases that one search may hold.
+DEFAULT_DENSE_CAP = 2_000_000
+
 
 def grlex_key(exp: MultiIndex) -> tuple:
     return (sum(exp), exp)

@@ -15,7 +15,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from powerpos import Budgets, Verdict, conditions, eventual, parse
+from powerpos import Budgets, Verdict, conditions, parse
 from powerpos.cli import _BUDGET_FIELDS, build_parser, main
 
 from helpers import modulus_gap
@@ -109,7 +109,10 @@ def test_parse_error_exit_one(capsys):
                                   ["power-scan", "--p", "x1+x2"],
                                   ["nonsense"],
                                   ["check", "x1+x2", "--tolerance", "1e-9"],
-                                  ["geometry", "--f", "s1+1", "--check", "hess"]])
+                                  ["geometry", "--f", "s1+1", "--check", "hess"],
+                                  ["sweep", "--family", "dv", "--k", "2", "--lambdas", "7"],
+                                  ["check", "x1+x2", "--polya-budget", "50"],
+                                  ["check", "x1+x2", "--sample-grid", "8"]])
 def test_usage_error_exit_one(argv, capsys):
     # argparse's own exit status 2 would read as "Fails"
     assert run(argv) == 1
@@ -145,7 +148,7 @@ def test_readme_cli_lines_parse():
 
 
 BUDGETED = {"--json", "--seed", "--budget-profile", "--config", "--grid", "--max-depth",
-            "--max-samples", "--polya-budget", "--sample-grid"}
+            "--max-samples"}
 
 
 def _flags(path):
@@ -160,14 +163,14 @@ BETA = ["beta", "verify", "--matrix", "m.json", "--p", "x1+x2"]
 
 
 # Each subcommand's flags, and one flag it does not read, which is a usage
-# error.  Of the shared flags, check, sweep and examples take all 9, beta
-# verify takes --json and --seed, the others --json and beta none: 32.
+# error.  Of the shared flags, check, sweep and examples take all 7, beta
+# verify takes --json and --seed, the others --json and beta none: 26.
 
 
 @pytest.mark.parametrize("path, flags, argv, unread", [
     (["check"], BUDGETED | {"--nvars", "--pos3-mode"},
      ["check", "x1+x2"], ["--csv", "t.csv"]),
-    (["sweep"], BUDGETED | {"--family", "--k", "--lambdas", "--max-m", "--pos3-mode", "--csv"},
+    (["sweep"], BUDGETED | {"--k", "--lambdas", "--max-m", "--pos3-mode", "--csv"},
      ["sweep", "--k", "2", "--lambdas", "7", "--max-m", "8"], ["--nvars", "2"]),
     (["examples"], BUDGETED, ["examples", "linear2"], ["--pos3-mode", "falsify"]),
     (["beta", "verify"], {"--json", "--seed", "--matrix", "--p", "--samples", "--tol"},
@@ -351,27 +354,37 @@ def test_polya_search_past_the_dense_cap_is_one_error_line(argv, capsys):
                             "count 2097155 exceeds cap 2000000\n")
 
 
-def test_check_stops_the_polya_search_at_the_dense_cap(monkeypatch, tmp_path, capsys):
-    # the third facet derivative is (x1 - x2)^2: check searches it up to
-    # the largest N whose N + 3 coefficients fit the cap, then samples the
-    # facet, where (1/2, 1/2, 0) is an exact zero
-    monkeypatch.setattr(eventual, "DEFAULT_DENSE_CAP", 1000)
+def test_check_finds_the_zero_of_a_facet_at_a_vertex(tmp_path, capsys):
+    # the third facet derivative is (x1 - x2)^2, which no Polya exponent
+    # certifies; the subdivision meets its zero (1/2, 1/2, 0) as a vertex
     out = tmp_path / "r.json"
     assert run(["check", "(x1+x2+x3)^3 - 3*x3*(x1+x2)^2 + x3*(x1-x2)^2",
-                "--polya-budget", "100000000", "--json", str(out)]) == 2
+                "--json", str(out)]) == 2
     assert capsys.readouterr().err == ""
     pos2 = json.loads(out.read_text())["reports"][1]
     assert pos2["verdict"] == "Fails"
     assert pos2["witness"] == {"facet": 3, "point": ["1/2", "1/2", "0"], "value": "0"}
-    assert pos2["budget"] == {"polya_budget": 100000000, "polya_capped_at": 997, "samples": 5}
+    assert pos2["budget"] == {"boxes_processed": 8}
 
 
-def test_facet_grid_over_its_cap_is_one_error_line(capsys):
-    assert run(["check", "(x1+x2+x3+x4)^2", "--sample-grid", "706"]) == 1
+def test_pos2_stack_over_the_dense_cap_is_one_error_line(capsys):
+    # 64 variables, each facet derivative of degree 2: 1001 boxes of 2016
+    # Bernstein coefficients
+    expr = " + ".join(f"x{i}^2*x{i % 64 + 1}" for i in range(1, 65))
+    assert run(["check", expr, "--max-depth", "1000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: sample_grid 706 refused: the facet grid has 250278 "
-                            "points, over the cap of 250000\n")
+    assert captured.err == ("error: Pos2 refused: 1001 boxes of 2016 Bernstein coefficients "
+                            "exceed the cap 2000000\n")
+
+
+def test_check_of_a_wide_linear_form_holds(tmp_path):
+    # every facet derivative is the constant 1, closed at its root box
+    out = tmp_path / "r.json"
+    assert run(["check", "+".join(f"x{i}" for i in range(1, 17)), "--json", str(out)]) == 0
+    pos2 = json.loads(out.read_text())["reports"][1]
+    assert pos2["certificate"] == {"polya_exponents": {str(k): 0 for k in range(1, 17)}}
+    assert pos2["budget"] == {"boxes_processed": 16}
 
 
 # ---------------------------------------------------------------------
@@ -474,7 +487,7 @@ def test_beta_verify_default_samples_refute_a_wrong_p(tmp_path, capsys):
 
 def test_sweep_family(tmp_path, capsys):
     table = tmp_path / "sweep.csv"
-    code = run(["sweep", "--family", "dv", "--k", "2", "--lambdas", "8,7,6",
+    code = run(["sweep", "--k", "2", "--lambdas", "8,7,6",
                 "--max-m", "40", "--pos3-mode", "falsify", "--csv", str(table)])
     assert code == 0
     with open(table) as fh:
@@ -493,7 +506,7 @@ def test_sweep_family(tmp_path, capsys):
 def test_sweep_json_rows_say_whether_the_onset_is_proved(tmp_path):
     out = tmp_path / "sweep.json"
     table = tmp_path / "sweep.csv"
-    assert run(["sweep", "--family", "dv", "--k", "2", "--lambdas", "8,7,15/2",
+    assert run(["sweep", "--k", "2", "--lambdas", "8,7,15/2",
                 "--max-m", "10", "--pos3-mode", "falsify", "--csv", str(table),
                 "--json", str(out)]) == 0
     rows = {r["lambda"]: r for r in json.loads(out.read_text())["rows"]}
@@ -507,7 +520,7 @@ def test_sweep_json_rows_say_whether_the_onset_is_proved(tmp_path):
 
 
 def test_sweep_warns_outside_range(tmp_path, capsys):
-    code = run(["sweep", "--family", "dv", "--k", "2", "--lambdas", "9",
+    code = run(["sweep", "--k", "2", "--lambdas", "9",
                 "--max-m", "4", "--pos3-mode", "falsify",
                 "--csv", str(tmp_path / "s.csv")])
     assert code == 0
@@ -517,11 +530,10 @@ def test_sweep_warns_outside_range(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--grid", "5000", "grid must be at most 4096"),
     ("--seed", "-1", "seed must be at least 0"),
-    ("--polya-budget", "-1", "polya_budget must be at least 0")])
+    ("--max-depth", "1001", "max_depth must be at most 1000")])
 def test_sweep_refuses_a_bad_budget_before_any_warning(flag, value, message, capsys):
     # lambda = 9 lies outside (0, 8], but the budget is refused first
-    assert run(["sweep", "--family", "dv", "--k", "2", "--lambdas", "9",
-                flag, value]) == 1
+    assert run(["sweep", "--k", "2", "--lambdas", "9", flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
@@ -550,6 +562,7 @@ def test_examples_eq1_nonnegative_entries_hold_pos3(name, tmp_path):
 
 def test_examples_unknown_name(capsys):
     assert run(["examples", "no_such_entry"]) == 1
+    assert capsys.readouterr().err == "error: unknown corpus entry 'no_such_entry'\n"
 
 
 def test_examples_polya_classic_onset(tmp_path):
@@ -593,12 +606,6 @@ BUDGET_EFFECTS = {
     "max_depth": (["(x1+x2)^4 - 7*x1^2*x2^2"], "0", "Pos3", "boxes_processed", (3, 1)),
     "max_samples": ([NO_PROBE_WITNESS_CUBIC, "--pos3-mode", "falsify"], "70", "Pos3",
                     "samples", (20000, 70)),
-    # each facet derivative 3*x2^2 - 5*x2*x3 + 3*x3^2 needs the Polya exponent 11
-    "polya_budget": (["(x1+x2+x3)^3 - 11*x1*x2*x3"], "2", "Pos2", "verdict",
-                     ("Holds", "Inconclusive")),
-    # each facet derivative 3*(x2 - x3)^2 vanishes at 1/2, off a grid of 7
-    "sample_grid": (["(x1+x2+x3)^3 - 12*x1*x2*x3"], "7", "Pos2", "verdict",
-                    ("Fails", "Inconclusive")),
 }
 
 
@@ -615,7 +622,8 @@ def test_every_budget_key_changes_a_report(key, tmp_path):
     assert tuple(seen) == want
 
 
-@pytest.mark.parametrize("line", ["delta = 1e-3", "max_sample = 50", "tolerance = 1e-12"])
+@pytest.mark.parametrize("line", ["delta = 1e-3", "max_sample = 50", "tolerance = 1e-12",
+                                  "polya_budget = 50", "sample_grid = 8"])
 def test_unknown_config_key_errors(line, capsys, tmp_path):
     # a removed key or a typo is an error, not a silent no-op
     cfg = tmp_path / "budgets.ini"
@@ -629,8 +637,7 @@ def test_missing_config_errors(capsys, tmp_path):
     assert run(["check", "x1+x2", "--config", str(tmp_path / "nope.ini")]) == 1
 
 
-@pytest.mark.parametrize("flag, value", [("--sample-grid", "0"), ("--polya-budget", "-1"),
-                                         ("--max-samples", "-5"), ("--grid", "-3"),
+@pytest.mark.parametrize("flag, value", [("--max-samples", "-5"), ("--grid", "-3"),
                                          ("--grid", "0"), ("--max-depth", "-1"),
                                          ("--seed", "-1"),
                                          ("--grid", "4097"), ("--max-samples", "1000001"),

@@ -132,56 +132,145 @@ def test_pos2_vacuous_single_variable():
 
 
 def test_pos2_validates_its_budgets():
-    assert check_pos2(P7, Budgets(polya_budget=0, sample_grid=1)).verdict is Verdict.HOLDS
-    with pytest.raises(ValueError, match="polya_budget"):
-        check_pos2(P7, Budgets(polya_budget=-1))
-    with pytest.raises(ValueError, match="sample_grid"):
-        check_pos2(P7, Budgets(sample_grid=0))
+    # Pos2 reads max_depth alone: at 0 no box is halved
+    hard = parse("(x1+x2+x3)^3 - 11*x1*x2*x3", 3)
+    assert check_pos2(P7, Budgets(max_depth=0)).verdict is Verdict.HOLDS
+    assert check_pos2(hard, Budgets(max_depth=0)).verdict is Verdict.INCONCLUSIVE
+    assert check_pos2(hard, Budgets(max_depth=1)).verdict is Verdict.HOLDS
+    with pytest.raises(ValueError, match="max_depth must be at least 0"):
+        check_pos2(P7, Budgets(max_depth=-1))
 
 
-def test_pos2_refuses_a_facet_grid_over_its_cap():
-    # n = 4: sample_grid 705 gives 249,571 facet points, 706 gives 250,278;
-    # the cap is checked before any search, whether or not the grid runs
-    p = parse("(x1+x2+x3+x4)^2", 4)
-    assert check_pos2(p, Budgets(sample_grid=705)).verdict is Verdict.HOLDS
-    with pytest.raises(ValueError, match="sample_grid 706 refused: the facet grid has "
-                                         "250278 points, over the cap of 250000"):
-        check_pos2(p, Budgets(sample_grid=706))
+#: sum of x_i^2 x_(i+1) over the 64 variables, cyclically: each facet
+#: derivative is x_(k-1)^2, of degree 2 in 63 variables, so a box holds
+#: C(64, 2) = 2016 Bernstein coefficients
+CYCLIC_64 = " + ".join(f"x{i}^2*x{i % 64 + 1}" for i in range(1, 65))
 
 
-@pytest.mark.parametrize("cap, capped_at", [(1000, 997), (2, -1)])
-def test_pos2_stops_the_polya_search_at_the_dense_cap(monkeypatch, cap, capped_at):
-    # the third facet derivative (x1 - x2)^2 never certifies: the search
-    # runs to the largest N whose degree-(N + 2) basis, N + 3 coefficients,
-    # fits the cap (-1: not even N = 0 fits), and the grid finds the zero
-    monkeypatch.setattr(eventual, "DEFAULT_DENSE_CAP", cap)
-    p = parse("(x1+x2+x3)^3 - 3*x3*(x1+x2)^2 + x3*(x1-x2)^2", 3)
-    rep = check_pos2(p, Budgets(polya_budget=10 ** 8))
-    assert rep.verdict is Verdict.FAILS
-    assert rep.witness == {"facet": 3, "point": ["1/2", "1/2", "0"], "value": "0"}
-    assert rep.budget["polya_capped_at"] == capped_at
-    # a budget the cap admits is not recorded
-    if capped_at >= 0:
-        assert "polya_capped_at" not in check_pos2(p, Budgets(polya_budget=capped_at)).budget
+def test_pos2_refuses_a_stack_over_the_dense_cap():
+    # the stack of max_depth + 1 boxes is checked against the cap before
+    # any search: 992 * 2016 fits 2,000,000 and 993 * 2016 does not
+    p = parse(CYCLIC_64, 64)
+    rep = check_pos2(p, Budgets(max_depth=991))
+    assert rep.verdict is Verdict.FAILS and rep.witness["value"] == "0"
+    with pytest.raises(ValueError, match="Pos2 refused: 993 boxes of 2016 Bernstein "
+                                         "coefficients exceed the cap 2000000"):
+        check_pos2(p, Budgets(max_depth=992))
 
 
-@pytest.mark.parametrize("expr, nvars, exponents, budget", [
+def _through(point):
+    """|c|^2 |x|^2 - (c.x)^2 for c = 8 point, a sum of squares (c_j x_i -
+    c_i x_j)^2 that vanishes on the simplex at `point` alone."""
+    c = [int(8 * v) for v in point]
+    size = len(c)
+    terms = {}
+    for i in range(size):
+        for j in range(size):
+            exp = tuple((k == i) + (k == j) for k in range(size))
+            terms[exp] = terms.get(exp, 0) + (sum(v * v for v in c) if i == j else 0) - c[i] * c[j]
+    return Polynomial(size, {e: F(v) for e, v in terms.items() if v})
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_pos2_finds_an_isolated_zero_at_every_point_of_the_grid_of_8(size):
+    # every dyadic point with denominator 8 becomes a vertex of the
+    # subdivision, where the corner coefficient is g = 0 exactly
+    for exp in monomials_of_degree(size, 8):
+        point = tuple(F(e, 8) for e in exp)
+        vertex, counts = conditions._facet_search(_through(point), Budgets().max_depth)
+        assert vertex == point, counts
+
+
+@pytest.mark.parametrize("expr, nvars, exponents, verdict, boxes", [
     ("(x1+x2+x3)^5 - 5*x3*(x1+x2)^4 + x3*((x1-x2)^2*(x1+x2)^2 + 1/1000*x1^2*x2^2)", 3,
-     [1, 1, None], {"polya_exponents": {"1": 1, "2": 1}, "samples": 17,
-                    "uncertified_facets": [3]}),
+     [1, 1, None], Verdict.HOLDS, [3, 3, 3]),
     ("(x1+x2+x3+x4)^3 - 3*x4*(x1+x2+x3)^2 + x4*((x1-x2)^2+(x2-x3)^2+1/500*x1*x3)", 4,
-     [1, 1, 1, None], {"polya_exponents": {"1": 1, "2": 1, "3": 1}, "samples": 153,
-                       "uncertified_facets": [4]}),
-], ids=["n3", "n4"])
-def test_pos2_reports_on_pos2_hard_inputs(expr, nvars, exponents, budget):
-    # The thorough profile's budgets; the reports the stepwise Polya search
-    # gave, and the exponents of the facets that certify.
+     [1, 1, 1, None], Verdict.HOLDS, [11, 11, 11, 91]),
+    # g_3 = (x1^2 - 2 x2^2)^2 vanishes at an irrational point alone
+    ("(x1+x2+x3)^5 - 5*x3*(x1+x2)^4 + x3*(x1^2-2*x2^2)^2", 3,
+     [1, 1, None], Verdict.INCONCLUSIVE, [3, 3, 36]),
+], ids=["n3", "n4", "irrational"])
+def test_pos2_reports_on_pos2_hard_inputs(expr, nvars, exponents, verdict, boxes):
+    # Polya's exponent, up to N = 120, leaves the last facet open; the
+    # subdivision decides it unless its zero is irrational, and every
+    # facet needs halvings
     p = parse(expr, nvars)
     assert [polya_exponent(facet_derivative(p, k), 120) for k in range(nvars)] == exponents
-    rep = check_pos2(p, Budgets(polya_budget=120, sample_grid=16))
-    assert rep.verdict is Verdict.INCONCLUSIVE
-    assert rep.certificate is None and rep.witness is None
-    assert rep.budget == {"polya_budget": 120, **budget}
+    rep = check_pos2(p)
+    assert rep.verdict is verdict and rep.witness is None
+    found = rep.budget if verdict is Verdict.INCONCLUSIVE else rep.certificate
+    assert found["polya_exponents"] == {}
+    assert [c["boxes_processed"] for c in found["subdivision"].values()] == boxes
+    assert rep.budget["boxes_processed"] == sum(boxes)
+    if verdict is Verdict.INCONCLUSIVE:
+        assert rep.budget["uncertified_facets"] == [3]
+        assert found["subdivision"]["3"]["stop"]["reason"] == "depth limit"
+
+
+def test_pos2_fails_fast_on_a_cubic_in_seven_variables():
+    # g_1 = 3 (x2 + ... + x7)^2 - 20 x2 x7 is -2 at x2 = x7 = 1/2, which
+    # the subdivision of the 5-simplex meets as a vertex after 6 boxes
+    p = parse("(x1+x2+x3+x4+x5+x6+x7)^3 - 20*x1*x2*x7", 7)
+    start = time.perf_counter()
+    rep = check_pos2(p)
+    assert time.perf_counter() - start < 0.1
+    assert rep.verdict is Verdict.FAILS
+    assert rep.witness == {"facet": 1, "point": ["0", "1/2", "0", "0", "0", "0", "1/2"],
+                           "value": "-2"}
+    assert rep.budget == {"boxes_processed": 6}
+
+
+@st.composite
+def facet_st(draw):
+    """p in 2 to 4 variables as in `pushed_st`, of degree 2 to 4 (3 for
+    n = 4), so its facets have 1 to 3 variables."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 3 if n == 4 else 4))
+    monomials = list(monomials_of_degree(n, d))
+    terms = {exp: F(draw(st.integers(1, 9)), draw(st.integers(1, 3))) for exp in monomials}
+    for exp in draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=2)):
+        terms[exp] *= 1 - F(draw(st.integers(1, 40)), 16)
+    return Polynomial(n, {exp: c for exp, c in terms.items() if c})
+
+
+@settings(max_examples=100, deadline=None)
+@given(facet_st())
+def test_pos2_verdicts_agree_with_exact_values_on_a_grid(p):
+    # a Fails point re-evaluates to g <= 0, and a Holds meets no grid
+    # point of denominator 12 where g <= 0
+    rep = check_pos2(p)
+    if rep.verdict is Verdict.FAILS:
+        k = rep.witness["facet"] - 1
+        point = [F(v) for v in rep.witness["point"]]
+        assert point[k] == 0 and min(point) >= 0 and sum(point) > 0
+        value = eval_rational(facet_derivative(p, k), point[:k] + point[k + 1:])
+        assert value <= 0 and str(value) == rep.witness["value"]
+    elif rep.verdict is Verdict.HOLDS:
+        for k in range(p.nvars):
+            g = facet_derivative(p, k)
+            for exp in monomials_of_degree(p.nvars - 1, 12):
+                assert eval_rational(g, [F(e, 12) for e in exp]) > 0
+
+
+@pytest.mark.parametrize("bits", [4, 100])
+def test_halves_keep_python_ints_on_one_axis(bits):
+    # 1-D input: np.stack would hold Python ints that fit int64 as int64,
+    # and the 40 halvings below, each times 2^6, would overflow it
+    rng = random.Random(17)
+    b = np.array([rng.randint(-2 ** bits, 2 ** bits) for _ in range(7)], dtype=object)
+    exact = [F(v) for v in b]
+    for _ in range(40):
+        side = rng.randint(0, 1)
+        b = _halves(b, 0)[side]
+        # de Casteljau in Fractions: the left half takes the first entry of
+        # each row of midpoints, the right half the last
+        row, ends = exact, []
+        while row:
+            ends.append(row[-side])
+            row = [(x + y) / 2 for x, y in zip(row, row[1:])]
+        exact = ends[::-1] if side else ends
+    assert b.dtype == object
+    assert [F(v, 2 ** (6 * 40)) for v in b] == exact
 
 
 # ---------------------------------------------------------------------
@@ -1144,6 +1233,23 @@ def test_only_the_seeded_search_decides_lifts_of_off_axis_failures(h, z):
     assert _witness_holds(p, falsify.witness)
 
 
+def test_only_the_seeded_search_decides_an_n2_input_with_a_zero_at_phase_2pi_over_3():
+    # G = 0 at the corner (r1, c) = (1/2, -1/2): phase 2 pi/3, where no
+    # Gaussian-rational point lies, so the corner probe cannot close it;
+    # falsify's refinement finds a witness next to it
+    p = parse("3*x1^6 + 2/3*x1^5*x2 - 2/3*x1^4*x2^2 - 1/3*x1^3*x2^3 - 2/3*x1^2*x2^4"
+              " + 2/3*x1*x2^5 + 3*x2^6", 2)
+    certify = check_pos3(p)
+    assert certify.verdict is Verdict.INCONCLUSIVE
+    assert certify.budget["boxes_processed"] == 6
+    assert certify.budget["stop"] == {"reason": "G <= 0 at a corner", "r1": ["1/4", "1/2"],
+                                      "c": ["-1", "-1/2"], "corner": ["1/2", "-1/2"], "g": "0"}
+    falsify = check_pos3(p, mode=FALSIFY)
+    assert falsify.verdict is Verdict.FAILS
+    assert falsify.witness["z"] == [["1", "0"], ["8/17", "15/17"]]
+    assert _witness_holds(p, falsify.witness)
+
+
 def test_pos3_falsify_quarter_turn_witness_off_the_real_axis():
     # p(1, i) = 3 against p(1, 1) = 1: phase pi/2 fails at every r, and the
     # probe tries it first, at r = (1/32, 31/32), after the Bernstein search
@@ -1259,17 +1365,16 @@ def test_pos3_falsify_never_lists_the_radius_grid(monkeypatch):
 def test_budgets_validate():
     # an out-of-range budget is refused before any search runs
     for name, least, most in (("grid", 1, 4096), ("max_depth", 0, 1000),
-                              ("max_samples", 1, 10 ** 6), ("polya_budget", 0, None),
-                              ("sample_grid", 1, None)):
+                              ("max_samples", 1, 10 ** 6)):
         Budgets(**{name: least})
         with pytest.raises(ValueError, match=f"{name} must be at least {least}"):
             Budgets(**{name: least - 1})
-        if most is not None:
-            Budgets(**{name: most})
-            with pytest.raises(ValueError, match=f"{name} must be at most {most}"):
-                Budgets(**{name: most + 1})
-    with pytest.raises(TypeError):
-        Budgets(delta=1e-3)
+        Budgets(**{name: most})
+        with pytest.raises(ValueError, match=f"{name} must be at most {most}"):
+            Budgets(**{name: most + 1})
+    for removed in ("delta", "polya_budget", "sample_grid"):
+        with pytest.raises(TypeError):
+            Budgets(**{removed: 1})
     # the mode and the seed are check_pos3's own
     with pytest.raises(ValueError, match="seed must be at least 0"):
         check_pos3(P7, seed=-1)
