@@ -16,8 +16,8 @@ from .geometry import (difference_lattice_is_full, is_positive_definite,
                        jf_matrix, newton_affine_dim, smith_invariant_factors)
 from .intervals import Interval
 from .poly import (MINUS_INFINITY, MultiIndex, ParseError, Polynomial,
-                   eval_complex, eval_complex_exact, eval_interval,
-                   eval_rational, infer_nvars, monomials_of_degree, parse,
+                   eval_complex_exact, eval_interval, eval_rational,
+                   infer_nvars, integer_terms, monomials_of_degree, parse,
                    serialize)
 from .spectral import (BetaReport, BetaVerdict, PolyMatrix, beta_at,
                        charpoly_residual, is_aperiodic, is_irreducible,
@@ -34,8 +34,8 @@ __all__ = [
     "difference_lattice_is_full", "is_positive_definite", "jf_matrix",
     "newton_affine_dim", "smith_invariant_factors", "Interval",
     "MINUS_INFINITY", "MultiIndex", "ParseError", "Polynomial",
-    "eval_complex", "eval_complex_exact", "eval_interval", "eval_rational",
-    "infer_nvars", "monomials_of_degree", "parse", "serialize",
+    "eval_complex_exact", "eval_interval", "eval_rational", "infer_nvars",
+    "integer_terms", "monomials_of_degree", "parse", "serialize",
     "BetaReport", "BetaVerdict", "PolyMatrix", "beta_at", "charpoly_residual",
     "is_aperiodic", "is_irreducible", "perron_bounds", "verify_beta",
 ]

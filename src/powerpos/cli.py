@@ -75,6 +75,15 @@ def _parse_poly(arg: str, nvars: Optional[int]) -> Polynomial:
     return parse(text, nvars)
 
 
+def _rationals(text: str, flag: str) -> list[Fraction]:
+    """A flag's comma-separated rationals; 1/0 is a ValueError, as any
+    other malformed rational is."""
+    try:
+        return [Fraction(v) for v in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"{flag}: zero denominator in {text!r}") from None
+
+
 def _emit(report: dict, json_path: Optional[str]) -> None:
     text = json.dumps(report, indent=2)
     if json_path:
@@ -144,7 +153,7 @@ def cmd_geometry(args) -> int:
     if args.point is not None:
         if "jf" not in checks:
             raise ValueError("--point is read only by --check jf")
-        point = [Fraction(v) for v in args.point.split(",")]
+        point = _rationals(args.point, "--point")
     f = _parse_poly(args.f, args.nvars)
     result: dict = {"f": serialize(f), "nvars": f.nvars}
     # newton_affine_dim and difference_lattice_is_full, from one Smith form
@@ -188,7 +197,7 @@ def cmd_sweep(args) -> int:
     k = args.k
     if k < 2:
         raise ValueError("family requires k >= 2")
-    lambdas = sorted(Fraction(s) for s in args.lambdas.split(","))
+    lambdas = sorted(_rationals(args.lambdas, "--lambdas"))
     upper = Fraction(2 ** (2 * k - 1))
     rows = []
     for lam in lambdas:

@@ -52,7 +52,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .poly import (DEFAULT_DENSE_CAP, Polynomial, dense_monomial_count,
-                   eval_complex_exact, eval_rational, monomials_of_degree)
+                   eval_complex_exact, eval_rational, integer_terms,
+                   monomials_of_degree)
 
 
 class Condition(str, Enum):
@@ -128,17 +129,17 @@ def _require_nonconstant_homogeneous(p: Polynomial) -> int:
 # ---------------------------------------------------------------------
 
 def check_pos1(p: Polynomial) -> ConditionReport:
-    """p must be strictly positive at every coordinate unit vector."""
-    _require_nonconstant_homogeneous(p)
+    """p must be strictly positive at every coordinate unit vector e_k;
+    p(e_k) is the coefficient of x_k^d, d the degree of p."""
+    d = _require_nonconstant_homogeneous(p)
     values = []
     for k in range(p.nvars):
-        point = [Fraction(1) if i == k else Fraction(0) for i in range(p.nvars)]
-        val = eval_rational(p, point)
+        val = p.coefficient([d if i == k else 0 for i in range(p.nvars)])
         if val <= 0:
             return ConditionReport(
                 Condition.POS1, Verdict.FAILS,
-                witness={"point": [str(v) for v in point], "value": str(val),
-                         "unit_vector": k + 1},
+                witness={"point": [str(int(i == k)) for i in range(p.nvars)],
+                         "value": str(val), "unit_vector": k + 1},
                 budget={"evaluations": k + 1})
         values.append(str(val))
     return ConditionReport(Condition.POS1, Verdict.HOLDS,
@@ -153,15 +154,15 @@ def check_pos1(p: Polynomial) -> ConditionReport:
 def facet_derivative(p: Polynomial, k: int) -> Polynomial:
     """dp/dx_k restricted to the facet x_k = 0, in the remaining variables.
 
-    k is 0-based.  For homogeneous p of degree d the result is
-    homogeneous of degree d - 1 in nvars - 1 variables (or zero).
+    k is 0-based.  It is the terms of p linear in x_k, with x_k dropped.
+    For homogeneous p of degree d the result is homogeneous of degree
+    d - 1 in nvars - 1 variables (or zero).
     """
     if not p.is_homogeneous():
         raise ValueError("facet_derivative requires a homogeneous polynomial")
     if not 0 <= k < p.nvars:
         raise ValueError(f"index {k} out of range for nvars={p.nvars}")
-    g = p.partial_derivative(k)
-    return Polynomial(p.nvars - 1, {e[:k] + e[k + 1:]: c for e, c in g.terms.items() if e[k] == 0})
+    return Polynomial(p.nvars - 1, {e[:k] + e[k + 1:]: c for e, c in p.terms.items() if e[k] == 1})
 
 
 #: A Bernstein search (Pos2, and Pos3 for n = 2) stops after this many boxes.
@@ -174,15 +175,15 @@ def _facet_search(g: Polynomial, max_depth: int) -> tuple:
     box counts with the stop if the depth or the box budget ended it).
 
     g = sum c_a x^a of degree D has the Bernstein coefficients c_a a!/D!,
-    held as the integers c_a L a! (L the lcm of the denominators), so the
+    held as the integers c_a L a! (L*g the `integer_terms` of g), so the
     root box closes iff every c_a > 0: Polya's N = 0 test.  A split halves
     the longest edge (i, j), the lowest pair on a tie, by `_halves` on
     each line parallel to it, scaled by 2^(D - s) on a line of degree s,
     so a vertex coefficient stays g there times a positive scale.
     """
     size, degree = g.nvars, g.degree()
-    lcm_g = math.lcm(*(c.denominator for c in g.terms.values()))
-    b = {e: int(g.terms.get(e, 0) * lcm_g) * math.prod(map(math.factorial, e))
+    terms, _ = integer_terms(g)
+    b = {e: terms.get(e, 0) * math.prod(map(math.factorial, e))
          for e in monomials_of_degree(size, degree)}
     vertices = [tuple(int(k == v) for k in range(size)) for v in range(size)]
     corners = [tuple(degree * x for x in e) for e in vertices]
@@ -326,22 +327,21 @@ def _pair_face_probe(p: Polynomial, grid: int, quarters: Sequence[int]) -> tuple
     For each pair i < j in turn, k = 1, ..., grid - 1 and q in `quarters`,
     the point is z_i = k/grid, z_j = i^q (grid - k)/grid and z_m = 0
     otherwise.  There p(z) and p(|z|) are the face terms c x_i^a x_j^b
-    alone; times grid^d and the lcm of their denominators they are the
+    alone; times grid^d and p's `integer_terms` scale they are the
     Gaussian integer Z = sum c k^a (grid - k)^b i^(q b) and the integer
     P = sum c k^a (grid - k)^b, so P <= 0 or |Z|^2 >= P^2 is tested on
     Python ints.  `_exact_witness` builds the witness at the first such
     point and must agree.
     """
     n, d = p.nvars, p.degree()
+    terms, _ = integer_terms(p)
     points = 0
     for i, j in combinations(range(n), 2):
-        face = [(c, e[i], e[j]) for e, c in p.terms.items() if e[i] + e[j] == d]
-        scale = math.lcm(*(c.denominator for c, _, _ in face))
-        coefs = [c.numerator * (scale // c.denominator) for c, _, _ in face]
+        face = [(c, e[i], e[j]) for e, c in terms.items() if e[i] + e[j] == d]
         # the power of the imaginary unit each term picks up at each quarter
         turns = {q: [q * b % 4 for _, _, b in face] for q in quarters}
         for k in range(1, grid):
-            values = [c * k ** a * (grid - k) ** b for c, (_, a, b) in zip(coefs, face)]
+            values = [c * k ** a * (grid - k) ** b for c, a, b in face]
             total = sum(values)
             for q in quarters:
                 points += 1
@@ -630,8 +630,8 @@ def _bernstein_g(p: Polynomial) -> tuple:
     """
     d = p.degree()
     big_b, big_m = 2 * d - 2, d - 1
-    lcm_p = math.lcm(*(v.denominator for v in p.terms.values()))
-    coefs = {exp[0]: v.numerator * (lcm_p // v.denominator) for exp, v in p.terms.items()}
+    terms, lcm_p = integer_terms(p)
+    coefs = {exp[0]: c for exp, c in terms.items()}
     # row k holds F_k's cosine coefficients
     fejer = np.array([[k] + [2 * (k - m) if m < k else 0 for m in range(1, d)]
                       for k in range(d + 1)], dtype=object)

@@ -30,14 +30,14 @@ of f, so a search can double N and then bisect.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .poly import DEFAULT_DENSE_CAP, Polynomial, dense_monomial_count, serialize
+from .poly import (DEFAULT_DENSE_CAP, MultiIndex, Polynomial, dense_monomial_count,
+                   integer_terms, serialize)
 
 
 def all_coeffs_positive(f: Polynomial | np.ndarray) -> bool:
@@ -186,7 +186,7 @@ def scan_rows(p: Polynomial, q: Polynomial, m_max: int) -> Iterator[ScanRow]:
     rows are iterated.  Refuses the window as power_scan does, at once.
     """
     _check_window(p, q, m_max)
-    p_scale, q_scale = _integer_terms(p)[1], _integer_terms(q)[1]
+    p_scale, q_scale = integer_terms(p)[1], integer_terms(q)[1]
     # range first: zip stops before it asks for a power past m_max
     powers = zip(range(m_max + 1), _kernel_powers(p, q))
     return (_row(m, f, p_scale ** m * q_scale) for m, f in powers)
@@ -232,7 +232,7 @@ def polya_exponent(g: Polynomial, n_max: int) -> Optional[int]:
         raise ValueError("polya_exponent requires a homogeneous polynomial")
     if g.is_zero() or g.nvars < 1:
         return None
-    g_terms, _ = _integer_terms(g)
+    g_terms, _ = integer_terms(g)
     d = g.degree()
 
     def works(n: int) -> bool:
@@ -262,14 +262,14 @@ def polya_exponent(g: Polynomial, n_max: int) -> Optional[int]:
     return hi
 
 
-def _falling_factorial_form(terms: IntTerms, deg: int, total: int) -> np.ndarray:
+def _falling_factorial_form(terms: dict[MultiIndex, int], deg: int, total: int) -> np.ndarray:
     """G at every degree-total monomial a, one slot each, as Python ints.
 
-    terms are those of a degree-deg g in the integer kernel's form.  The
+    terms are the `integer_terms` of a nonzero degree-deg g.  The
     monomials are the columns of the kernel's layout of a_1..a_{n-1},
     with a_n = total - (a_1 + ... + a_{n-1}).
     """
-    head = _lex_exponents(len(terms[0][0]), total)
+    head = _lex_exponents(len(next(iter(terms))) - 1, total)
     a = np.vstack([head, total - head.sum(axis=0)])
     # falling[k, v] = v (v-1) ... (v-k+1), which is 0 for v < k
     v = np.arange(total + 1, dtype=object)
@@ -277,11 +277,11 @@ def _falling_factorial_form(terms: IntTerms, deg: int, total: int) -> np.ndarray
     for k in range(1, deg + 1):
         falling[k] = falling[k - 1] * (v - (k - 1))
     out = np.zeros(a.shape[1], dtype=object)
-    for e, c in terms:
-        b = np.append(e, deg - e.sum())
+    for b, c in terms.items():
         term = c
-        for i in np.flatnonzero(b):
-            term = term * falling[b[i], a[i]]
+        for i, k in enumerate(b):
+            if k:
+                term = term * falling[k, a[i]]
         out += term
     return out
 
@@ -303,50 +303,41 @@ def _falling_factorial_form(terms: IntTerms, deg: int, total: int) -> np.ndarray
 #: The constant 1 at degree 0, for any number of variables.
 _ONE = np.ones(1, dtype=object)
 
-#: (exponents of x1..x_{n-1}, integer coefficient) per term
-IntTerms = list[tuple[np.ndarray, int]]
-
-
-def _integer_terms(f: Polynomial) -> tuple[IntTerms, int]:
-    """The terms of L*f, and L, the lcm of f's coefficient denominators."""
-    scale = math.lcm(*(c.denominator for c in f.terms.values()))
-    return [(np.array(e[:-1], dtype=np.int64), int(c * scale))
-            for e, c in f.terms.items()], scale
-
 
 def _kernel_powers(p: Polynomial, q: Optional[Polynomial] = None) -> Iterator[np.ndarray]:
     """p^m * q for m = 0, 1, 2, ..., each times a positive constant; q = None
     stands for 1.  Each product is formed only when it is asked for."""
-    p_terms, _ = _integer_terms(p)
+    p_terms, _ = integer_terms(p)
     if q is None:
         current, deg = _ONE, 0
     else:
         deg = q.degree()
-        current = _times(_ONE, 0, _integer_terms(q)[0], deg)
+        current = _times(_ONE, 0, integer_terms(q)[0], deg)
     while True:
         yield current
         current = _times(current, deg, p_terms, p.degree())
         deg += p.degree()
 
 
-def _times(current: np.ndarray, deg: int, factor: IntTerms,
+def _times(current: np.ndarray, deg: int, factor: dict[MultiIndex, int],
            factor_deg: int) -> np.ndarray:
-    """Product of a degree-deg dense array and a homogeneous factor.
+    """Product of a degree-deg dense array and a homogeneous factor's
+    `integer_terms`.
 
     One shifted add per factor term: the coefficient of s^e moves to
     s^(e+a), at its lexicographic rank in the degree deg+factor_deg
     layout.  Shifts by distinct e are distinct, so no index repeats
     within one add.
     """
-    free = len(factor[0][0])
+    shifts = np.array([a[:-1] for a in factor], dtype=np.int64)
+    free = shifts.shape[1]
     out_deg = deg + factor_deg
     layout = _lex_exponents(free, deg)
-    shifts = np.array([a for a, _ in factor], dtype=np.int64)
     # one rank pass for every term: row t of ranks places layout + a_t
     moved = layout[:, None, :] + shifts.T[:, :, None]
     ranks = _lex_rank(moved.reshape(free, len(factor) * layout.shape[1]), out_deg)
     out = np.zeros(dense_monomial_count(free + 1, out_deg), dtype=object)
-    for (_, c), idx in zip(factor, ranks.reshape(len(factor), -1)):
+    for c, idx in zip(factor.values(), ranks.reshape(len(factor), -1)):
         out[idx] += current if c == 1 else c * current
     return out
 

@@ -2,17 +2,18 @@
 
 Covers: the affine dimension of the convex hull of the exponent support,
 fullness of the difference lattice via Smith normal form, and the matrix
-J_f(s) = s_j d/ds_j (s_i d/ds_i log f), computed exactly from f and its
-partials; it is the Hessian of log f(e^t) at t = log s.  Positive
-definiteness is decided by exact LDL elimination.
+J_f(s) = s_j d/ds_j (s_i d/ds_i log f), the Hessian of log f(e^t) at
+t = log s, exactly, as the covariance of the exponents of f's terms.
+Positive definiteness is decided by exact LDL elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, eval_rational
+from .poly import Polynomial
 
 
 # ---------------------------------------------------------------------
@@ -122,8 +123,9 @@ def difference_lattice_is_full(f: Polynomial) -> bool:
 def jf_matrix(f: Polynomial, s: Sequence[Fraction | int]) -> list[list[Fraction]]:
     """Exact J_f(s)_ij = s_i s_j d2(log f)/ds_i ds_j + delta_ij s_j d(log f)/ds_i.
 
-    Computed algebraically from f, its first and second partials, and
-    f(s); requires f(s) > 0 at a strictly positive point.
+    It is sum w_I I I^T - mu mu^T, mu = sum w_I I: the covariance of the
+    exponents I of f's terms c_I x^I under the weights w_I = c_I s^I / f(s).
+    Requires f(s) > 0 at a strictly positive point.
     """
     ell = f.nvars
     point = [Fraction(v) for v in s]
@@ -131,20 +133,17 @@ def jf_matrix(f: Polynomial, s: Sequence[Fraction | int]) -> list[list[Fraction]
         raise ValueError(f"point has length {len(point)}, expected {ell}")
     if any(v <= 0 for v in point):
         raise ValueError("jf_matrix requires a strictly positive point")
-    fval = eval_rational(f, point)
+    values = {exp: coef * math.prod(x ** e for x, e in zip(point, exp) if e)
+              for exp, coef in f.terms.items()}
+    fval = sum(values.values(), Fraction(0))
     if fval <= 0:
         raise ValueError(f"f must be positive at the point (got {fval})")
-    firsts = [f.partial_derivative(i) for i in range(ell)]
-    fvals1 = [eval_rational(g, point) for g in firsts]
+    mean = [sum(v * exp[i] for exp, v in values.items()) / fval for i in range(ell)]
     out = [[Fraction(0)] * ell for _ in range(ell)]
     for i in range(ell):
         for j in range(i, ell):
-            fij = eval_rational(firsts[i].partial_derivative(j), point)
-            # d2(log f) = (f * f_ij - f_i * f_j) / f^2
-            val = point[i] * point[j] * (fval * fij - fvals1[i] * fvals1[j]) / fval ** 2
-            if i == j:
-                val += point[i] * fvals1[i] / fval
-            out[i][j] = out[j][i] = val
+            second = sum(v * exp[i] * exp[j] for exp, v in values.items()) / fval
+            out[i][j] = out[j][i] = second - mean[i] * mean[j]
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
@@ -39,6 +39,10 @@ MAX_POWER_BITS = 100_000
 #: The parser refuses more variables than this: checking x1+...+xn costs
 #: about n^2 to n^3 (0.4 s at n = 64, 1.6 s at n = 128, on a 2-vCPU VM).
 MAX_NVARS = 64
+
+#: The parser refuses parentheses nested deeper than this: each level takes
+#: four Python frames, so about 250 would reach the recursion limit.
+MAX_NESTING = 100
 
 #: The most coefficients of dense bases that one search may hold.
 DEFAULT_DENSE_CAP = 2_000_000
@@ -91,12 +95,6 @@ class Polynomial:
         exp = [0] * nvars
         exp[i] = 1
         return Polynomial(nvars, {tuple(exp): Fraction(1)})
-
-    @staticmethod
-    def sum_of_variables(nvars: int) -> "Polynomial":
-        return Polynomial(nvars, {exp: Fraction(1) for exp in
-                                  ((0,) * i + (1,) + (0,) * (nvars - 1 - i)
-                                   for i in range(nvars))})
 
     # -- basic protocol ------------------------------------------------
 
@@ -184,18 +182,13 @@ class Polynomial:
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def partial_derivative(self, i: int) -> "Polynomial":
-        """Formal partial derivative with respect to variable i (0-based)."""
-        if not 0 <= i < self.nvars:
-            raise ValueError(f"variable index {i} out of range for nvars={self.nvars}")
-        out: dict[MultiIndex, Fraction] = {}
-        for exp, coef in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            out[tuple(new)] = coef * exp[i]
-        return Polynomial(self.nvars, out)
+
+def integer_terms(p: Polynomial) -> tuple[dict[MultiIndex, int], int]:
+    """The terms of L*p as Python ints, in p's term order, and L, the lcm of
+    p's coefficient denominators: the least positive integer that makes
+    them integers (1 for the zero polynomial)."""
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}, scale
 
 
 # ---------------------------------------------------------------------
@@ -213,20 +206,6 @@ def eval_rational(p: Polynomial, point: Sequence[Fraction | int]) -> Fraction:
         for x, e in zip(xs, exp):
             if e:
                 v *= x ** e
-        total += v
-    return total
-
-
-def eval_complex(p: Polynomial, point: Sequence[complex]) -> complex:
-    """Floating-point evaluation at a complex point."""
-    if len(point) != p.nvars:
-        raise ValueError(f"point has length {len(point)}, expected {p.nvars}")
-    total = 0j
-    for exp, coef in p.terms.items():
-        v = complex(coef)
-        for z, e in zip(point, exp):
-            if e:
-                v *= z ** e
         total += v
     return total
 
@@ -321,6 +300,7 @@ class _Parser:
         self.pos = 0
         self.tok: str | None = None
         self.tok_pos = 0
+        self.depth = 0      # parentheses open around the current token
         self._advance()
 
     def _advance(self) -> None:
@@ -432,9 +412,14 @@ class _Parser:
         if tok is None:
             raise ParseError("unexpected end of input", self.tok_pos)
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested over the limit of {MAX_NESTING}",
+                                 self.tok_pos)
+            self.depth += 1
             self._advance()
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.isdigit():
             num = int(tok)
@@ -463,8 +448,8 @@ def parse(text: str, nvars: int) -> Polynomial:
 
     Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := base ('^' nonneg-int)?; base := rational | var | '(' expr ')'.
-    Variables are x1..x<nvars> (s1.. accepted as alias), and nvars is at
-    most MAX_NVARS.
+    Variables are x1..x<nvars> (s1.. accepted as alias), nvars is at most
+    MAX_NVARS, and parentheses nest at most MAX_NESTING deep.
     """
     if nvars > MAX_NVARS:
         raise ParseError(f"{nvars} variables, over the limit of {MAX_NVARS}", 0)

@@ -67,13 +67,19 @@ class PolyMatrix:
         return PolyMatrix(dim, nvars, tuple(tuple(r) for r in rows))
 
     @staticmethod
-    def from_json_dict(data: dict) -> "PolyMatrix":
-        dim = int(data["dim"])
-        nvars = int(data["nvars"])
-        rows = []
-        for row in data["entries"]:
-            rows.append(tuple(parse(expr, nvars) for expr in row))
-        return PolyMatrix(dim, nvars, tuple(rows))
+    def from_json_dict(data) -> "PolyMatrix":
+        """The matrix of {"dim": int, "nvars": int, "entries": rows of
+        polynomial texts}; any other shape is a PolyMatrixError."""
+        if not (isinstance(data, dict) and {"dim", "nvars", "entries"} <= data.keys()
+                and type(data["dim"]) is type(data["nvars"]) is int
+                and isinstance(data["entries"], list)
+                and all(isinstance(row, list) and all(isinstance(e, str) for e in row)
+                        for row in data["entries"])):
+            raise PolyMatrixError('matrix JSON must be {"dim": int, "nvars": int, '
+                                  '"entries": rows of polynomial texts}')
+        nvars = data["nvars"]
+        return PolyMatrix(data["dim"], nvars, tuple(tuple(parse(e, nvars) for e in row)
+                                                    for row in data["entries"]))
 
     @staticmethod
     def from_json(text: str) -> "PolyMatrix":

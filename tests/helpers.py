@@ -1,10 +1,12 @@
 """Shared test utilities: independent oracles and random instance builders.
 
 The oracles here deliberately avoid the library's own code paths:
-sympy expansion for polynomial arithmetic, dense array convolution for
-powers, breadth-first lattice walking for lattice fullness, and central
-differences for the log-Hessian.  `dehomogenize` builds the coordinate
-charts of the lattice tests.
+sympy expansion for polynomial arithmetic, sympy's diff for derivatives,
+dense array convolution for powers, breadth-first lattice walking for
+lattice fullness, float evaluation at complex points, and the second
+partials of f (exactly) or central differences (in floats) for the
+log-Hessian.  `dehomogenize` builds the coordinate charts of the lattice
+tests, and `sum_of_variables` the simplex multiplier of the Polya tests.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 import sympy
+from hypothesis import strategies as st
 
 from powerpos import Polynomial, eval_rational, monomials_of_degree
 
@@ -52,6 +55,28 @@ def from_sympy(expr, nvars: int) -> Polynomial:
     terms = {tuple(int(e) for e in exp): Fraction(int(c.p), int(c.q))
              for exp, c in poly.terms()}
     return Polynomial(nvars, terms)
+
+
+def partial_derivative(p: Polynomial, i: int) -> Polynomial:
+    """dp/dx_(i+1) (0-based i), by sympy's diff."""
+    return from_sympy(sympy.diff(to_sympy(p), sympy.Symbol(f"x{i + 1}")), p.nvars)
+
+
+def sum_of_variables(nvars: int) -> Polynomial:
+    """x1 + ... + x_nvars."""
+    return Polynomial(nvars, {tuple(int(i == k) for i in range(nvars)): 1
+                              for k in range(nvars)})
+
+
+def eval_complex(p: Polynomial, point: Sequence[complex]) -> complex:
+    """Floating-point evaluation at a complex point."""
+    total = 0j
+    for exp, coef in p.terms.items():
+        v = complex(coef)
+        for z, e in zip(point, exp):
+            v *= z ** e
+        total += v
+    return total
 
 
 def dense_grid_pow_2d(p: Polynomial, m: int) -> np.ndarray:
@@ -157,6 +182,19 @@ def hessian_logf_fd(f: Polynomial, t: Sequence[float], h: float = 1e-3) -> np.nd
     return out
 
 
+def jf_by_second_partials(f: Polynomial, s: Sequence[Fraction]) -> list[list[Fraction]]:
+    """J_f(s)_ij = s_i s_j (f f_ij - f_i f_j)/f^2 + delta_ij s_i f_i/f, with
+    the partials of f from sympy's diff, evaluated exactly."""
+    point = [Fraction(v) for v in s]
+    fval = eval_rational(f, point)
+    firsts = [partial_derivative(f, i) for i in range(f.nvars)]
+    f1 = [eval_rational(g, point) for g in firsts]
+    return [[point[i] * point[j]
+             * (fval * eval_rational(partial_derivative(firsts[i], j), point) - f1[i] * f1[j])
+             / fval ** 2 + (point[i] * f1[i] / fval if i == j else 0)
+             for j in range(f.nvars)] for i in range(f.nvars)]
+
+
 def rand_homogeneous(rng: random.Random, nvars: int, degree: int,
                      all_positive: bool = False,
                      density: float = 1.0) -> Polynomial:
@@ -172,6 +210,19 @@ def rand_homogeneous(rng: random.Random, nvars: int, degree: int,
     if not terms:
         terms[next(iter(monomials_of_degree(nvars, degree)))] = Fraction(1)
     return Polynomial(nvars, terms)
+
+
+@st.composite
+def rational_forms(draw, max_nvars: int = 4, max_degree: int = 4) -> Polynomial:
+    """A nonzero form of degree 1..max_degree in 1..max_nvars variables, each
+    coefficient 0 or a rational with denominator at most 30."""
+    n = draw(st.integers(1, max_nvars))
+    exps = list(monomials_of_degree(n, draw(st.integers(1, max_degree))))
+    coef = st.one_of(st.just(Fraction(0)),
+                     st.fractions(min_value=-20, max_value=20, max_denominator=30))
+    p = Polynomial(n, dict(zip(exps, draw(st.lists(coef, min_size=len(exps),
+                                                   max_size=len(exps))))))
+    return p if p else Polynomial(n, {exps[-1]: draw(st.integers(1, 9))})
 
 
 def rand_complex_point(rng: random.Random, n: int, scale: float = 2.0) -> list[complex]:

@@ -15,13 +15,13 @@ import sympy
 
 from powerpos import (BetaVerdict, Budgets, PolyMatrix, Polynomial, Pos3Mode,
                       Verdict, assoc_bihom_eval,
-                      check_pos1, check_pos2, check_pos3, eval_complex,
-                      eval_rational, is_aperiodic,
+                      check_pos1, check_pos2, check_pos3, eval_rational, is_aperiodic,
                       is_irreducible, jf_matrix, parse, power_scan,
                       smith_invariant_factors, verify_beta)
 
-from helpers import (dense_grid_pow_2d, hessian_logf_fd, lattice_units_reachable,
-                     rand_complex_point, rand_homogeneous, to_sympy)
+from helpers import (dense_grid_pow_2d, eval_complex, hessian_logf_fd,
+                     lattice_units_reachable, rand_complex_point, rand_homogeneous,
+                     to_sympy)
 
 CUBIC_MINUS_CORNER = parse("(x1+x2+x3)^3 - x1^3", 3)
 DEGENERATE_FACET_CUBIC = parse("x1^2*(x1+x2+x3) + (x2+x3)^3", 3)

@@ -17,6 +17,7 @@ import pytest
 
 from powerpos import Budgets, Verdict, conditions, parse
 from powerpos.cli import _BUDGET_FIELDS, build_parser, main
+from powerpos.poly import MAX_NESTING
 
 from helpers import modulus_gap
 
@@ -134,6 +135,26 @@ def test_too_many_variables_is_one_parse_error(argv, capsys, tmp_path, monkeypat
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("parse error: ") and "over the limit of 64" in captured.err
+
+
+TOO_DEEP = f"parse error: parentheses nested over the limit of {MAX_NESTING} (at offset {MAX_NESTING})"
+
+
+@pytest.mark.parametrize("argv, matrix, err", [
+    (["check", "(" * 1000 + "x1+x2" + ")" * 1000], None, TOO_DEEP),
+    (["beta", "verify", "--matrix", "m.json", "--p", "x1"],
+     {"dim": 1, "nvars": 1, "entries": [["(" * 257 + "x1" + ")" * 257]]}, TOO_DEEP),
+    (["sweep", "--k", "2", "--lambdas", "6,1/0"], None,
+     "error: --lambdas: zero denominator in '6,1/0'"),
+    (["geometry", "--f", "x1+x2", "--check", "jf", "--point", "1/0,1"], None,
+     "error: --point: zero denominator in '1/0,1'"),
+], ids=["check-nested-1000", "matrix-nested-257", "lambda-1-over-0", "point-1-over-0"])
+def test_hostile_input_is_one_error_line(argv, matrix, err, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if matrix is not None:
+        (tmp_path / "m.json").write_text(json.dumps(matrix))
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", err + "\n")
 
 
 def test_readme_cli_lines_parse():
@@ -446,6 +467,7 @@ def test_beta_rejects_negative_coefficients(tmp_path, capsys):
 
 
 SYMM = {"dim": 2, "nvars": 2, "entries": [["x1", "x2"], ["x2", "x1"]]}
+BAD_MATRIX = 'matrix JSON must be {"dim": int, "nvars": int, "entries": rows of polynomial texts}'
 
 
 def nine_nodes(successor):
@@ -465,8 +487,15 @@ def nine_nodes(successor):
     (nine_nodes(lambda i: i + 1), ["--p", "x1"], "exact determinant refused for dim 9 > 8"),
     (nine_nodes(lambda i: (i + 1) % 9), ["--p", "x1"],
      "exact determinant refused for dim 9 > 8"),
+    # a matrix file of any other shape, where a traceback or a KeyError's
+    # repr used to be
+    ([[1]], ["--p", "x1"], BAD_MATRIX),
+    ({"dim": 1, "nvars": 1}, ["--p", "x1"], BAD_MATRIX),
+    ({"dim": "1", "nvars": 1, "entries": [["x1"]]}, ["--p", "x1"], BAD_MATRIX),
+    ({"dim": 1, "nvars": 1, "entries": [[1]]}, ["--p", "x1"], BAD_MATRIX),
 ], ids=["samples-0", "samples-negative", "samples-10001", "tol-nan", "tol-negative",
-        "path-dim-9", "cycle-dim-9"])
+        "path-dim-9", "cycle-dim-9", "matrix-list", "matrix-no-entries", "matrix-dim-text",
+        "matrix-entry-int"])
 def test_beta_verify_refuses_what_it_cannot_decide(tmp_path, capsys, matrix, argv, message):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(matrix))

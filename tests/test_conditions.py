@@ -10,13 +10,13 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerpos import (Budgets, Condition, Polynomial, Pos3Mode, Verdict,
                       assoc_bihom_eval, check_pos1, check_pos2, check_pos3,
-                      eval_complex, eval_rational,
-                      facet_derivative, parse, polya_exponent,
+                      eval_rational, facet_derivative, parse, polya_exponent,
                       power_scan)
 from powerpos import conditions, eventual
 from powerpos.conditions import (_DENOMINATORS, _bernstein_g, _eval_d_grid,
@@ -24,8 +24,9 @@ from powerpos.conditions import (_DENOMINATORS, _bernstein_g, _eval_d_grid,
                                  _unrank_compositions)
 from powerpos.poly import eval_complex_exact, monomials_of_degree
 
-from helpers import (fraction_grid_samples, modulus_gap, rand_complex_point,
-                     rand_homogeneous, seeded_corpus)
+from helpers import (eval_complex, fraction_grid_samples, from_sympy, modulus_gap,
+                     partial_derivative, rand_complex_point, rand_homogeneous,
+                     rational_forms, seeded_corpus, to_sympy)
 
 P_CUBIC_MINUS_CORNER = parse("(x1+x2+x3)^3 - x1^3", 3)
 P_FACET_DEGENERATE = parse("x1^2*(x1+x2+x3) + (x2+x3)^3", 3)
@@ -71,9 +72,38 @@ def test_pos1_fails_witness_revalidates_exactly():
     assert F(rep.witness["value"]) <= 0
 
 
+@settings(max_examples=80)
+@given(rational_forms())
+def test_pos1_unit_values_are_p_at_the_unit_vectors(p):
+    n = p.nvars
+    values = [eval_rational(p, [int(i == k) for i in range(n)]) for k in range(n)]
+    rep = check_pos1(p)
+    first_bad = next((k for k, v in enumerate(values) if v <= 0), None)
+    if first_bad is None:
+        assert rep.verdict is Verdict.HOLDS
+        assert rep.certificate == {"unit_values": [str(v) for v in values]}
+        assert rep.budget == {"evaluations": n}
+    else:
+        assert rep.verdict is Verdict.FAILS
+        assert rep.witness == {"point": [str(int(i == first_bad)) for i in range(n)],
+                               "value": str(values[first_bad]),
+                               "unit_vector": first_bad + 1}
+        assert rep.budget == {"evaluations": first_bad + 1}
+
+
 # ---------------------------------------------------------------------
 # facet derivative and Pos2
 # ---------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(rational_forms(), st.integers(0, 3))
+def test_facet_derivative_is_sympys_derivative_on_the_facet(p, k):
+    k %= p.nvars
+    x_k = sympy.Symbol(f"x{k + 1}")
+    on_facet = from_sympy(sympy.diff(to_sympy(p), x_k).subs(x_k, 0), p.nvars)
+    assert facet_derivative(p, k) == Polynomial(
+        p.nvars - 1, {e[:k] + e[k + 1:]: c for e, c in on_facet.terms.items()})
+
 
 def test_facet_derivative_zero_for_degenerate_facet():
     assert facet_derivative(P_FACET_DEGENERATE, 0).is_zero()
@@ -87,6 +117,14 @@ def test_facet_derivative_binomial():
 def test_facet_derivative_quartic_family():
     g = facet_derivative(P7, 0)
     assert g == parse("4*x1^3", 1)
+
+
+def test_facet_derivative_rejects_a_bad_index_and_a_nonhomogeneous_p():
+    for k in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            facet_derivative(P7, k)
+    with pytest.raises(ValueError, match="homogeneous"):
+        facet_derivative(parse("x1^2 + x2", 2), 0)
 
 
 def test_pos2_fails_on_zero_facet_derivative():
@@ -123,7 +161,7 @@ def test_pos2_fails_with_exact_sampled_witness():
     # the facet derivative for k=3 is x1^2*x2 - 3/2*x1*x2^2, negative at (1/2,1/2)
     assert rep.verdict is Verdict.FAILS
     point = [F(v) for v in rep.witness["point"]]
-    assert eval_rational(p.partial_derivative(rep.witness["facet"] - 1), point) <= 0
+    assert eval_rational(partial_derivative(p, rep.witness["facet"] - 1), point) <= 0
 
 
 def test_pos2_vacuous_single_variable():

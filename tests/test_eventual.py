@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerpos import (PROFILES, Polynomial, all_coeffs_positive, corpus, eventual,
-                      parse, polya_exponent, power_scan, scan_rows, serialize)
+                      integer_terms, parse, polya_exponent, power_scan, scan_rows,
+                      serialize)
 from powerpos.cli import run_check
 from powerpos.eventual import (DEFAULT_DENSE_CAP, OnsetProof, _falling_factorial_form,
-                               _integer_terms, _lex_exponents, _lex_rank)
+                               _lex_exponents, _lex_rank)
 from powerpos.poly import dense_monomial_count
 
-from helpers import dense_grid_pow_2d, rand_homogeneous
+from helpers import dense_grid_pow_2d, rand_homogeneous, sum_of_variables
 
 P7 = parse("(x1+x2)^4 - 7*x1^2*x2^2", 2)
 P8 = parse("(x1+x2)^4 - 8*x1^2*x2^2", 2)
@@ -209,7 +210,7 @@ def _scan_q(rng, n):
     if kind == 6:
         # a negative mixed term, which a positive p absorbs after a few powers
         cross = Polynomial.variable(n, 0) * Polynomial.variable(n, n - 1)
-        return Polynomial.sum_of_variables(n) ** 2 - cross.scale(3 if n > 1 else 0)
+        return sum_of_variables(n) ** 2 - cross.scale(3 if n > 1 else 0)
     return rand_homogeneous(rng, n, rng.randint(1, 2), all_positive=kind == 4,
                             density=0.8)
 
@@ -221,7 +222,7 @@ def test_proof_stopped_scan_equals_the_full_rows_scan(seed, n):
     if n > 1 and rng.random() < 0.4:
         # a quartic whose onset grows as lam nears 8
         lam = Fraction(rng.randint(24, 31), 4)
-        p = Polynomial.sum_of_variables(n) ** 4 - Polynomial(n, {(2, 2) + (0,) * (n - 2): lam})
+        p = sum_of_variables(n) ** 4 - Polynomial(n, {(2, 2) + (0,) * (n - 2): lam})
     else:
         p = _rand_scan_base(rng, n)
     q = _scan_q(rng, n)
@@ -304,7 +305,7 @@ def _rand_scan_base(rng, n):
     if rng.random() < 0.5:
         return rand_homogeneous(rng, n, rng.randint(1, 3), density=0.8)
     d = rng.randint(1, 3)
-    base = Polynomial.sum_of_variables(n) ** d
+    base = sum_of_variables(n) ** d
     noise = rand_homogeneous(rng, n, d, density=0.5)
     return base + noise.scale(Fraction(1, rng.randint(10, 40)))
 
@@ -345,7 +346,7 @@ def test_scan_stats_of_single_variable():
 
 
 def _polya_works(g, n):
-    return all_coeffs_positive(Polynomial.sum_of_variables(g.nvars) ** n * g)
+    return all_coeffs_positive(sum_of_variables(g.nvars) ** n * g)
 
 
 def test_polya_exponent_is_least_on_random_rationals():
@@ -370,7 +371,7 @@ def test_polya_exponent_is_least_on_random_rationals():
 
 def _polya_flags(g, n_top):
     """Whether (x1+...+xn)^N * g is all-positive, N = 0..n_top, by exact products."""
-    s = Polynomial.sum_of_variables(g.nvars)
+    s = sum_of_variables(g.nvars)
     f, flags = g, []
     for _ in range(n_top + 1):
         flags.append(all_coeffs_positive(f))
@@ -449,10 +450,10 @@ def test_falling_factorial_form_is_the_scaled_product():
     for _ in range(20):
         n = rng.randint(1, 4)
         g = rand_homogeneous(rng, n, rng.randint(0, 3), density=0.7)
-        terms, scale = _integer_terms(g)
+        terms, scale = integer_terms(g)
         big_n = rng.randint(0, 4)
         total = big_n + g.degree()
-        product = Polynomial.sum_of_variables(n) ** big_n * g.scale(scale)
+        product = sum_of_variables(n) ** big_n * g.scale(scale)
         head = _lex_exponents(n - 1, total)
         expected = []
         for col in head.T:
@@ -468,7 +469,7 @@ def test_polya_exponent_beyond_int64():
     exponent = polya_exponent(g, 400)
     flags = _polya_flags(g, exponent)
     assert exponent > 1 and flags[-1] and not flags[-2]
-    form = _falling_factorial_form(_integer_terms(g)[0], 7, exponent + 7)
+    form = _falling_factorial_form(integer_terms(g)[0], 7, exponent + 7)
     assert max(abs(v) for v in form) > 2 ** 63
 
 

@@ -6,14 +6,17 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from powerpos import (check_pos1, check_pos2, difference_lattice_is_full,
-                      is_positive_definite, jf_matrix, newton_affine_dim,
-                      parse, smith_invariant_factors, Polynomial, Verdict)
+                      eval_rational, is_positive_definite, jf_matrix,
+                      newton_affine_dim, parse, smith_invariant_factors,
+                      Polynomial, Verdict)
 from powerpos.geometry import difference_lattice_generators
 
-from helpers import (dehomogenize, hessian_logf_fd, lattice_units_reachable,
-                     rand_homogeneous)
+from helpers import (dehomogenize, hessian_logf_fd, jf_by_second_partials,
+                     lattice_units_reachable, rand_homogeneous, rational_forms)
 
 P7 = parse("(x1+x2)^4 - 7*x1^2*x2^2", 2)
 
@@ -135,6 +138,22 @@ def test_jf_requires_positive_point_and_value():
         jf_matrix(parse("s1+1", 1), [F(0)])
     with pytest.raises(ValueError):
         jf_matrix(parse("s1 - 10", 1), [F(1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_forms(),
+       st.fractions(min_value=0, max_value=5, max_denominator=7),
+       st.lists(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+                min_size=4, max_size=4))
+def test_jf_equals_the_second_partial_formula_exactly(form, constant, s):
+    # a form plus a constant, signed so that f(s) > 0
+    point = s[:form.nvars]
+    f = form + Polynomial.constant(form.nvars, constant)
+    value = eval_rational(f, point)
+    assume(value != 0)
+    if value < 0:
+        f = -f
+    assert jf_matrix(f, point) == jf_by_second_partials(f, point)
 
 
 def test_fd_hessian_constant_is_zero():

@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerpos import (MINUS_INFINITY, Interval, ParseError, Polynomial,
-                      eval_complex, eval_complex_exact, eval_interval,
-                      eval_rational, infer_nvars, monomials_of_degree, parse,
+                      eval_complex_exact, eval_interval, eval_rational,
+                      infer_nvars, integer_terms, monomials_of_degree, parse,
                       serialize)
 from powerpos.cli import main
 from powerpos.corpus import load_corpus
-from powerpos.poly import MAX_NVARS, MAX_POWER_BITS, MAX_POWER_TERMS
+from powerpos.poly import MAX_NESTING, MAX_NVARS, MAX_POWER_BITS, MAX_POWER_TERMS
 
-from helpers import dehomogenize, rand_homogeneous, sympy_coeff_dict, to_sympy
+from helpers import (dehomogenize, eval_complex, rand_homogeneous, rational_forms,
+                     sympy_coeff_dict, to_sympy)
 
 
 # ---------------------------------------------------------------------
@@ -103,35 +104,26 @@ def test_zero_coefficients_pruned():
 
 
 # ---------------------------------------------------------------------
-# derivative
+# integer form
 # ---------------------------------------------------------------------
 
-def test_partial_derivative_monomial():
-    assert parse("x1^2*x2", 2).partial_derivative(0) == parse("2*x1*x2", 2)
+@settings(max_examples=80)
+@given(rational_forms())
+def test_integer_terms_are_the_least_integer_multiple(p):
+    import sympy
+    terms, scale = integer_terms(p)
+    assert list(terms) == list(p.terms)
+    assert all(type(c) is int for c in terms.values())
+    assert terms == {e: c * scale for e, c in p.terms.items()}
+    # L is least: L/q leaves a fraction for every prime q dividing L
+    for q in sympy.primefactors(scale):
+        assert any((c * (scale // q)).denominator != 1 for c in p.terms.values())
 
 
-def test_partial_derivative_vanishes_on_facet():
-    # x1^2*(x1+x2+x3) + (x2+x3)^3: d/dx1 at x1 = 0 is identically zero
-    p = parse("x1^2*(x1+x2+x3) + (x2+x3)^3", 3)
-    g = p.partial_derivative(0)
-    on_facet = {e: c for e, c in g.terms.items() if e[0] == 0}
-    assert on_facet == {}
-
-
-def test_product_rule_random():
-    rng = random.Random(7)
-    for _ in range(20):
-        a = rand_homogeneous(rng, 3, rng.randint(1, 3))
-        b = rand_homogeneous(rng, 3, rng.randint(1, 3))
-        i = rng.randrange(3)
-        lhs = (a * b).partial_derivative(i)
-        rhs = a * b.partial_derivative(i) + b * a.partial_derivative(i)
-        assert lhs == rhs
-
-
-def test_derivative_index_out_of_range():
-    with pytest.raises(ValueError):
-        parse("x1", 1).partial_derivative(1)
+def test_integer_terms_of_zero_and_of_integers():
+    assert integer_terms(Polynomial.zero(3)) == ({}, 1)
+    assert integer_terms(parse("2*x1 - 3*x2", 2)) == ({(1, 0): 2, (0, 1): -3}, 1)
+    assert integer_terms(parse("1/6*x1 + 3/4*x2", 2)) == ({(1, 0): 2, (0, 1): 9}, 12)
 
 
 # ---------------------------------------------------------------------
@@ -282,6 +274,19 @@ def test_parse_refuses_more_than_max_nvars():
     with pytest.raises(ParseError, match=f"{MAX_NVARS + 1} variables, over the limit of "
                                          f"{MAX_NVARS}"):
         parse("x1", MAX_NVARS + 1)
+
+
+def test_parse_refuses_parentheses_nested_past_max_nesting():
+    assert parse("(" * MAX_NESTING + "x1+x2" + ")" * MAX_NESTING, 2) == parse("x1+x2", 2)
+    # the offset is that of the first parenthesis past the limit, also
+    # after a closed group and inside a product
+    text = "(x1)*" + "(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError, match=f"nested over the limit of {MAX_NESTING}") as info:
+        parse(text, 1)
+    assert info.value.offset == len("(x1)*") + MAX_NESTING
+    # far past the interpreter's recursion limit, still one ParseError
+    with pytest.raises(ParseError):
+        parse("(" * 100_000 + "x1" + ")" * 100_000, 1)
 
 
 def test_product_guard_bounds_terms_by_factors_and_monomials(monkeypatch):
